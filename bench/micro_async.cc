@@ -71,9 +71,6 @@ CellResult RunCell(const Flags& flags, int channels, int queue_depth) {
   options.params = {{"shards", std::to_string(flags.shards)},
                     {"inner_engine", "alog"},
                     {"segment_bytes", std::to_string(4 << 20)},
-                    // Dispatch from this thread only: the virtual
-                    // timeline stays deterministic.
-                    {"parallel_write", "0"},
                     {"queue_depth", std::to_string(queue_depth)}};
   auto opened = kv::OpenStore(options);
   PTSB_CHECK_OK(opened.status());

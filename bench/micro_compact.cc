@@ -84,8 +84,9 @@ struct CompactCell {
   int64_t settle_ns = 0;      // settled - foreground: the drain's wall time
   double p50_us = 0;          // exact (sorted), not histogram buckets
   double p99_us = 0;
-  int64_t scheduled_ns = 0;   // channel backend work, backlog included
-  uint64_t preemptions = 0;
+  // Channel counters summed over channels (scheduled_ns is backend work,
+  // backlog included).
+  ssd::SsdDevice::ChannelStats device;
   uint32_t checksum = 0;
 };
 
@@ -176,10 +177,7 @@ CompactCell RunCell(const Flags& flags, const CompactSetting& s) {
   r.p50_us = at(500);
   r.p99_us = at(990);
 
-  for (const auto& ch : ssd.channel_stats()) {
-    r.scheduled_ns += ch.scheduled_ns;
-    r.preemptions += ch.preemptions;
-  }
+  for (const auto& ch : ssd.channel_stats()) r.device += ch;
   return r;
 }
 
@@ -243,8 +241,8 @@ int main(int argc, char** argv) {
     std::printf("%-22s %9.1f %9.1f %11.2f %11.2f %12.2f %8llu\n", s.label,
                 r.p50_us, r.p99_us, static_cast<double>(r.foreground_ns) / 1e6,
                 static_cast<double>(r.settle_ns) / 1e6,
-                static_cast<double>(r.scheduled_ns) / 1e6,
-                static_cast<unsigned long long>(r.preemptions));
+                static_cast<double>(r.device.scheduled_ns) / 1e6,
+                static_cast<unsigned long long>(r.device.preemptions));
     csv += StrPrintf("%s,%d,%u,%llu,%lld,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%llu\n",
                      s.label, s.parallelism, s.channels,
                      static_cast<unsigned long long>(s.pacing),
@@ -252,8 +250,8 @@ int main(int argc, char** argv) {
                      static_cast<double>(r.foreground_ns) / 1e6,
                      static_cast<double>(r.settled_ns) / 1e6,
                      static_cast<double>(r.settle_ns) / 1e6,
-                     static_cast<double>(r.scheduled_ns) / 1e6,
-                     static_cast<unsigned long long>(r.preemptions));
+                     static_cast<double>(r.device.scheduled_ns) / 1e6,
+                     static_cast<unsigned long long>(r.device.preemptions));
   }
   const std::string csv_path =
       core::WriteResultsFile("micro_compact.csv", csv);
@@ -278,14 +276,15 @@ int main(int argc, char** argv) {
                                    {kTarget, kNoChannels},
                                    {kPacedFifo, kSliceK4}};
   for (const auto& pair : same_stream) {
-    if (cells[pair[1]].scheduled_ns != cells[pair[0]].scheduled_ns) {
+    if (cells[pair[1]].device.scheduled_ns !=
+        cells[pair[0]].device.scheduled_ns) {
       std::printf(
           "FAIL: \"%s\" did not conserve scheduled backend work vs "
           "\"%s\" (%lld ns vs %lld ns) — channels and QoS may move "
           "work, never create or destroy it\n",
           settings[pair[1]].label, settings[pair[0]].label,
-          static_cast<long long>(cells[pair[1]].scheduled_ns),
-          static_cast<long long>(cells[pair[0]].scheduled_ns));
+          static_cast<long long>(cells[pair[1]].device.scheduled_ns),
+          static_cast<long long>(cells[pair[0]].device.scheduled_ns));
       return 1;
     }
   }
@@ -339,7 +338,7 @@ int main(int argc, char** argv) {
                 cells[kSliceK1].p99_us);
     return 1;
   }
-  if (cells[kSliceK4].preemptions == 0) {
+  if (cells[kSliceK4].device.preemptions == 0) {
     std::printf("FAIL: sliced K=4 cell recorded no preemptions\n");
     return 1;
   }
@@ -348,7 +347,7 @@ int main(int argc, char** argv) {
   const CompactCell again = RunCell(flags, settings[kBaseline]);
   if (again.foreground_ns != cells[kBaseline].foreground_ns ||
       again.settled_ns != cells[kBaseline].settled_ns ||
-      again.scheduled_ns != cells[kBaseline].scheduled_ns ||
+      again.device.scheduled_ns != cells[kBaseline].device.scheduled_ns ||
       again.checksum != cells[kBaseline].checksum) {
     std::printf("FAIL: K=1 baseline is not reproducible to the nanosecond "
                 "(settled %lld vs %lld)\n",

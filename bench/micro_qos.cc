@@ -74,11 +74,9 @@ struct QosCell {
   double p50_us = 0;          // exact (sorted), not histogram buckets
   double p99_us = 0;
   double max_us = 0;
-  int64_t scheduled_ns = 0;   // channel backend work, backlog included
-  std::array<int64_t, sim::kNumIoClasses> class_scheduled_ns{};
-  std::array<int64_t, sim::kNumIoClasses> class_wait_ns{};
-  uint64_t preemptions = 0;
-  int64_t bg_throttled_ns = 0;
+  // Channel counters summed over channels (scheduled_ns is backend work,
+  // backlog included).
+  ssd::SsdDevice::ChannelStats device;
   uint32_t checksum = 0;
 };
 
@@ -160,15 +158,7 @@ QosCell RunCell(const Flags& flags, const QosSetting& qos) {
   r.p99_us = at(990);
   r.max_us = static_cast<double>(latencies.back()) / 1000.0;
 
-  for (const auto& ch : ssd.channel_stats()) {
-    r.scheduled_ns += ch.scheduled_ns;
-    r.preemptions += ch.preemptions;
-    r.bg_throttled_ns += ch.bg_throttled_ns;
-    for (int c = 0; c < sim::kNumIoClasses; c++) {
-      r.class_scheduled_ns[static_cast<size_t>(c)] += ch.class_scheduled_ns[c];
-      r.class_wait_ns[static_cast<size_t>(c)] += ch.class_wait_ns[c];
-    }
-  }
+  for (const auto& ch : ssd.channel_stats()) r.device += ch;
   return r;
 }
 
@@ -231,14 +221,14 @@ int main(int argc, char** argv) {
     std::printf("%-22s %9.1f %9.1f %11.2f %11.2f %8llu %10.2f\n", s.label,
                 r.p50_us, r.p99_us, static_cast<double>(r.foreground_ns) / 1e6,
                 static_cast<double>(r.settled_ns) / 1e6,
-                static_cast<unsigned long long>(r.preemptions),
-                static_cast<double>(r.bg_throttled_ns) / 1e6);
+                static_cast<unsigned long long>(r.device.preemptions),
+                static_cast<double>(r.device.bg_throttled_ns) / 1e6);
     csv += StrPrintf("%s,%lld,%.0f,%.3f,%.3f,%.3f,%.3f,%llu,%.3f\n", s.label,
                      static_cast<long long>(s.slice_us), s.rate_mbps, r.p50_us,
                      r.p99_us, static_cast<double>(r.foreground_ns) / 1e6,
                      static_cast<double>(r.settled_ns) / 1e6,
-                     static_cast<unsigned long long>(r.preemptions),
-                     static_cast<double>(r.bg_throttled_ns) / 1e6);
+                     static_cast<unsigned long long>(r.device.preemptions),
+                     static_cast<double>(r.device.bg_throttled_ns) / 1e6);
   }
   const std::string csv_path = core::WriteResultsFile("micro_qos.csv", csv);
   if (!csv_path.empty()) std::printf("written to %s\n", csv_path.c_str());
@@ -256,14 +246,15 @@ int main(int argc, char** argv) {
   // command byte stream — conserved exactly, cell by cell, class by
   // class.
   for (size_t i = 0; i < cells.size(); i++) {
-    if (cells[i].scheduled_ns != cells[kOff].scheduled_ns ||
-        cells[i].class_scheduled_ns != cells[kOff].class_scheduled_ns) {
+    if (cells[i].device.scheduled_ns != cells[kOff].device.scheduled_ns ||
+        cells[i].device.class_scheduled_ns !=
+            cells[kOff].device.class_scheduled_ns) {
       std::printf("FAIL: cell \"%s\" did not conserve scheduled backend "
                   "work (%lld ns vs %lld ns) — the scheduler may move "
                   "work, never create or destroy it\n",
                   settings[i].label,
-                  static_cast<long long>(cells[i].scheduled_ns),
-                  static_cast<long long>(cells[kOff].scheduled_ns));
+                  static_cast<long long>(cells[i].device.scheduled_ns),
+                  static_cast<long long>(cells[kOff].device.scheduled_ns));
       return 1;
     }
   }
@@ -277,7 +268,7 @@ int main(int argc, char** argv) {
                   cells[i - 1].p99_us);
       return 1;
     }
-    if (cells[i].preemptions == 0) {
+    if (cells[i].device.preemptions == 0) {
       std::printf("FAIL: cell \"%s\" recorded no preemptions\n",
                   settings[i].label);
       return 1;
@@ -296,7 +287,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(cells[prev].settled_ns) / 1e6);
       return 1;
     }
-    if (cells[i].bg_throttled_ns == 0) {
+    if (cells[i].device.bg_throttled_ns == 0) {
       std::printf("FAIL: cell \"%s\" recorded no throttle time\n",
                   settings[i].label);
       return 1;
@@ -304,9 +295,9 @@ int main(int argc, char** argv) {
   }
   // 5. Weighted interleave must charge the foreground for background
   // grants (class_wait on fg-write exceeds the unweighted cell's).
-  if (cells[kWeights].class_wait_ns[static_cast<size_t>(
+  if (cells[kWeights].device.class_wait_ns[static_cast<size_t>(
           sim::IoClass::kForegroundWrite)] <=
-      cells[2].class_wait_ns[static_cast<size_t>(
+      cells[2].device.class_wait_ns[static_cast<size_t>(
           sim::IoClass::kForegroundWrite)]) {
     std::printf("FAIL: 4:4:1 weights did not add interleaved background "
                 "service to foreground windows\n");
@@ -314,8 +305,9 @@ int main(int argc, char** argv) {
   }
   // 6. No knobs = the pre-QoS FIFO device, reproduced exactly: the
   // scheduler counters stay zero and a repeat run is ns-identical.
-  if (cells[kOff].preemptions != 0 || cells[kOff].bg_throttled_ns != 0 ||
-      cells[kOff].class_wait_ns !=
+  if (cells[kOff].device.preemptions != 0 ||
+      cells[kOff].device.bg_throttled_ns != 0 ||
+      cells[kOff].device.class_wait_ns !=
           std::array<int64_t, sim::kNumIoClasses>{}) {
     std::printf("FAIL: QoS counters moved with no QoS knobs set\n");
     return 1;
@@ -336,7 +328,7 @@ int main(int argc, char** argv) {
       "(%llu preemptions at the tightest); settled time %.2f -> %.2f ms "
       "as admission drops; no-knob cell reproduces FIFO exactly\n",
       cells.size(), cells[kOff].p99_us, cells[kSliceLast].p99_us,
-      static_cast<unsigned long long>(cells[kSliceLast].preemptions),
+      static_cast<unsigned long long>(cells[kSliceLast].device.preemptions),
       static_cast<double>(cells[kSliceMid].settled_ns) / 1e6,
       static_cast<double>(cells[kRateLast].settled_ns) / 1e6);
   return 0;

@@ -297,8 +297,11 @@ int main(int argc, char** argv) {
       }
       std::printf("%%");
     }
-    const int64_t fg = result->device_foreground_busy_ns;
-    const int64_t bg = result->device_background_busy_ns;
+    const auto& busy = result->device.class_busy_ns;
+    const int64_t fg =
+        busy[static_cast<size_t>(sim::IoClass::kForegroundRead)] +
+        busy[static_cast<size_t>(sim::IoClass::kForegroundWrite)];
+    const int64_t bg = busy[static_cast<size_t>(sim::IoClass::kBackground)];
     std::printf("\ndevice busy split: foreground=%.3fs background=%.3fs "
                 "(simulated)\n",
                 static_cast<double>(fg) / 1e9,
@@ -306,13 +309,13 @@ int main(int argc, char** argv) {
   }
   if (config.background_slice_us > 0 || config.background_rate_mbps > 0) {
     std::printf("qos: preemptions=%llu bg_throttled=%.3fs wait(",
-                static_cast<unsigned long long>(result->device_preemptions),
-                static_cast<double>(result->device_bg_throttled_ns) / 1e9);
+                static_cast<unsigned long long>(result->device.preemptions),
+                static_cast<double>(result->device.bg_throttled_ns) / 1e9);
     for (int k = 0; k < sim::kNumIoClasses; k++) {
       std::printf("%s%s=%.3fs", k > 0 ? " " : "",
                   sim::IoClassName(static_cast<sim::IoClass>(k)),
                   static_cast<double>(
-                      result->device_class_wait_ns[static_cast<size_t>(k)]) /
+                      result->device.class_wait_ns[static_cast<size_t>(k)]) /
                       1e9);
     }
     std::printf(")\n");

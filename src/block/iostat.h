@@ -12,24 +12,27 @@
 
 namespace ptsb::block {
 
+// The IoCounters field table: one X(name) row per uint64_t counter; the
+// members and operator- are generated from it.
+#define PTSB_IO_COUNTERS_FIELDS(X) \
+  X(read_ops)                      \
+  X(read_bytes)                    \
+  X(write_ops)                     \
+  X(write_bytes)                   \
+  X(trim_ops)                      \
+  X(trim_bytes)                    \
+  X(flushes)
+
 struct IoCounters {
-  uint64_t read_ops = 0;
-  uint64_t read_bytes = 0;
-  uint64_t write_ops = 0;
-  uint64_t write_bytes = 0;
-  uint64_t trim_ops = 0;
-  uint64_t trim_bytes = 0;
-  uint64_t flushes = 0;
+#define PTSB_IO_COUNTERS_MEMBER(name) uint64_t name = 0;
+  PTSB_IO_COUNTERS_FIELDS(PTSB_IO_COUNTERS_MEMBER)
+#undef PTSB_IO_COUNTERS_MEMBER
 
   IoCounters operator-(const IoCounters& o) const {
     IoCounters d;
-    d.read_ops = read_ops - o.read_ops;
-    d.read_bytes = read_bytes - o.read_bytes;
-    d.write_ops = write_ops - o.write_ops;
-    d.write_bytes = write_bytes - o.write_bytes;
-    d.trim_ops = trim_ops - o.trim_ops;
-    d.trim_bytes = trim_bytes - o.trim_bytes;
-    d.flushes = flushes - o.flushes;
+#define PTSB_IO_COUNTERS_SUB(name) d.name = name - o.name;
+    PTSB_IO_COUNTERS_FIELDS(PTSB_IO_COUNTERS_SUB)
+#undef PTSB_IO_COUNTERS_SUB
     return d;
   }
 };

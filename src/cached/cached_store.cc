@@ -926,35 +926,15 @@ kv::KvStoreStats CachedStore::GetStats() const {
     out.snapshot_pinned_bytes = snapshot_pinned_buffer_bytes_;
     return out;
   });
-  const kv::KvStoreStats in = inner_->GetStats();
-  // Inner snapshots are the wrapper's own composite snapshots, so the
-  // created/open counters stay the wrapper's; only the pinned-bytes gauge
-  // aggregates across layers.
-  s.snapshot_pinned_bytes += in.snapshot_pinned_bytes;
+  kv::KvStoreStats in = inner_->GetStats();
   // The inner engine's "user" traffic is this wrapper's flush traffic:
-  // fold its whole write path into the maintenance columns and keep only
-  // the wrapper's own user_* counters, so user_bytes_written still means
-  // what the application wrote and the write-amplification ratios stay
-  // honest.
-  s.flush_bytes_written += in.wal_bytes_written + in.flush_bytes_written;
-  s.compaction_bytes_written += in.compaction_bytes_written;
-  s.compaction_bytes_read += in.compaction_bytes_read;
-  s.page_write_bytes += in.page_write_bytes;
-  s.page_read_bytes += in.page_read_bytes;
-  s.checkpoint_bytes_written += in.checkpoint_bytes_written;
-  s.gc_bytes_written += in.gc_bytes_written;
-  s.gc_bytes_read += in.gc_bytes_read;
-  // Bloom probes only happen in the inner LSM; the wrapper has none of
-  // its own, so the inner counters pass straight through.
-  s.bloom_negatives += in.bloom_negatives;
-  s.bloom_false_positives += in.bloom_false_positives;
-  s.stall_count += in.stall_count;
-  s.time_flush_ns += in.time_wal_ns + in.time_flush_ns;
-  s.time_compaction_ns += in.time_compaction_ns;
-  s.time_read_path_ns += in.time_read_path_ns;
-  s.time_writeback_ns += in.time_writeback_ns;
-  s.time_checkpoint_ns += in.time_checkpoint_ns;
-  s.time_background_ns += in.time_background_ns;
+  // its log appends count as flush, not as the wrapper's own WAL, so
+  // user_bytes_written still means what the application wrote and the
+  // write-amplification ratios stay honest. Everything else folds by the
+  // field table's rule (kv::StatRule).
+  in.flush_bytes_written += std::exchange(in.wal_bytes_written, 0);
+  in.time_flush_ns += std::exchange(in.time_wal_ns, 0);
+  s.FoldInner(in);
   return s;
 }
 

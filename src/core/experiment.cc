@@ -810,17 +810,7 @@ StatusOr<ExperimentResult> RunExperiment(
                        : 0.0;
     }
     result.channel_class_utilization.push_back(by_class);
-    result.device_foreground_busy_ns +=
-        ch.class_busy_ns[static_cast<int>(sim::IoClass::kForegroundRead)] +
-        ch.class_busy_ns[static_cast<int>(sim::IoClass::kForegroundWrite)];
-    result.device_background_busy_ns +=
-        ch.class_busy_ns[static_cast<int>(sim::IoClass::kBackground)];
-    result.device_preemptions += ch.preemptions;
-    result.device_bg_throttled_ns += ch.bg_throttled_ns;
-    for (int c = 0; c < sim::kNumIoClasses; c++) {
-      result.device_class_wait_ns[static_cast<size_t>(c)] +=
-          ch.class_wait_ns[c];
-    }
+    result.device += ch;
   }
   result.op_p50_us = run_latency.Percentile(50) / 1000.0;
   result.op_p99_us = run_latency.Percentile(99) / 1000.0;

@@ -64,13 +64,12 @@ struct ExperimentConfig {
   size_t scan_count = 100;
   // Concurrent workers for the update phase. Each worker replays its own
   // deterministic op stream (WorkloadSpec::ForThread) against the one
-  // store; pair > 1 with the "sharded" engine, which serializes per
-  // shard and commits cross-shard batches in parallel. With > 1 the
-  // per-window series degrades to a single aggregate window (sampling
-  // windows mid-run would race with the workers), and scan ops are
-  // downgraded to gets: iterators have no snapshot isolation yet
-  // (ROADMAP), so a scan concurrent with writes would read invalidated
-  // state.
+  // store; every built-in engine accepts concurrent writers. With > 1
+  // the per-window series degrades to a single aggregate window
+  // (sampling windows mid-run would race with the workers), and scan ops
+  // are downgraded to gets unless scan_while_writing runs them over
+  // snapshots: a live iterator concurrent with writes would read
+  // invalidated state.
   size_t num_threads = 1;
   // Device-internal parallelism (Roh et al., PAPERS.md): number of
   // independent flash channels in the simulated SSD. A submission queue
@@ -215,18 +214,10 @@ struct ExperimentResult {
   // occupancy, so it is finer-grained than channel_utilization).
   std::vector<std::array<double, sim::kNumIoClasses>>
       channel_class_utilization;
-  // The same, summed across channels into the foreground-vs-background
-  // device-time breakdown (nanoseconds of channel busy time).
-  int64_t device_foreground_busy_ns = 0;
-  int64_t device_background_busy_ns = 0;
-
-  // QoS scheduler counters summed across channels (all zero unless a
-  // QoS knob is set): foreground preemptions of background spans, time
-  // background writes spent in the admission throttle, and per-class
-  // scheduling delay imposed by the inter-class scheduler.
-  uint64_t device_preemptions = 0;
-  int64_t device_bg_throttled_ns = 0;
-  std::array<int64_t, sim::kNumIoClasses> device_class_wait_ns{};
+  // The per-channel device counters summed across channels: the
+  // per-class busy split (foreground vs background device time) and the
+  // QoS scheduler counters (all zero unless a QoS knob is set).
+  ssd::SsdDevice::ChannelStats device;
 
   // Operation-latency percentiles over the whole update phase
   // (microseconds of virtual time, per logical entry): background

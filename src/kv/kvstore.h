@@ -49,96 +49,151 @@ class SimClock;
 
 namespace ptsb::kv {
 
+// What a wrapper engine (cached) does with one KvStoreStats field when it
+// folds its inner engine's stats into its own (KvStoreStats::FoldInner).
+enum class StatRule {
+  // The wrapper keeps its own value: the inner engine's "user" operations
+  // are the wrapper's flush traffic, and the inner snapshots are parts of
+  // the wrapper's own composite snapshots.
+  kOwn,
+  // The inner value adds onto the wrapper's: maintenance bytes and time,
+  // stalls, bloom probes and pinned bytes happen only below the wrapper.
+  kFold,
+};
+
+// The KvStoreStats field table: one X(type, name, rule) row per field.
+// The members, operator+=, operator==, ForEachField and FoldInner are all
+// generated from it, so a new counter is a one-row change.
+#define PTSB_KV_STORE_STATS_FIELDS(X)                                       \
+  X(uint64_t, user_puts, kOwn)                                              \
+  /* point lookups (MultiGet counts per key) */                             \
+  X(uint64_t, user_gets, kOwn)                                              \
+  X(uint64_t, user_deletes, kOwn)                                           \
+  /* iterators created */                                                   \
+  X(uint64_t, user_scans, kOwn)                                             \
+  /* Write calls (Put/Delete count as size-1) */                            \
+  X(uint64_t, user_batches, kOwn)                                           \
+  /* sum of key+value sizes put */                                          \
+  X(uint64_t, user_bytes_written, kOwn)                                     \
+  X(uint64_t, user_bytes_read, kOwn)                                        \
+                                                                            \
+  /* Group-commit accounting. wal_records counts the log records the       \
+     engine actually wrote (one per commit GROUP); write_groups counts the  \
+     groups committed and write_group_batches the user batches folded into  \
+     them. Under a single writer all three track user_batches one-to-one;   \
+     under N concurrent writers wal_records/write_groups grow SUB-linearly  \
+     while write_group_batches keeps counting every user batch — their      \
+     ratio is the measured group occupancy. */                              \
+  X(uint64_t, wal_records, kOwn)                                            \
+  X(uint64_t, write_groups, kOwn)                                           \
+  X(uint64_t, write_group_batches, kOwn)                                    \
+                                                                            \
+  X(uint64_t, wal_bytes_written, kFold)        /* WAL / journal / alog */   \
+  X(uint64_t, flush_bytes_written, kFold)      /* LSM memtable flushes */   \
+  X(uint64_t, compaction_bytes_written, kFold) /* LSM compaction output */  \
+  X(uint64_t, compaction_bytes_read, kFold)    /* LSM compaction input */   \
+  X(uint64_t, page_write_bytes, kFold)         /* B+Tree page writebacks */ \
+  X(uint64_t, page_read_bytes, kFold)          /* B+Tree page reads */      \
+  X(uint64_t, checkpoint_bytes_written, kFold) /* B+Tree checkpoints */     \
+  X(uint64_t, gc_bytes_written, kFold)         /* alog segment-GC output */ \
+  X(uint64_t, gc_bytes_read, kFold)            /* alog segment-GC input */  \
+                                                                            \
+  /* Wrapper cache layer (the "cached" engine; zero in the bare engines).  \
+     A hit is a point lookup served entirely above the inner engine (write  \
+     buffer or read cache); a miss is one forwarded to it. NotFound from    \
+     the inner engine still counts as a miss — the lookup paid the inner    \
+     read path either way. */                                               \
+  X(uint64_t, cache_hits, kOwn)                                             \
+  X(uint64_t, cache_misses, kOwn)                                           \
+  /* Bytes of earlier buffered entries absorbed by newer writes to the     \
+     same key before any flush: rewrite traffic the write buffer kept off   \
+     the inner engine entirely. */                                          \
+  X(uint64_t, buffer_coalesced_bytes, kOwn)                                 \
+  /* Write-buffer flush batches committed to the inner engine (each is one \
+     inner group commit). */                                                \
+  X(uint64_t, flush_batches, kOwn)                                          \
+                                                                            \
+  /* engine-level write stalls (LSM L0 pressure) */                         \
+  X(uint64_t, stall_count, kFold)                                           \
+                                                                            \
+  /* Bloom-filter effectiveness on the LSM point-read path (zero in        \
+     engines without blooms). A negative is an SST probe the pinned         \
+     filter rejected without touching the device — the work blooms          \
+     exist to save; a false positive is a probe the filter admitted         \
+     whose table turned out not to hold the key — the data-block read       \
+     was wasted. true-negative rate = negatives / (negatives + false        \
+     positives + hits); the paper's 10-bits-per-key default targets         \
+     ~1% false positives. */                                                \
+  X(uint64_t, bloom_negatives, kFold)                                       \
+  X(uint64_t, bloom_false_positives, kFold)                                 \
+                                                                            \
+  /* Snapshot accounting. snapshots_created counts GetSnapshot calls over  \
+     the store's lifetime; snapshots_open is a gauge of snapshots handed    \
+     out and not yet released; snapshot_pinned_bytes is a gauge of disk     \
+     bytes that are dead to the live view but kept on the filesystem only   \
+     because an open snapshot still reads them (obsolete SSTs past          \
+     compaction, quarantined B+Tree blocks, sealed alog segments past GC).  \
+     Both gauges must return to zero after the last snapshot drops — the    \
+     stats-verified release the acceptance criteria require. */             \
+  X(uint64_t, snapshots_created, kOwn)                                      \
+  X(uint64_t, snapshots_open, kOwn)                                         \
+  X(uint64_t, snapshot_pinned_bytes, kFold)                                 \
+                                                                            \
+  /* Virtual-time breakdown (nanoseconds of simulated time spent inside    \
+     each engine mechanism); only filled when a clock is attached. The      \
+     time_* fields measure FOREGROUND time: what the user-visible           \
+     timeline absorbed. With background_io on, maintenance runs on a       \
+     background lane instead, its span lands in time_background_ns, and     \
+     the corresponding foreground field stays near zero — the               \
+     foreground-vs-background breakdown the paper's interference argument   \
+     needs. */                                                              \
+  X(int64_t, time_wal_ns, kFold)                                            \
+  X(int64_t, time_flush_ns, kFold)                                          \
+  X(int64_t, time_compaction_ns, kFold)                                     \
+  X(int64_t, time_read_path_ns, kFold)                                      \
+  /* B+Tree leaf writebacks + page reads */                                 \
+  X(int64_t, time_writeback_ns, kFold)                                      \
+  /* B+Tree checkpoints */                                                  \
+  X(int64_t, time_checkpoint_ns, kFold)                                     \
+  /* background-lane spans (background_io) */                               \
+  X(int64_t, time_background_ns, kFold)
+
 // Engine-side write accounting (application-level write breakdown). The
 // paper's WA-A is measured at the block layer (host bytes / user bytes);
 // these counters let benches attribute it to engine mechanisms. Under
 // group commit, wal_bytes_written grows sub-linearly with batch size:
 // record framing is paid once per batch, not once per entry.
 struct KvStoreStats {
-  uint64_t user_puts = 0;
-  uint64_t user_gets = 0;    // point lookups (MultiGet counts per key)
-  uint64_t user_deletes = 0;
-  uint64_t user_scans = 0;   // iterators created
-  uint64_t user_batches = 0; // Write calls (Put/Delete count as size-1)
-  uint64_t user_bytes_written = 0;  // sum of key+value sizes put
-  uint64_t user_bytes_read = 0;
+#define PTSB_KV_STATS_MEMBER(type, name, rule) type name = 0;
+  PTSB_KV_STORE_STATS_FIELDS(PTSB_KV_STATS_MEMBER)
+#undef PTSB_KV_STATS_MEMBER
 
-  // Group-commit accounting. wal_records counts the log records the
-  // engine actually wrote (one per commit GROUP); write_groups counts the
-  // groups committed and write_group_batches the user batches folded into
-  // them. Under a single writer all three track user_batches one-to-one;
-  // under N concurrent writers wal_records/write_groups grow SUB-linearly
-  // while write_group_batches keeps counting every user batch — their
-  // ratio is the measured group occupancy.
-  uint64_t wal_records = 0;
-  uint64_t write_groups = 0;
-  uint64_t write_group_batches = 0;
+  // Sums every field, gauges included (the sharded front end's total
+  // over its shards, which share one clock).
+  KvStoreStats& operator+=(const KvStoreStats& o) {
+#define PTSB_KV_STATS_ADD(type, name, rule) name += o.name;
+    PTSB_KV_STORE_STATS_FIELDS(PTSB_KV_STATS_ADD)
+#undef PTSB_KV_STATS_ADD
+    return *this;
+  }
 
-  uint64_t wal_bytes_written = 0;         // LSM WAL / journal / alog appends
-  uint64_t flush_bytes_written = 0;       // LSM memtable flushes
-  uint64_t compaction_bytes_written = 0;  // LSM compaction output
-  uint64_t compaction_bytes_read = 0;     // LSM compaction input
-  uint64_t page_write_bytes = 0;          // B+Tree page writebacks
-  uint64_t page_read_bytes = 0;           // B+Tree page reads
-  uint64_t checkpoint_bytes_written = 0;  // B+Tree checkpoints
-  uint64_t gc_bytes_written = 0;          // alog segment-GC rewrites
-  uint64_t gc_bytes_read = 0;             // alog segment-GC input
+  bool operator==(const KvStoreStats&) const = default;
 
-  // Wrapper cache layer (the "cached" engine; zero in the bare engines).
-  // A hit is a point lookup served entirely above the inner engine (write
-  // buffer or read cache); a miss is one forwarded to it. NotFound from
-  // the inner engine still counts as a miss — the lookup paid the inner
-  // read path either way.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  // Bytes of earlier buffered entries absorbed by newer writes to the
-  // same key before any flush: rewrite traffic the write buffer kept off
-  // the inner engine entirely.
-  uint64_t buffer_coalesced_bytes = 0;
-  // Write-buffer flush batches committed to the inner engine (each is one
-  // inner group commit).
-  uint64_t flush_batches = 0;
+  // Calls f(name, value) for every field, in declaration order.
+  template <typename F>
+  void ForEachField(F&& f) const {
+#define PTSB_KV_STATS_VISIT(type, name, rule) f(#name, name);
+    PTSB_KV_STORE_STATS_FIELDS(PTSB_KV_STATS_VISIT)
+#undef PTSB_KV_STATS_VISIT
+  }
 
-  uint64_t stall_count = 0;  // engine-level write stalls (LSM L0 pressure)
-
-  // Bloom-filter effectiveness on the LSM point-read path (zero in
-  // engines without blooms). A negative is an SST probe the pinned
-  // filter rejected without touching the device — the work blooms
-  // exist to save; a false positive is a probe the filter admitted
-  // whose table turned out not to hold the key — the data-block read
-  // was wasted. true-negative rate = negatives / (negatives + false
-  // positives + hits); the paper's 10-bits-per-key default targets
-  // ~1% false positives.
-  uint64_t bloom_negatives = 0;
-  uint64_t bloom_false_positives = 0;
-
-  // Snapshot accounting. snapshots_created counts GetSnapshot calls over
-  // the store's lifetime; snapshots_open is a gauge of snapshots handed
-  // out and not yet released; snapshot_pinned_bytes is a gauge of disk
-  // bytes that are dead to the live view but kept on the filesystem only
-  // because an open snapshot still reads them (obsolete SSTs past
-  // compaction, quarantined B+Tree blocks, sealed alog segments past GC).
-  // Both gauges must return to zero after the last snapshot drops — the
-  // stats-verified release the acceptance criteria require.
-  uint64_t snapshots_created = 0;
-  uint64_t snapshots_open = 0;
-  uint64_t snapshot_pinned_bytes = 0;
-
-  // Virtual-time breakdown (nanoseconds of simulated time spent inside
-  // each engine mechanism); only filled when a clock is attached. The
-  // time_* fields measure FOREGROUND time: what the user-visible
-  // timeline absorbed. With background_io on, maintenance runs on a
-  // background lane instead, its span lands in time_background_ns, and
-  // the corresponding foreground field stays near zero — the
-  // foreground-vs-background breakdown the paper's interference argument
-  // needs.
-  int64_t time_wal_ns = 0;
-  int64_t time_flush_ns = 0;
-  int64_t time_compaction_ns = 0;
-  int64_t time_read_path_ns = 0;
-  int64_t time_writeback_ns = 0;   // B+Tree leaf writebacks + page reads
-  int64_t time_checkpoint_ns = 0;  // B+Tree checkpoints
-  int64_t time_background_ns = 0;  // background-lane spans (background_io)
+  // Adds the StatRule::kFold fields of an inner engine's stats `in`.
+  void FoldInner(const KvStoreStats& in) {
+#define PTSB_KV_STATS_FOLD(type, name, rule) \
+  if constexpr (StatRule::rule == StatRule::kFold) name += in.name;
+    PTSB_KV_STORE_STATS_FIELDS(PTSB_KV_STATS_FOLD)
+#undef PTSB_KV_STATS_FOLD
+  }
 };
 
 // Handle for one in-flight asynchronous commit (KVStore::WriteAsync).

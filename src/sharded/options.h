@@ -6,7 +6,6 @@
 #ifndef PTSB_SHARDED_OPTIONS_H_
 #define PTSB_SHARDED_OPTIONS_H_
 
-#include <cstdint>
 #include <string>
 
 namespace ptsb::sharded {
@@ -21,31 +20,16 @@ struct ShardedOptions {
   // or any out-of-tree registration). Nesting "sharded" is rejected.
   std::string inner_engine = "lsm";
 
-  // Commit the sub-batches of one Write on the per-shard worker threads
-  // (concurrent group commit). When false — or when a batch touches a
-  // single shard — sub-batches commit sequentially on the calling thread;
-  // multiple caller threads still get shard-level parallelism from the
-  // per-shard locking.
-  bool parallel_write = true;
-
-  // Dispatch a sub-batch to its shard worker only when its payload is at
-  // least this large; smaller sub-batches commit inline on the caller.
-  // Waking a worker costs a condition-variable round-trip (~10 us), so
-  // handing it less work than that makes the batch SLOWER than committing
-  // sequentially — the classic small-write dispatch trap. 0 = always
-  // dispatch.
-  uint64_t parallel_write_min_bytes = 32 << 10;
-
   // Maximum in-flight async sub-batch commits per Write call. At > 1
   // (and with a virtual clock attached), a cross-shard batch dispatches
   // its sub-batches through KVStore::WriteAsync — shard i submits on
   // queue i, the simulated SSD serializes queue i on channel
   // i % channels only — so up to queue_depth commits overlap in VIRTUAL
-  // device time, like an NVMe multi-queue submitter. This is orthogonal
-  // to parallel_write (wall-clock overlap on worker threads): when the
-  // async path is active it dispatches from the calling thread and the
-  // workers stay idle, keeping the virtual timeline deterministic. 1 =
-  // synchronous serialized commits (the pre-async behavior).
+  // device time, like an NVMe multi-queue submitter. Dispatch stays on
+  // the calling thread, keeping the virtual timeline deterministic. 1 =
+  // synchronous serialized commits on the calling thread; multiple
+  // caller threads still get shard-level parallelism from the per-shard
+  // locking.
   int queue_depth = 1;
 
   // Maximum in-flight async sub-lookups per MultiGet call: the read-side

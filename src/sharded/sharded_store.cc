@@ -13,48 +13,6 @@ namespace ptsb::sharded {
 
 namespace {
 
-// Field-wise sum of the engine counters; per-shard clocks don't exist
-// (shards share the experiment's SimClock), so the time breakdown sums
-// like the byte counters do.
-void AddStats(kv::KvStoreStats* into, const kv::KvStoreStats& s) {
-  into->user_puts += s.user_puts;
-  into->user_gets += s.user_gets;
-  into->user_deletes += s.user_deletes;
-  into->user_scans += s.user_scans;
-  into->user_batches += s.user_batches;
-  into->user_bytes_written += s.user_bytes_written;
-  into->user_bytes_read += s.user_bytes_read;
-  into->wal_records += s.wal_records;
-  into->write_groups += s.write_groups;
-  into->write_group_batches += s.write_group_batches;
-  into->wal_bytes_written += s.wal_bytes_written;
-  into->flush_bytes_written += s.flush_bytes_written;
-  into->compaction_bytes_written += s.compaction_bytes_written;
-  into->compaction_bytes_read += s.compaction_bytes_read;
-  into->page_write_bytes += s.page_write_bytes;
-  into->page_read_bytes += s.page_read_bytes;
-  into->checkpoint_bytes_written += s.checkpoint_bytes_written;
-  into->gc_bytes_written += s.gc_bytes_written;
-  into->gc_bytes_read += s.gc_bytes_read;
-  into->cache_hits += s.cache_hits;
-  into->cache_misses += s.cache_misses;
-  into->bloom_negatives += s.bloom_negatives;
-  into->bloom_false_positives += s.bloom_false_positives;
-  into->buffer_coalesced_bytes += s.buffer_coalesced_bytes;
-  into->flush_batches += s.flush_batches;
-  into->stall_count += s.stall_count;
-  into->snapshots_created += s.snapshots_created;
-  into->snapshots_open += s.snapshots_open;
-  into->snapshot_pinned_bytes += s.snapshot_pinned_bytes;
-  into->time_wal_ns += s.time_wal_ns;
-  into->time_flush_ns += s.time_flush_ns;
-  into->time_compaction_ns += s.time_compaction_ns;
-  into->time_read_path_ns += s.time_read_path_ns;
-  into->time_writeback_ns += s.time_writeback_ns;
-  into->time_checkpoint_ns += s.time_checkpoint_ns;
-  into->time_background_ns += s.time_background_ns;
-}
-
 // NoSpace wins over generic errors: the experiment driver treats it as
 // data (the paper's Fig. 6 scenario), so a concurrent commit where one
 // shard filled the device and another hit a follow-on error must report
@@ -70,21 +28,6 @@ Status CombineStatuses(const std::vector<Status>& statuses) {
 
 }  // namespace
 
-// A Write call waiting for its dispatched sub-batches. Lives on the
-// caller's stack; `remaining` counts sub-batches still running on shard
-// workers.
-struct ShardedStore::WriteBarrier {
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining = 0;
-};
-
-struct ShardedStore::WriteTask {
-  const kv::WriteBatch* batch = nullptr;
-  Status* status = nullptr;       // caller-owned slot for the result
-  WriteBarrier* barrier = nullptr;
-};
-
 struct ShardedStore::Shard {
   std::unique_ptr<kv::KVStore> store;
   // Guards `store`: every inner-engine call (Write/Get/iterator creation/
@@ -92,20 +35,12 @@ struct ShardedStore::Shard {
   // single-threaded as the engines assume while different shards run in
   // parallel.
   std::mutex mu;
-
-  // Write-dispatch queue, used only when parallel_write is on.
-  std::mutex queue_mu;
-  std::condition_variable queue_cv;
-  std::deque<WriteTask> queue;
-  bool stop = false;
-  std::thread worker;
 };
 
 ShardedStore::ShardedStore(ShardedOptions options, std::string root)
     : options_(std::move(options)), root_(std::move(root)) {}
 
 ShardedStore::~ShardedStore() {
-  StopWorkers();
   if (!closed_) {
     // Best-effort shutdown; errors are not recoverable in a destructor.
     Close().ok();
@@ -116,11 +51,6 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::Open(
     const kv::EngineOptions& options) {
   ShardedOptions so;
   so.shards = kv::ParamInt(options, "shards", so.shards);
-  so.parallel_write =
-      kv::ParamBool(options, "parallel_write", so.parallel_write);
-  so.parallel_write_min_bytes =
-      kv::ParamUint64(options, "parallel_write_min_bytes",
-                      so.parallel_write_min_bytes);
   so.queue_depth = kv::ParamInt(options, "queue_depth", so.queue_depth);
   if (so.queue_depth < 1) {
     return Status::InvalidArgument("sharded: queue_depth must be >= 1");
@@ -187,8 +117,6 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::Open(
   inner.engine = so.inner_engine;
   inner.params.erase("shards");
   inner.params.erase("inner_engine");
-  inner.params.erase("parallel_write");
-  inner.params.erase("parallel_write_min_bytes");
   inner.params.erase("queue_depth");
   // read_queue_depth is dual-use: the router consumes it for its own
   // cross-shard MultiGet fan-out AND leaves it in the inner params, so
@@ -210,61 +138,12 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::Open(
     shard->store = *std::move(opened);
     store->shards_.push_back(std::move(shard));
   }
-
-  if (so.parallel_write && so.shards > 1) {
-    for (auto& shard : store->shards_) {
-      Shard* s = shard.get();
-      s->worker = std::thread([store = store.get(), s] {
-        store->WorkerLoop(s);
-      });
-    }
-  }
   return store;
 }
 
 int ShardedStore::ShardOf(std::string_view key) const {
   return static_cast<int>(Crc32c(key) %
                           static_cast<uint32_t>(shards_.size()));
-}
-
-Status ShardedStore::CommitToShard(Shard* shard, const kv::WriteBatch& sub) {
-  std::lock_guard<std::mutex> lock(shard->mu);
-  return shard->store->Write(sub);
-}
-
-void ShardedStore::WorkerLoop(Shard* shard) {
-  for (;;) {
-    WriteTask task;
-    {
-      std::unique_lock<std::mutex> lock(shard->queue_mu);
-      shard->queue_cv.wait(lock, [shard] {
-        return shard->stop || !shard->queue.empty();
-      });
-      if (shard->queue.empty()) {
-        if (shard->stop) return;
-        continue;
-      }
-      task = shard->queue.front();
-      shard->queue.pop_front();
-    }
-    *task.status = CommitToShard(shard, *task.batch);
-    {
-      std::lock_guard<std::mutex> lock(task.barrier->mu);
-      if (--task.barrier->remaining == 0) task.barrier->cv.notify_all();
-    }
-  }
-}
-
-void ShardedStore::StopWorkers() {
-  for (auto& shard : shards_) {
-    if (!shard->worker.joinable()) continue;
-    {
-      std::lock_guard<std::mutex> lock(shard->queue_mu);
-      shard->stop = true;
-    }
-    shard->queue_cv.notify_all();
-    shard->worker.join();
-  }
 }
 
 Status ShardedStore::Write(const kv::WriteBatch& batch) {
@@ -309,52 +188,18 @@ Status ShardedStore::Write(const kv::WriteBatch& batch) {
   // clock, sub-batches commit through WriteAsync from this thread — each
   // shard's commit runs in its own virtual-time submission lane, so up
   // to queue_depth commits overlap in simulated device time (on distinct
-  // flash channels when the device has them). Deterministic: one thread,
-  // no worker handoff.
+  // flash channels when the device has them). Deterministic: one thread.
   if (options_.queue_depth > 1 && clock_ != nullptr) {
     return WriteAsyncDispatch(subs, touched);
   }
 
-  std::vector<Status> statuses(touched.size());
-  const bool workers_running =
-      options_.parallel_write && shards_.size() > 1;
-
-  // Concurrent group commit: sub-batches big enough to amortize a worker
-  // wakeup are dispatched to their shard workers; the rest (always
-  // including one, so this thread contributes) commit inline while the
-  // workers run. Small batches therefore stay on the caller entirely —
-  // with several caller threads the per-shard mutexes still overlap their
-  // commits across shards.
-  WriteBarrier barrier;
-  std::vector<size_t> inline_commits;
-  for (size_t t = 0; t < touched.size(); t++) {
-    const kv::WriteBatch& sub = subs[touched[t]];
-    if (!workers_running || t == 0 ||
-        sub.ByteSize() < options_.parallel_write_min_bytes) {
-      inline_commits.push_back(t);
-      continue;
-    }
-    Shard* shard = shards_[touched[t]].get();
-    WriteTask task;
-    task.batch = &sub;
-    task.status = &statuses[t];
-    task.barrier = &barrier;
-    {
-      std::lock_guard<std::mutex> lock(barrier.mu);
-      barrier.remaining++;
-    }
-    {
-      std::lock_guard<std::mutex> lock(shard->queue_mu);
-      shard->queue.push_back(task);
-    }
-    shard->queue_cv.notify_one();
-  }
-  for (const size_t t : inline_commits) {
-    statuses[t] = CommitToShard(shards_[touched[t]].get(), subs[touched[t]]);
-  }
-  {
-    std::unique_lock<std::mutex> lock(barrier.mu);
-    barrier.cv.wait(lock, [&barrier] { return barrier.remaining == 0; });
+  // Otherwise each sub-batch commits inline on this thread; concurrent
+  // callers still overlap across shards through the per-shard mutexes.
+  std::vector<Status> statuses;
+  statuses.reserve(touched.size());
+  for (const size_t i : touched) {
+    std::lock_guard<std::mutex> lock(shards_[i]->mu);
+    statuses.push_back(shards_[i]->store->Write(subs[i]));
   }
   return CombineStatuses(statuses);
 }
@@ -600,7 +445,6 @@ Status ShardedStore::SettleBackgroundWork() {
 
 Status ShardedStore::Close() {
   if (closed_) return Status::OK();
-  StopWorkers();
   std::vector<Status> statuses;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -614,7 +458,7 @@ kv::KvStoreStats ShardedStore::GetStats() const {
   kv::KvStoreStats total;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    AddStats(&total, shard->store->GetStats());
+    total += shard->store->GetStats();
   }
   return total;
 }
@@ -657,8 +501,6 @@ std::map<std::string, std::string> EncodeEngineParams(
   std::map<std::string, std::string> p;
   p["shards"] = std::to_string(o.shards);
   p["inner_engine"] = o.inner_engine;
-  p["parallel_write"] = o.parallel_write ? "1" : "0";
-  p["parallel_write_min_bytes"] = std::to_string(o.parallel_write_min_bytes);
   p["queue_depth"] = std::to_string(o.queue_depth);
   p["read_queue_depth"] = std::to_string(o.read_queue_depth);
   return p;

@@ -6,24 +6,28 @@
 // testbed's first multi-threaded execution path: it hash-partitions the
 // keyspace across N shards, each shard a full instance of any registered
 // engine rooted in its own directory, each guarded by its own mutex.
-// Writers on different shards proceed in parallel; the filesystem below
-// serializes only the actual I/O (see fs/filesystem.h), so the engines'
+// Writers on different shards proceed in parallel; below them the
+// filesystem locks only namespace and allocation changes and the device
+// model serializes the actual I/O (see fs/filesystem.h), so the engines'
 // CPU work — key comparison, checksums, memtable/index updates — overlaps
 // across shards the way a multi-threaded storage engine overlaps it above
 // a kernel block layer.
 //
 // Semantics relative to a single engine instance:
-//  - Write(batch) splits the batch by shard and commits the sub-batches
-//    concurrently on per-shard worker threads (one group commit per shard
-//    touched). Entries for the same key land on the same shard, so
-//    last-entry-wins order is preserved. Atomicity is per shard: a crash
-//    can persist one shard's sub-batch and not another's (like a
-//    distributed store without a cross-shard commit protocol).
+//  - Write(batch) splits the batch by shard and commits one sub-batch per
+//    shard touched (one group commit each): inline on the calling thread,
+//    or — with queue_depth > 1 and a virtual clock — through the inner
+//    engines' WriteAsync so the commits overlap in virtual device time.
+//    Entries for the same key land on the same shard, so last-entry-wins
+//    order is preserved. Atomicity is per shard: a crash can persist one
+//    shard's sub-batch and not another's (like a distributed store
+//    without a cross-shard commit protocol).
 //  - NewIterator() is a k-way merge over per-shard ordered iterators; the
 //    partition is disjoint so no key appears twice. Like every iterator
 //    in this codebase it observes the store as of creation, must not run
 //    concurrently with writes, and is invalidated by them (the inner
-//    engines' debug-build epoch checks fail fast on misuse).
+//    engines' debug-build epoch checks fail fast on misuse). A snapshot
+//    iterator (NewIterator(ReadOptions)) survives concurrent writes.
 //  - GetStats() sums KvStoreStats across shards. user_batches counts
 //    per-shard sub-batch commits (each is one WAL/journal/segment
 //    record), which is the unit the group-commit accounting cares about.
@@ -31,15 +35,12 @@
 #define PTSB_SHARDED_SHARDED_STORE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "kv/kvstore.h"
@@ -51,7 +52,7 @@ namespace ptsb::sharded {
 class ShardedStore : public kv::KVStore {
  public:
   // Opens (or reopens) the sharded store described by `options`:
-  // engine-level params "shards", "inner_engine" and "parallel_write" are
+  // engine-level params "shards", "inner_engine" and "queue_depth" are
   // consumed here, every other param passes through to the inner engine
   // factories. Shard i is rooted at <root>/shard-i (root defaults to
   // "sharded"); reopening with the same root recovers every shard through
@@ -64,7 +65,7 @@ class ShardedStore : public kv::KVStore {
 
   // Splits the batch by shard (Put/Delete route by hash; a DeleteRange
   // spans the partition and is broadcast to every shard) and commits the
-  // sub-batches concurrently.
+  // sub-batches (see the file comment).
   Status Write(const kv::WriteBatch& batch) override;
   Status Get(std::string_view key, std::string* value) override;
   // Snapshot-aware point lookup: routes to the owning shard with that
@@ -112,21 +113,15 @@ class ShardedStore : public kv::KVStore {
  private:
   class MergingIterator;
   class SnapshotImpl;
-  struct WriteBarrier;
-  struct WriteTask;
   struct Shard;
 
   ShardedStore(ShardedOptions options, std::string root);
 
-  // Commits one sub-batch on the calling thread.
-  Status CommitToShard(Shard* shard, const kv::WriteBatch& sub);
   // Async-dispatch path (queue_depth > 1 + clock): commits the touched
   // sub-batches via WriteAsync with at most queue_depth in flight, so
   // their device time overlaps across channels.
   Status WriteAsyncDispatch(const std::vector<kv::WriteBatch>& subs,
                             const std::vector<size_t>& touched);
-  void WorkerLoop(Shard* shard);
-  void StopWorkers();
 
   ShardedOptions options_;
   std::string root_;
@@ -143,8 +138,9 @@ class ShardedStore : public kv::KVStore {
 
 // Registers the "sharded" engine factory with kv::EngineRegistry.
 // Recognized params mirror ShardedOptions field names ("shards",
-// "inner_engine", "parallel_write"); all other params pass through to the
-// inner engine, so one map configures the whole stack.
+// "inner_engine", "queue_depth", "read_queue_depth"); all other params
+// pass through to the inner engine, so one map configures the whole
+// stack.
 void RegisterShardedEngine();
 
 // Encodes the ShardedOptions fields into an EngineOptions param map (the

@@ -147,6 +147,25 @@ class SsdDevice : public block::BlockDevice {
     std::array<int64_t, sim::kNumIoClasses> class_wait_ns{};
     uint64_t preemptions = 0;
     int64_t bg_throttled_ns = 0;
+
+    // Field-wise sum (per-class arrays element by element): the device
+    // total over channels.
+    ChannelStats& operator+=(const ChannelStats& o) {
+      const auto add = [](auto& into, const auto& from) {
+        for (size_t c = 0; c < into.size(); c++) into[c] += from[c];
+      };
+      busy_ns += o.busy_ns;
+      commands += o.commands;
+      scheduled_ns += o.scheduled_ns;
+      add(class_busy_ns, o.class_busy_ns);
+      add(class_bytes, o.class_bytes);
+      add(class_commands, o.class_commands);
+      add(class_scheduled_ns, o.class_scheduled_ns);
+      add(class_wait_ns, o.class_wait_ns);
+      preemptions += o.preemptions;
+      bg_throttled_ns += o.bg_throttled_ns;
+      return *this;
+    }
   };
   int num_channels() const { return static_cast<int>(channels_.size()); }
   std::vector<ChannelStats> channel_stats() const;

@@ -682,9 +682,6 @@ std::unique_ptr<ShardedStack> MakeShardedStack(int channels,
   options.params = {{"shards", std::to_string(shards)},
                     {"inner_engine", "alog"},
                     {"segment_bytes", std::to_string(1 << 20)},
-                    // Workers off: the async path dispatches from the
-                    // caller thread, keeping the timeline deterministic.
-                    {"parallel_write", "0"},
                     {"queue_depth", std::to_string(queue_depth)}};
   auto opened = kv::OpenStore(options);
   EXPECT_TRUE(opened.ok()) << opened.status().ToString();

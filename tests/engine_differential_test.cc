@@ -19,6 +19,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "block/iostat.h"
@@ -947,9 +948,6 @@ std::unique_ptr<TimedHarness> MakeTimedEngine(const EngineConfig& config) {
   options.fs = h->fs.get();
   options.clock = &h->clock;
   options.params = config.params;
-  // Worker threads would interleave clock charges nondeterministically;
-  // the nanosecond-equality check needs a single-threaded timeline.
-  if (config.engine == "sharded") options.params["parallel_write"] = "0";
   auto opened = kv::OpenStore(options);
   EXPECT_TRUE(opened.ok()) << config.label << ": "
                            << opened.status().ToString();
@@ -957,41 +955,20 @@ std::unique_ptr<TimedHarness> MakeTimedEngine(const EngineConfig& config) {
   return h;
 }
 
+// Compares every KvStoreStats field, by name, via the stats field table.
 void ExpectStatsEqual(const std::string& label, const kv::KvStoreStats& a,
                       const kv::KvStoreStats& b) {
-#define PTSB_EXPECT_STAT_EQ(field) EXPECT_EQ(a.field, b.field) << label
-  PTSB_EXPECT_STAT_EQ(user_puts);
-  PTSB_EXPECT_STAT_EQ(user_gets);
-  PTSB_EXPECT_STAT_EQ(user_deletes);
-  PTSB_EXPECT_STAT_EQ(user_scans);
-  PTSB_EXPECT_STAT_EQ(user_batches);
-  PTSB_EXPECT_STAT_EQ(user_bytes_written);
-  PTSB_EXPECT_STAT_EQ(user_bytes_read);
-  PTSB_EXPECT_STAT_EQ(wal_records);
-  PTSB_EXPECT_STAT_EQ(write_groups);
-  PTSB_EXPECT_STAT_EQ(write_group_batches);
-  PTSB_EXPECT_STAT_EQ(wal_bytes_written);
-  PTSB_EXPECT_STAT_EQ(flush_bytes_written);
-  PTSB_EXPECT_STAT_EQ(compaction_bytes_written);
-  PTSB_EXPECT_STAT_EQ(compaction_bytes_read);
-  PTSB_EXPECT_STAT_EQ(page_write_bytes);
-  PTSB_EXPECT_STAT_EQ(page_read_bytes);
-  PTSB_EXPECT_STAT_EQ(checkpoint_bytes_written);
-  PTSB_EXPECT_STAT_EQ(gc_bytes_written);
-  PTSB_EXPECT_STAT_EQ(gc_bytes_read);
-  PTSB_EXPECT_STAT_EQ(cache_hits);
-  PTSB_EXPECT_STAT_EQ(cache_misses);
-  PTSB_EXPECT_STAT_EQ(buffer_coalesced_bytes);
-  PTSB_EXPECT_STAT_EQ(flush_batches);
-  PTSB_EXPECT_STAT_EQ(stall_count);
-  PTSB_EXPECT_STAT_EQ(time_wal_ns);
-  PTSB_EXPECT_STAT_EQ(time_flush_ns);
-  PTSB_EXPECT_STAT_EQ(time_compaction_ns);
-  PTSB_EXPECT_STAT_EQ(time_read_path_ns);
-  PTSB_EXPECT_STAT_EQ(time_writeback_ns);
-  PTSB_EXPECT_STAT_EQ(time_checkpoint_ns);
-  PTSB_EXPECT_STAT_EQ(time_background_ns);
-#undef PTSB_EXPECT_STAT_EQ
+  using Fields = std::vector<std::pair<std::string, int64_t>>;
+  const auto fields = [](const kv::KvStoreStats& s) {
+    Fields out;
+    s.ForEachField([&out](const char* name, auto value) {
+      out.emplace_back(name, static_cast<int64_t>(value));
+    });
+    return out;
+  };
+  const Fields fa = fields(a);
+  const Fields fb = fields(b);
+  for (size_t i = 0; i < fa.size(); i++) EXPECT_EQ(fa[i], fb[i]) << label;
 }
 
 // The timed fan-out path returns byte-identical results to sequential
@@ -1031,6 +1008,7 @@ TEST(MultiGetTest, FanOutMatchesGetsWhenTimed) {
 }
 
 TEST(AsyncWriteEquivalenceTest, WriteAsyncPlusWaitMatchesSyncWrite) {
+  uint64_t bloom_probes = 0;
   for (const EngineConfig& config : AllEngineConfigs()) {
     const std::string& label = config.label;
     auto sync_h = MakeTimedEngine(config);
@@ -1060,11 +1038,31 @@ TEST(AsyncWriteEquivalenceTest, WriteAsyncPlusWaitMatchesSyncWrite) {
       kv::WriteHandle handle = async_h->store->WriteAsync(batch);
       ASSERT_TRUE(handle.Wait().ok()) << label;
     }
+    // The same flush, point reads and snapshot on both sides, so the bloom
+    // (LSM probes of flushed tables) and snapshot counters are compared
+    // on real values, not 0 == 0.
+    for (TimedHarness* h : {sync_h.get(), async_h.get()}) {
+      ASSERT_TRUE(h->store->Flush().ok()) << label;
+      std::string value;
+      for (int i = 0; i < 16; i++) {
+        // Even i: a trace key (a hit unless deleted); odd i: never written.
+        const std::string key =
+            "k" + std::to_string(i % 2 == 0 ? i * 12 : 1000 + i);
+        const Status s = h->store->Get(key, &value);
+        ASSERT_TRUE(s.ok() || s.IsNotFound()) << label << ": " << key;
+      }
+      const auto snap = h->store->GetSnapshot();
+      ASSERT_TRUE(snap.ok()) << label << ": " << snap.status().ToString();
+    }
 
     EXPECT_EQ(sync_h->clock.NowNanos(), async_h->clock.NowNanos())
         << label << ": submit-then-wait must replay the sync timeline";
-    ExpectStatsEqual(label, sync_h->store->GetStats(),
-                     async_h->store->GetStats());
+    const kv::KvStoreStats sync_stats = sync_h->store->GetStats();
+    ExpectStatsEqual(label, sync_stats, async_h->store->GetStats());
+    EXPECT_GT(sync_stats.snapshots_created, 0u) << label;
+    EXPECT_EQ(sync_stats.snapshots_open, 0u) << label;
+    bloom_probes +=
+        sync_stats.bloom_negatives + sync_stats.bloom_false_positives;
     EXPECT_EQ(sync_h->store->DiskBytesUsed(), async_h->store->DiskBytesUsed())
         << label;
 
@@ -1084,6 +1082,9 @@ TEST(AsyncWriteEquivalenceTest, WriteAsyncPlusWaitMatchesSyncWrite) {
     ASSERT_TRUE(sync_h->store->Close().ok()) << label;
     ASSERT_TRUE(async_h->store->Close().ok()) << label;
   }
+  // The LSM configs' reads must have consulted blooms somewhere, or the
+  // bloom fields above were compared vacuously.
+  EXPECT_GT(bloom_probes, 0u);
 }
 
 // ---- QoS scheduling differential battery ------------------------------
@@ -1110,7 +1111,6 @@ std::unique_ptr<TimedHarness> MakeQosTimedEngine(
   options.clock = &h->clock;
   options.params = config.params;
   options.params["background_io"] = "1";
-  if (config.engine == "sharded") options.params["parallel_write"] = "0";
   auto opened = kv::OpenStore(options);
   EXPECT_TRUE(opened.ok()) << config.label << ": "
                            << opened.status().ToString();
@@ -1205,15 +1205,14 @@ TEST(QosDifferentialTest, ThrottledSchedulingNeverChangesVisibleState) {
     // Exception: async-dispatch configs (queue_depth) run maintenance
     // inside the enclosing write lane — RunBackgroundWork cannot fork a
     // nested lane and legitimately falls back to the caller's class.
-    uint64_t bg_bytes = 0;
-    for (const auto& c : qos->ssd->channel_stats()) {
-      bg_bytes +=
-          c.class_bytes[static_cast<size_t>(sim::IoClass::kBackground)];
-      total_preemptions += c.preemptions;
-      total_throttled_ns += c.bg_throttled_ns;
-    }
+    ssd::SsdDevice::ChannelStats device;
+    for (const auto& c : qos->ssd->channel_stats()) device += c;
+    total_preemptions += device.preemptions;
+    total_throttled_ns += device.bg_throttled_ns;
     if (config.params.count("queue_depth") == 0) {
-      EXPECT_GT(bg_bytes, 0u)
+      EXPECT_GT(
+          device.class_bytes[static_cast<size_t>(sim::IoClass::kBackground)],
+          0u)
           << label << ": trace never reached the background lane";
     }
     ASSERT_TRUE(off->store->Close().ok()) << label;

@@ -1,10 +1,11 @@
-// Tests for the kv layer: key/value codecs, the WriteBatch container and
-// workload generation.
+// Tests for the kv layer: key/value codecs, the WriteBatch container, the
+// KvStoreStats field table and workload generation.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "kv/kv.h"
+#include "kv/kvstore.h"
 #include "kv/workload.h"
 #include "kv/write_batch.h"
 
@@ -36,6 +37,32 @@ TEST(WriteBatchTest, ByteSizeCountsKeysAndValues) {
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.Count(), 0u);
   EXPECT_EQ(batch.ByteSize(), 0u);
+}
+
+TEST(KvStoreStatsTest, FieldTableDrivesSumEqualityAndFold) {
+  KvStoreStats a;
+  int fields = 0;
+  a.ForEachField([&fields](const char*, auto) { fields++; });
+  EXPECT_EQ(fields, 36);
+
+  a.user_puts = 3;           // kOwn
+  a.snapshots_open = 1;      // kOwn (a gauge)
+  a.wal_bytes_written = 10;  // kFold
+  a.time_wal_ns = 7;         // kFold
+  KvStoreStats sum = a;
+  sum += a;  // sums every field, gauges included
+  EXPECT_EQ(sum.user_puts, 6u);
+  EXPECT_EQ(sum.snapshots_open, 2u);
+  EXPECT_EQ(sum.wal_bytes_written, 20u);
+  EXPECT_EQ(sum.time_wal_ns, 14);
+  EXPECT_FALSE(sum == a);
+
+  KvStoreStats folded = a;
+  folded.FoldInner(a);  // only the kFold fields add
+  EXPECT_EQ(folded.user_puts, 3u);
+  EXPECT_EQ(folded.snapshots_open, 1u);
+  EXPECT_EQ(folded.wal_bytes_written, 20u);
+  EXPECT_EQ(folded.time_wal_ns, 14);
 }
 
 TEST(KeyTest, FixedWidthAndOrdered) {

@@ -278,8 +278,8 @@ TEST(ShardedStoreTest, ReopenRecoversEveryShard) {
 // Phase B: the same threads over one OVERLAPPING range, values a pure
 // function of the key — the final value of every key is
 // interleaving-independent — while reader threads hammer Gets. Batches in
-// both phases span shards, so the concurrent sub-batch commit path (the
-// per-shard worker queues) is exercised throughout.
+// both phases span shards, so concurrent callers contend on the per-shard
+// mutexes through the rotated commit order throughout.
 constexpr int kStressThreads = 4;
 constexpr uint64_t kKeysPerThread = 1500;
 constexpr uint64_t kOverlapBase = 1'000'000;
