@@ -3,7 +3,7 @@
 // deployments, prints which one needs fewer drives across a grid of
 // (dataset size, target throughput) requirements.
 //
-//   ./build/examples/capacity_planner [dataset_tb] [target_kops]
+//   ./build/capacity_planner [dataset_tb] [target_kops]
 #include <cstdio>
 #include <cstdlib>
 

@@ -2,7 +2,7 @@
 // paper's pitfalls — how the initial state (trimmed vs preconditioned) and
 // the write pattern drive garbage collection and WA-D.
 //
-//   ./build/examples/ssd_inspector
+//   ./build/ssd_inspector
 #include <cstdio>
 
 #include "sim/clock.h"

@@ -3,7 +3,7 @@
 // would have concluded versus what the holistic steady-state detector
 // (throughput + WA-A + WA-D stability, or 3x-capacity host writes) says.
 //
-//   ./build/examples/steady_state_monitor [scale]
+//   ./build/steady_state_monitor [scale]
 #include <cstdio>
 #include <cstdlib>
 

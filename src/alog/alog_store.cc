@@ -11,10 +11,11 @@ namespace ptsb::alog {
 
 AlogStore::AlogStore(fs::SimpleFs* fs, const AlogOptions& options,
                      std::string dir)
-    : fs_(fs), options_(options), dir_(std::move(dir)),
-      write_group_(options.max_write_group_bytes) {}
+    : GroupCommitStore(WiringOf(options)), fs_(fs), options_(options),
+      dir_(std::move(dir)) {}
 
 AlogStore::~AlogStore() {
+  DcheckSnapshotsReleased();
   if (!closed_) {
     // Best-effort shutdown; errors are not recoverable in a destructor.
     Close().ok();
@@ -94,10 +95,6 @@ StatusOr<std::unique_ptr<AlogStore>> AlogStore::Open(fs::SimpleFs* fs,
     }
   }
   return store;
-}
-
-void AlogStore::ChargeCpu(int64_t ns) const {
-  if (options_.clock != nullptr) options_.clock->Advance(ns);
 }
 
 Status AlogStore::RollSegment() {
@@ -217,24 +214,6 @@ Status AlogStore::ApplyBatchRecord(const kv::WriteBatch& batch, bool gc) {
   return Status::OK();
 }
 
-kv::WriteHandle AlogStore::WriteAsync(const kv::WriteBatch& batch) {
-  return kv::AsyncCommit(options_.clock, options_.io_queue,
-                         [&] { return Write(batch); });
-}
-
-Status AlogStore::Write(const kv::WriteBatch& batch) {
-  PTSB_CHECK(!closed_);
-  // An empty batch is a no-op: no record, no stats movement.
-  if (batch.empty()) return Status::OK();
-  // Cross-thread group commit: a single caller passes straight through
-  // (group of one, no copy); concurrent callers elect a leader that
-  // merges their batches into one appended record.
-  return write_group_.Commit(
-      batch, [this](const kv::WriteBatch& merged, size_t n_user_batches) {
-        return WriteInternal(merged, n_user_batches);
-      });
-}
-
 kv::WriteBatch AlogStore::ExpandRangeDeletes(const kv::WriteBatch& batch,
                                              bool* changed) const {
   *changed = false;
@@ -290,31 +269,7 @@ kv::WriteBatch AlogStore::ExpandRangeDeletes(const kv::WriteBatch& batch,
   return out;
 }
 
-Status AlogStore::WriteInternal(const kv::WriteBatch& batch,
-                                size_t n_user_batches) {
-  write_epoch_++;
-  ChargeCpu(options_.cpu_put_ns * static_cast<int64_t>(batch.Count()));
-  stats_.user_batches += n_user_batches;
-  stats_.write_groups++;
-  stats_.write_group_batches += n_user_batches;
-  for (const kv::WriteBatch::Entry& e : batch.entries()) {
-    switch (e.kind) {
-      case kv::WriteBatch::EntryKind::kPut:
-        stats_.user_puts++;
-        stats_.user_bytes_written += e.key.size() + e.value.size();
-        break;
-      case kv::WriteBatch::EntryKind::kDelete:
-        stats_.user_deletes++;
-        stats_.user_bytes_written += e.key.size();
-        break;
-      case kv::WriteBatch::EntryKind::kDeleteRange:
-        // One logical delete spanning [key, value).
-        stats_.user_deletes++;
-        stats_.user_bytes_written += e.key.size() + e.value.size();
-        break;
-    }
-  }
-
+Status AlogStore::WriteInternal(const kv::WriteBatch& batch) {
   // Range deletes are expanded into per-key tombstones at commit time:
   // the index is the only source of covered keys, and expanding before
   // the append makes the on-disk record (and crash replay) plain.
@@ -340,34 +295,13 @@ Status AlogStore::WriteInternal(const kv::WriteBatch& batch,
 }
 
 Status AlogStore::RunGc() {
-  if (!options_.background_io || options_.clock == nullptr) {
-    return MaybeGc();
-  }
-  if (options_.compaction_parallelism > 1) {
-    // Partitioned GC: MaybeGc's orchestration is CPU-only and stays on
-    // the foreground timeline; CollectSegment dispatches its I/O phases
-    // through the pool's lanes. Wrapping MaybeGc in one enclosing
-    // background span here would collapse the fan-out (nested lanes run
-    // synchronously), so the pool replaces the span entirely.
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<kv::BackgroundPool>(
-          options_.clock, options_.background_queue,
-          options_.compaction_parallelism);
-    }
-    return MaybeGc();
-  }
-  kv::BackgroundResult r = kv::RunBackgroundWork(
-      options_.clock, options_.background_queue, &background_horizon_ns_,
-      [&] { return MaybeGc(); });
-  stats_.time_background_ns += r.busy_ns;
-  return r.status;
-}
-
-void AlogStore::JoinBackgroundWork() {
-  if (options_.clock != nullptr) {
-    options_.clock->AdvanceTo(background_horizon_ns_);
-    if (pool_ != nullptr) pool_->Join();
-  }
+  // Partitioned GC (more than one lane): MaybeGc's orchestration is
+  // CPU-only and stays on the foreground timeline; CollectSegment
+  // dispatches its I/O phases through the pool's lanes. Wrapping MaybeGc
+  // in one enclosing background span here would collapse the fan-out
+  // (nested lanes run synchronously), so the pool replaces the span.
+  if (pool_.lanes() > 1) return MaybeGc();
+  return RunBackground(0, [&] { return MaybeGc(); });
 }
 
 Status AlogStore::SettleBackgroundWork() {
@@ -375,13 +309,6 @@ Status AlogStore::SettleBackgroundWork() {
   const Status s = RunGc();
   JoinBackgroundWork();  // settling means waiting the work out
   return s;
-}
-
-Status AlogStore::Get(std::string_view key, std::string* value) {
-  PTSB_CHECK(!closed_);
-  // Exclude in-flight group commits: a leader may be retargeting the
-  // index or GC-deleting segment files on another thread.
-  return write_group_.RunExclusive([&] { return GetInternal(key, value); });
 }
 
 Status AlogStore::GetInternal(std::string_view key, std::string* value) {
@@ -467,12 +394,6 @@ std::vector<Status> AlogStore::MultiGetFanOut(
   }
   while (waited < pending.size()) wait_oldest();
   return statuses;
-}
-
-kv::ReadHandle AlogStore::ReadAsync(std::string_view key,
-                                    std::string* value) {
-  return kv::AsyncRead(options_.clock, options_.io_queue,
-                       [&] { return Get(key, value); });
 }
 
 Status AlogStore::MaybeGc() {
@@ -561,7 +482,7 @@ Status AlogStore::CollectSegment(uint64_t id) {
   });
 
   kv::WriteBatch batch;
-  if (pool_ != nullptr) {
+  if (pool_.lanes() > 1) {
     // Partitioned read phase: the victim's live values are read on the
     // pool's lanes — contiguous file-order chunks, one per lane, so a
     // collection's reads overlap across SSD channels. The batch is then
@@ -572,7 +493,7 @@ Status AlogStore::CollectSegment(uint64_t id) {
       if (!refs[i].loc.tombstone) live.push_back(i);
     }
     std::vector<std::string> values(refs.size());
-    const int lanes = pool_->lanes();
+    const int lanes = pool_.lanes();
     const size_t per =
         (live.size() + static_cast<size_t>(lanes) - 1) /
         std::max<size_t>(1, static_cast<size_t>(lanes));
@@ -580,7 +501,7 @@ Status AlogStore::CollectSegment(uint64_t id) {
       const size_t begin = static_cast<size_t>(l) * per;
       if (begin >= live.size()) break;
       const size_t end = std::min(live.size(), begin + per);
-      kv::BackgroundResult r = pool_->Run(l, [&, begin, end]() -> Status {
+      PTSB_RETURN_IF_ERROR(RunBackground(l, [&, begin, end]() -> Status {
         for (size_t j = begin; j < end; j++) {
           const Ref& ref = refs[live[j]];
           std::string* out = &values[live[j]];
@@ -594,9 +515,7 @@ Status AlogStore::CollectSegment(uint64_t id) {
           }
         }
         return Status::OK();
-      });
-      stats_.time_background_ns += r.busy_ns;
-      PTSB_RETURN_IF_ERROR(r.status);
+      }));
     }
     for (size_t i = 0; i < refs.size(); i++) {
       const Ref& r = refs[i];
@@ -647,13 +566,11 @@ Status AlogStore::CollectSegment(uint64_t id) {
       unsynced_bytes_ = 0;
       return segments_.at(active_id_).file->Sync();
     };
-    if (pool_ != nullptr) {
+    if (pool_.lanes() > 1) {
       // The rewrite depends on every lane's reads; it runs on lane 0
       // after a background-side barrier (the foreground does not wait).
-      pool_->Barrier();
-      kv::BackgroundResult r = pool_->Run(0, apply);
-      stats_.time_background_ns += r.busy_ns;
-      PTSB_RETURN_IF_ERROR(r.status);
+      pool_.Barrier();
+      PTSB_RETURN_IF_ERROR(RunBackground(0, apply));
     } else {
       PTSB_RETURN_IF_ERROR(apply());
     }
@@ -672,13 +589,11 @@ Status AlogStore::CollectSegment(uint64_t id) {
     z.file_bytes = collected.file->size();
     stats_.snapshot_pinned_bytes += z.file_bytes;
     zombie_segments_.emplace(id, z);
-  } else if (pool_ != nullptr) {
+  } else if (pool_.lanes() > 1) {
     // Partitioned mode: the deletion orders after the rewrite on lane 0
     // (file metadata work stays on the background timeline).
-    kv::BackgroundResult r = pool_->Run(
-        0, [&] { return fs_->Delete(SegmentFileName(dir_, id)); });
-    stats_.time_background_ns += r.busy_ns;
-    PTSB_RETURN_IF_ERROR(r.status);
+    PTSB_RETURN_IF_ERROR(RunBackground(
+        0, [&] { return fs_->Delete(SegmentFileName(dir_, id)); }));
   } else {
     PTSB_RETURN_IF_ERROR(fs_->Delete(SegmentFileName(dir_, id)));
   }
@@ -795,9 +710,10 @@ std::unique_ptr<kv::KVStore::Iterator> AlogStore::NewIterator() {
 // (zombies) until the last pinning snapshot drops. Contract (as in the
 // other engines): the snapshot must outlive cursors created from it and
 // must be released before the store is destroyed.
-class AlogStore::SnapshotImpl : public kv::Snapshot {
+class AlogStore::SnapshotImpl : public StoreSnapshot {
  public:
-  explicit SnapshotImpl(AlogStore* store) : store_(store) {}
+  explicit SnapshotImpl(AlogStore* store)
+      : StoreSnapshot(store), store_(store) {}
   ~SnapshotImpl() override { store_->ReleaseSnapshot(*this); }
   uint64_t sequence() const override { return seq_; }
 
@@ -847,9 +763,10 @@ void AlogStore::ReleaseSnapshot(const SnapshotImpl& snap) {
   });
 }
 
-Status AlogStore::SnapshotGetInternal(const SnapshotImpl& snap,
+Status AlogStore::SnapshotGetInternal(const kv::Snapshot& snapshot,
                                       std::string_view key,
                                       std::string* value) {
+  const auto& snap = static_cast<const SnapshotImpl&>(snapshot);
   ChargeCpu(options_.cpu_get_ns);
   stats_.user_gets++;
   const auto it = snap.index_.find(key);
@@ -864,16 +781,6 @@ Status AlogStore::SnapshotGetInternal(const SnapshotImpl& snap,
   if (got != loc.value_bytes) return Status::Corruption("short value read");
   stats_.user_bytes_read += value->size();
   return Status::OK();
-}
-
-Status AlogStore::Get(const kv::ReadOptions& opts, std::string_view key,
-                      std::string* value) {
-  PTSB_CHECK(!closed_);
-  if (opts.snapshot == nullptr) return Get(key, value);
-  const auto* snap = static_cast<const SnapshotImpl*>(opts.snapshot);
-  PTSB_CHECK(snap->store_ == this) << "snapshot from a different store";
-  return write_group_.RunExclusive(
-      [&] { return SnapshotGetInternal(*snap, key, value); });
 }
 
 // Ordered cursor over a snapshot's frozen index copy. The index it walks
@@ -1007,8 +914,7 @@ std::unique_ptr<kv::KVStore::Iterator> AlogStore::NewIterator(
     // epoch contract already requires a quiesced writer.
     return NewIterator();
   }
-  const auto* snap = static_cast<const SnapshotImpl*>(opts.snapshot);
-  PTSB_CHECK(snap->store_ == this) << "snapshot from a different store";
+  const SnapshotImpl* snap = &OwnSnapshot<SnapshotImpl>(opts.snapshot);
   return write_group_.RunExclusive(
       [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
         stats_.user_scans++;

@@ -19,14 +19,12 @@
 #include "alog/options.h"
 #include "alog/segment.h"
 #include "fs/filesystem.h"
-#include "kv/background_pool.h"
-#include "kv/kvstore.h"
+#include "kv/group_commit_store.h"
 #include "kv/registry.h"
-#include "kv/write_group.h"
 
 namespace ptsb::alog {
 
-class AlogStore : public kv::KVStore {
+class AlogStore : public kv::GroupCommitStore {
  public:
   // Opens (or creates) a store rooted at `dir` within `fs`. Recovery
   // replays every segment in file order, rebuilding the index; a torn
@@ -37,29 +35,12 @@ class AlogStore : public kv::KVStore {
                                                    std::string dir = "alog");
   ~AlogStore() override;
 
-  // kv::KVStore interface. Write is the group-commit path: the whole batch
-  // becomes ONE appended record, then one index update pass; GC runs once
-  // per batch when the dead-byte trigger is exceeded.
-  Status Write(const kv::WriteBatch& batch) override;
-  // Runs the commit in a submission lane on options().io_queue, so
-  // back-to-back WriteAsync calls on distinct queues overlap in virtual
-  // time (see kv::KVStore::WriteAsync).
-  kv::WriteHandle WriteAsync(const kv::WriteBatch& batch) override;
-  Status Get(std::string_view key, std::string* value) override;
-  // Snapshot-aware point lookup: with a snapshot, consults the
-  // snapshot's frozen index copy and reads the value from its (possibly
-  // GC-deferred) segment file.
-  Status Get(const kv::ReadOptions& opts, std::string_view key,
-             std::string* value) override;
   // The index lookups run on the CPU; each hit's segment read is
   // submitted via fs::File::SubmitReadAt across read lanes at
   // options().read_queue_depth, so independent segment reads overlap in
-  // virtual device time (see kv::KVStore::MultiGet).
+  // virtual device time.
   std::vector<Status> MultiGet(std::span<const std::string_view> keys,
                                std::vector<std::string>* values) override;
-  // Runs the lookup in a foreground-read lane on options().io_queue (see
-  // kv::KVStore::ReadAsync).
-  kv::ReadHandle ReadAsync(std::string_view key, std::string* value) override;
   // Ordered cursor over the in-memory index, reading values lazily from
   // the segments. Invalidated by any write to the store (appends move the
   // index; GC deletes segment files).
@@ -81,13 +62,6 @@ class AlogStore : public kv::KVStore {
   Status Flush() override;  // sync the active segment
   Status SettleBackgroundWork() override;
   Status Close() override;
-  // Concurrent Write callers group-commit; point reads run under the
-  // group's commit-exclusion lock. Iterators and lifecycle calls still
-  // expect a quiesced store.
-  bool SupportsConcurrentWriters() const override { return true; }
-  kv::KvStoreStats GetStats() const override {
-    return write_group_.RunExclusive([&] { return stats_; });
-  }
   std::string Name() const override { return "alog(bitcask-like)"; }
   uint64_t DiskBytesUsed() const override;
 
@@ -124,11 +98,14 @@ class AlogStore : public kv::KVStore {
 
   AlogStore(fs::SimpleFs* fs, const AlogOptions& options, std::string dir);
 
-  // The commit function the write group's leader runs: the old Write
-  // body, applied to the merged batch of `n_user_batches` user Writes.
-  Status WriteInternal(const kv::WriteBatch& batch, size_t n_user_batches);
-  // Get's body, run under the group's commit-exclusion lock.
-  Status GetInternal(std::string_view key, std::string* value);
+  // The whole group becomes ONE appended record, then one index update
+  // pass; GC runs once per group when the dead-byte trigger is exceeded.
+  Status WriteInternal(const kv::WriteBatch& batch) override;
+  Status GetInternal(std::string_view key, std::string* value) override;
+  // Consults the snapshot's frozen index copy and reads the value from
+  // its (possibly GC-deferred) segment file.
+  Status SnapshotGetInternal(const kv::Snapshot& snap, std::string_view key,
+                             std::string* value) override;
   // MultiGet's read fan-out, run under the group's commit-exclusion lock.
   std::vector<Status> MultiGetFanOut(std::span<const std::string_view> keys,
                                      std::vector<std::string>* values);
@@ -161,9 +138,6 @@ class AlogStore : public kv::KVStore {
   kv::WriteBatch ExpandRangeDeletes(const kv::WriteBatch& batch,
                                     bool* changed) const;
 
-  // Snapshot Get's body, run under the group's commit-exclusion lock.
-  Status SnapshotGetInternal(const SnapshotImpl& snap, std::string_view key,
-                             std::string* value);
   // Called by ~SnapshotImpl: unpins the snapshot's segments, deleting
   // any zombie whose last pin dropped.
   void ReleaseSnapshot(const SnapshotImpl& snap);
@@ -181,11 +155,6 @@ class AlogStore : public kv::KVStore {
   // MaybeGc on the background lane when background_io is on (and not
   // inside an enclosing lane); the foreground clock does not advance.
   Status RunGc();
-  // AdvanceTo the background lane's completion horizon: the foreground
-  // explicitly waiting out in-flight GC (Flush/Close/Settle).
-  void JoinBackgroundWork();
-
-  void ChargeCpu(int64_t ns) const;
 
   fs::SimpleFs* fs_;
   AlogOptions options_;
@@ -202,20 +171,7 @@ class AlogStore : public kv::KVStore {
   uint64_t sealed_live_bytes_ = 0;
   bool pressure_check_due_ = true;  // re-check fs headroom at next GC pass
   bool replaying_ = false;
-  // Completion time of the last background-lane GC span (background_io);
-  // foreground waits join it via JoinBackgroundWork().
-  int64_t background_horizon_ns_ = 0;
-  // Lanes for partitioned GC (compaction_parallelism > 1 with
-  // background_io and a clock): a collection's per-value reads fan out
-  // across them. Created lazily; null in single-lane mode. When set,
-  // RunGc dispatches through the pool instead of one enclosing
-  // background span (nested lanes would collapse the fan-out).
-  std::unique_ptr<kv::BackgroundPool> pool_;
 
-  // Bumped by every Write (appends retarget the index; GC deletes
-  // segments). Debug builds compare it against the value captured at
-  // iterator creation to fail fast on use-after-write.
-  uint64_t write_epoch_ = 0;
   // segment id -> number of live snapshots pinning it.
   std::map<uint64_t, int> seg_pins_;
   // GC-collected segments whose file deletion is deferred by pins.
@@ -224,11 +180,6 @@ class AlogStore : public kv::KVStore {
     uint64_t file_bytes = 0;
   };
   std::map<uint64_t, ZombieSegment> zombie_segments_;
-  kv::KvStoreStats stats_;
-  // Cross-thread group commit queue; also provides the commit-exclusion
-  // lock the read paths (and const stats snapshots) run under.
-  mutable kv::WriteGroup write_group_;
-  bool closed_ = false;
 };
 
 // Registers the "alog" engine factory with kv::EngineRegistry. Recognized

@@ -59,12 +59,13 @@ bool DecodeHeader(std::string_view in, Header* h) {
 
 BTreeStore::BTreeStore(fs::SimpleFs* fs, const BTreeOptions& options,
                        std::string file_name)
-    : fs_(fs),
+    : GroupCommitStore(WiringOf(options)),
+      fs_(fs),
       options_(options),
-      file_name_(std::move(file_name)),
-      write_group_(options.max_write_group_bytes) {}
+      file_name_(std::move(file_name)) {}
 
 BTreeStore::~BTreeStore() {
+  DcheckSnapshotsReleased();
   if (!closed_) Close().ok();
 }
 
@@ -350,7 +351,6 @@ Status BTreeStore::Checkpoint() {
 }
 
 Status BTreeStore::CheckpointParallel() {
-  PTSB_CHECK(pool_ != nullptr);
   in_checkpoint_ = true;
   Status s = [&]() -> Status {
     // Phase 1 (CPU only): serialize + allocate every dirty node in the
@@ -362,30 +362,28 @@ Status BTreeStore::CheckpointParallel() {
 
     // Phase 2: fan the block writes across the pool's lanes —
     // contiguous chunks so each lane still issues ascending offsets.
-    const int lanes = pool_->lanes();
+    const int lanes = pool_.lanes();
     const size_t per = (writes.size() + static_cast<size_t>(lanes) - 1) /
                        static_cast<size_t>(lanes);
     for (int l = 0; l < lanes && per > 0; l++) {
       const size_t begin = static_cast<size_t>(l) * per;
       if (begin >= writes.size()) break;
       const size_t end = std::min(writes.size(), begin + per);
-      kv::BackgroundResult r = pool_->Run(l, [&, begin, end]() -> Status {
+      PTSB_RETURN_IF_ERROR(RunBackground(l, [&, begin, end]() -> Status {
         for (size_t j = begin; j < end; j++) {
           PTSB_RETURN_IF_ERROR(
               file_->WriteAt(writes[j].offset, writes[j].data));
         }
         return Status::OK();
-      });
-      stats_.time_background_ns += r.busy_ns;
-      PTSB_RETURN_IF_ERROR(r.status);
+      }));
     }
 
     // Phase 3 (lane 0, ordered after every block write): free-list
     // blob, header, post-header free bookkeeping — the crash-safety
     // order is unchanged: the header that publishes the new tree is the
     // last write, and frees only become reusable once it is durable.
-    pool_->Barrier();
-    kv::BackgroundResult r = pool_->Run(0, [&]() -> Status {
+    pool_.Barrier();
+    return RunBackground(0, [&]() -> Status {
       const BlockAddr old_blob = freelist_addr_;
       std::string encoded = blocks_->EncodeMergedFreeList(old_blob);
       PTSB_ASSIGN_OR_RETURN(BlockAddr blob,
@@ -407,8 +405,6 @@ Status BTreeStore::CheckpointParallel() {
       blocks_->FreeImmediately(old_blob);
       return Status::OK();
     });
-    stats_.time_background_ns += r.busy_ns;
-    return r.status;
   }();
   in_checkpoint_ = false;
   PTSB_RETURN_IF_ERROR(s);
@@ -418,7 +414,7 @@ Status BTreeStore::CheckpointParallel() {
   // Journal rotation, on lane 0 behind the header (same order as the
   // serial path; see Checkpoint for the journal_lost_ contract).
   if (journal_ != nullptr) {
-    kv::BackgroundResult r = pool_->Run(0, [&]() -> Status {
+    const Status rotated = RunBackground(0, [&]() -> Status {
       PTSB_RETURN_IF_ERROR(journal_->Sync());
       const std::string jname = file_name_ + ".journal";
       journal_.reset();
@@ -428,11 +424,10 @@ Status BTreeStore::CheckpointParallel() {
           journal_file_, options_.journal_sync_every_bytes);
       return Status::OK();
     });
-    stats_.time_background_ns += r.busy_ns;
-    if (!r.status.ok()) {
+    if (!rotated.ok()) {
       journal_.reset();
       journal_lost_ = true;
-      return r.status;
+      return rotated;
     }
   }
   return Status::OK();
@@ -539,10 +534,6 @@ Status BTreeStore::SplitIfNeeded(Node* node) {
   return Status::OK();
 }
 
-void BTreeStore::ChargeCpu(int64_t ns) const {
-  if (options_.clock != nullptr) options_.clock->Advance(ns);
-}
-
 Status BTreeStore::ApplyEntry(const kv::WriteBatch::Entry& entry) {
   if (entry.kind == kv::WriteBatch::EntryKind::kDeleteRange) {
     // entry.value holds the exclusive range end (see kv::WriteBatch).
@@ -616,44 +607,7 @@ Status BTreeStore::ApplyDeleteRange(std::string_view begin,
   }
 }
 
-kv::WriteHandle BTreeStore::WriteAsync(const kv::WriteBatch& batch) {
-  return kv::AsyncCommit(options_.clock, options_.io_queue,
-                         [&] { return Write(batch); });
-}
-
-Status BTreeStore::Write(const kv::WriteBatch& batch) {
-  PTSB_CHECK(!closed_);
-  if (batch.empty()) return Status::OK();
-  return write_group_.Commit(
-      batch, [this](const kv::WriteBatch& merged, size_t n_user_batches) {
-        return WriteInternal(merged, n_user_batches);
-      });
-}
-
-Status BTreeStore::WriteInternal(const kv::WriteBatch& batch,
-                                 size_t n_user_batches) {
-  write_epoch_++;
-  ChargeCpu(options_.cpu_put_ns * static_cast<int64_t>(batch.Count()));
-  stats_.user_batches += n_user_batches;
-  stats_.write_groups++;
-  stats_.write_group_batches += n_user_batches;
-  for (const kv::WriteBatch::Entry& e : batch.entries()) {
-    switch (e.kind) {
-      case kv::WriteBatch::EntryKind::kPut:
-        stats_.user_puts++;
-        stats_.user_bytes_written += e.key.size() + e.value.size();
-        break;
-      case kv::WriteBatch::EntryKind::kDelete:
-        stats_.user_deletes++;
-        stats_.user_bytes_written += e.key.size();
-        break;
-      case kv::WriteBatch::EntryKind::kDeleteRange:
-        // One logical delete spanning [key, value).
-        stats_.user_deletes++;
-        stats_.user_bytes_written += e.key.size() + e.value.size();
-        break;
-    }
-  }
+Status BTreeStore::WriteInternal(const kv::WriteBatch& batch) {
   if (journal_lost_) {
     // A failed journal rotation left commits without a durable record;
     // fail-stop instead of acknowledging writes a crash would drop.
@@ -680,41 +634,16 @@ Status BTreeStore::WriteInternal(const kv::WriteBatch& batch,
     // Paced (not user-requested) checkpoints move to the background lane
     // when background_io is on: the commit returns without absorbing the
     // checkpoint's device time.
-    if (options_.background_io && options_.clock != nullptr) {
-      if (options_.compaction_parallelism > 1) {
-        // Partitioned checkpoint: the phases dispatch through the
-        // pool's lanes themselves — an enclosing background span here
-        // would collapse the fan-out (nested lanes run synchronously).
-        if (pool_ == nullptr) {
-          pool_ = std::make_unique<kv::BackgroundPool>(
-              options_.clock, options_.background_queue,
-              options_.compaction_parallelism);
-        }
-        PTSB_RETURN_IF_ERROR(CheckpointParallel());
-      } else {
-        kv::BackgroundResult r = kv::RunBackgroundWork(
-            options_.clock, options_.background_queue,
-            &background_horizon_ns_, [&] { return Checkpoint(); });
-        stats_.time_background_ns += r.busy_ns;
-        PTSB_RETURN_IF_ERROR(r.status);
-      }
+    if (pool_.lanes() > 1) {
+      // Partitioned checkpoint: the phases dispatch through the pool's
+      // lanes themselves — an enclosing background span here would
+      // collapse the fan-out (nested lanes run synchronously).
+      PTSB_RETURN_IF_ERROR(CheckpointParallel());
     } else {
-      PTSB_RETURN_IF_ERROR(Checkpoint());
+      PTSB_RETURN_IF_ERROR(RunBackground(0, [&] { return Checkpoint(); }));
     }
   }
   return EvictIfNeeded();
-}
-
-void BTreeStore::JoinBackgroundWork() {
-  if (options_.clock != nullptr) {
-    options_.clock->AdvanceTo(background_horizon_ns_);
-    if (pool_ != nullptr) pool_->Join();
-  }
-}
-
-Status BTreeStore::Get(std::string_view key, std::string* value) {
-  PTSB_CHECK(!closed_);
-  return write_group_.RunExclusive([&] { return GetInternal(key, value); });
 }
 
 Status BTreeStore::GetInternal(std::string_view key, std::string* value) {
@@ -732,20 +661,6 @@ Status BTreeStore::GetInternal(std::string_view key, std::string* value) {
   }
   PTSB_RETURN_IF_ERROR(EvictIfNeeded());
   return result;
-}
-
-std::vector<Status> BTreeStore::MultiGet(
-    std::span<const std::string_view> keys,
-    std::vector<std::string>* values) {
-  PTSB_CHECK(!closed_);
-  return kv::FanOutMultiGet(this, options_.clock, options_.io_queue,
-                            options_.read_queue_depth, keys, values);
-}
-
-kv::ReadHandle BTreeStore::ReadAsync(std::string_view key,
-                                     std::string* value) {
-  return kv::AsyncRead(options_.clock, options_.io_queue,
-                       [&] { return Get(key, value); });
 }
 
 // Leaf-walking cursor: descends to the target leaf, then streams items in
@@ -907,9 +822,10 @@ std::unique_ptr<kv::KVStore::Iterator> BTreeStore::NewIterator() {
 // block freed by later checkpoints while this generation is pinned.
 // Contract (as in the LSM engine): the snapshot must outlive cursors
 // created from it and must be released before the store is destroyed.
-class BTreeStore::SnapshotImpl : public kv::Snapshot {
+class BTreeStore::SnapshotImpl : public StoreSnapshot {
  public:
-  explicit SnapshotImpl(BTreeStore* store) : store_(store) {}
+  explicit SnapshotImpl(BTreeStore* store)
+      : StoreSnapshot(store), store_(store) {}
   ~SnapshotImpl() override { store_->ReleaseSnapshot(*this); }
   uint64_t sequence() const override { return gen_; }
 
@@ -953,9 +869,10 @@ void BTreeStore::ReleaseSnapshot(const SnapshotImpl& snap) {
   });
 }
 
-Status BTreeStore::SnapshotGetInternal(const SnapshotImpl& snap,
+Status BTreeStore::SnapshotGetInternal(const kv::Snapshot& snapshot,
                                        std::string_view key,
                                        std::string* value) {
+  const auto& snap = static_cast<const SnapshotImpl&>(snapshot);
   ChargeCpu(options_.cpu_get_ns);
   stats_.user_gets++;
   PTSB_CHECK(!snap.root_.IsNull());
@@ -978,16 +895,6 @@ Status BTreeStore::SnapshotGetInternal(const SnapshotImpl& snap,
   *value = it->second;
   stats_.user_bytes_read += value->size();
   return Status::OK();
-}
-
-Status BTreeStore::Get(const kv::ReadOptions& opts, std::string_view key,
-                       std::string* value) {
-  PTSB_CHECK(!closed_);
-  if (opts.snapshot == nullptr) return Get(key, value);
-  const auto* snap = static_cast<const SnapshotImpl*>(opts.snapshot);
-  PTSB_CHECK(snap->store_ == this) << "snapshot from a different store";
-  return write_group_.RunExclusive(
-      [&] { return SnapshotGetInternal(*snap, key, value); });
 }
 
 // Disk-walking cursor over a pinned checkpoint. It owns every node it
@@ -1189,8 +1096,7 @@ std::unique_ptr<kv::KVStore::Iterator> BTreeStore::NewIterator(
     // the leaf cache.
     return NewIterator();
   }
-  const auto* snap = static_cast<const SnapshotImpl*>(opts.snapshot);
-  PTSB_CHECK(snap->store_ == this) << "snapshot from a different store";
+  const SnapshotImpl* snap = &OwnSnapshot<SnapshotImpl>(opts.snapshot);
   return write_group_.RunExclusive(
       [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
         stats_.user_scans++;

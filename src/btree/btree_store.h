@@ -8,7 +8,6 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -17,14 +16,12 @@
 #include "btree/node.h"
 #include "btree/options.h"
 #include "fs/filesystem.h"
-#include "kv/background_pool.h"
-#include "kv/kvstore.h"
+#include "kv/group_commit_store.h"
 #include "kv/registry.h"
-#include "kv/write_group.h"
 
 namespace ptsb::btree {
 
-class BTreeStore : public kv::KVStore {
+class BTreeStore : public kv::GroupCommitStore {
  public:
   // Opens (or creates) the tree file at `file_name`, recovering from the
   // newest valid checkpoint and replaying the journal if enabled.
@@ -33,28 +30,6 @@ class BTreeStore : public kv::KVStore {
       std::string file_name = "btree/tree.db");
   ~BTreeStore() override;
 
-  // kv::KVStore interface. Write is the group-commit path: one journal
-  // record for the whole batch, then all leaf updates applied with page
-  // writebacks deferred (dirty pages sit in the cache; checkpoint/evict
-  // pacing runs once per batch).
-  Status Write(const kv::WriteBatch& batch) override;
-  // Runs the commit in a submission lane on options().io_queue, so
-  // back-to-back WriteAsync calls on distinct queues overlap in virtual
-  // time (see kv::KVStore::WriteAsync).
-  kv::WriteHandle WriteAsync(const kv::WriteBatch& batch) override;
-  Status Get(std::string_view key, std::string* value) override;
-  // Snapshot-aware point lookup: with a snapshot, walks the pinned
-  // checkpoint's on-disk tree privately (never touching the live cache).
-  Status Get(const kv::ReadOptions& opts, std::string_view key,
-             std::string* value) override;
-  // Fans the lookups out across foreground-read submission lanes at
-  // options().read_queue_depth, so independent leaf reads overlap in
-  // virtual device time (see kv::KVStore::MultiGet).
-  std::vector<Status> MultiGet(std::span<const std::string_view> keys,
-                               std::vector<std::string>* values) override;
-  // Runs the lookup in a foreground-read lane on options().io_queue (see
-  // kv::KVStore::ReadAsync).
-  kv::ReadHandle ReadAsync(std::string_view key, std::string* value) override;
   // Leaf-walking cursor in key order. Invalidated by any write to the
   // store (splits and evictions move items between pages).
   std::unique_ptr<kv::KVStore::Iterator> NewIterator() override;
@@ -75,10 +50,6 @@ class BTreeStore : public kv::KVStore {
   // checkpoints have no deferred debt beyond that, so nothing else to do.
   Status SettleBackgroundWork() override;
   Status Close() override;
-  // Concurrent Write callers group-commit; point reads run under the
-  // group's commit-exclusion lock (they touch the shared leaf cache).
-  // Iterators and lifecycle calls still expect a quiesced store.
-  bool SupportsConcurrentWriters() const override { return true; }
   kv::KvStoreStats GetStats() const override {
     return write_group_.RunExclusive([&] {
       kv::KvStoreStats s = stats_;
@@ -106,12 +77,17 @@ class BTreeStore : public kv::KVStore {
   BTreeStore(fs::SimpleFs* fs, const BTreeOptions& options,
              std::string file_name);
 
-  // The commit function the write group's leader runs: the old Write
-  // body, applied to the merged batch of `n_user_batches` user Writes.
-  Status WriteInternal(const kv::WriteBatch& batch, size_t n_user_batches);
-  // Get's body, run under the group's commit-exclusion lock (descends
-  // the tree, faulting and LRU-touching leaves in the shared cache).
-  Status GetInternal(std::string_view key, std::string* value);
+  // One journal record for the whole group, then all leaf updates
+  // applied with page writebacks deferred (dirty pages sit in the cache;
+  // checkpoint/evict pacing runs once per group).
+  Status WriteInternal(const kv::WriteBatch& batch) override;
+  // Descends the tree, faulting and LRU-touching leaves in the shared
+  // cache.
+  Status GetInternal(std::string_view key, std::string* value) override;
+  // A private root-to-leaf walk of the pinned checkpoint's on-disk tree
+  // (never touching the live cache).
+  Status SnapshotGetInternal(const kv::Snapshot& snap, std::string_view key,
+                             std::string* value) override;
 
   // Applies one batch entry to its leaf (insert/overwrite/erase + split).
   Status ApplyEntry(const kv::WriteBatch::Entry& entry);
@@ -119,10 +95,6 @@ class BTreeStore : public kv::KVStore {
   // so a range delete is the per-leaf erasure of the covered spans.
   Status ApplyDeleteRange(std::string_view begin, std::string_view end);
 
-  // Snapshot Get's body: a private root-to-leaf walk of the pinned
-  // checkpoint's on-disk tree (runs under the commit-exclusion lock).
-  Status SnapshotGetInternal(const SnapshotImpl& snap, std::string_view key,
-                             std::string* value);
   // Called by ~SnapshotImpl: drops the generation pin and releases any
   // quarantine cohorts no remaining snapshot needs.
   void ReleaseSnapshot(const SnapshotImpl& snap);
@@ -156,9 +128,6 @@ class BTreeStore : public kv::KVStore {
   // barrier — same crash-safety order (header last, frees after), same
   // bytes, overlapped device time.
   Status CheckpointParallel();
-  // AdvanceTo the background lane's completion horizon (background_io):
-  // the foreground explicitly waiting out an in-flight checkpoint.
-  void JoinBackgroundWork();
   Status WriteHeader();
 
   // Leaf cache management.
@@ -168,8 +137,6 @@ class BTreeStore : public kv::KVStore {
 
   // Split path after an insert made `node` oversized.
   Status SplitIfNeeded(Node* node);
-
-  void ChargeCpu(int64_t ns) const;
 
   static int Depth(const Node* n);
   Status CheckSubtree(Node* node, int depth, int expect_depth,
@@ -186,12 +153,6 @@ class BTreeStore : public kv::KVStore {
   uint64_t checkpoint_gen_ = 0;
   uint64_t checkpoint_count_ = 0;
   uint64_t bytes_since_checkpoint_ = 0;
-  // Completion time of the last background-lane checkpoint
-  // (background_io); foreground waits join it via JoinBackgroundWork().
-  int64_t background_horizon_ns_ = 0;
-  // Lanes for partitioned checkpoints; created lazily by the paced
-  // checkpoint site, null in single-lane mode.
-  std::unique_ptr<kv::BackgroundPool> pool_;
 
   std::list<Node*> lru_;  // front = least recently used
   uint64_t cache_leaf_bytes_ = 0;
@@ -204,18 +165,9 @@ class BTreeStore : public kv::KVStore {
   // until a reopen rebuilds the journal.
   bool journal_lost_ = false;
 
-  // Bumped by every mutating entry point (Write, Flush). Debug builds
-  // compare it against the value captured at cursor creation to fail
-  // fast on use-after-write instead of walking moved/evicted leaves.
-  uint64_t write_epoch_ = 0;
   // checkpoint generation -> number of live snapshots pinning it.
   std::map<uint64_t, int> snapshot_pins_;
-  kv::KvStoreStats stats_;
-  // Cross-thread group commit queue; also provides the commit-exclusion
-  // lock the read paths (and const stats snapshots) run under.
-  mutable kv::WriteGroup write_group_;
   bool in_checkpoint_ = false;
-  bool closed_ = false;
 };
 
 // Registers the "btree" engine factory with kv::EngineRegistry. Recognized

@@ -15,11 +15,16 @@ CachedStore::CachedStore(const CachedOptions& options, fs::SimpleFs* fs,
                          std::string root,
                          std::unique_ptr<kv::KVStore> inner,
                          std::unique_ptr<ReadCache> cache)
-    : options_(options), fs_(fs), root_(std::move(root)),
-      inner_(std::move(inner)), cache_(std::move(cache)),
-      write_group_(options.max_write_group_bytes) {}
+    : GroupCommitStore({.clock = options.clock,
+                        .io_queue = options.io_queue,
+                        .background_queue = options.background_queue,
+                        .max_write_group_bytes = options.max_write_group_bytes,
+                        .background_io = options.background_io}),
+      options_(options), fs_(fs), root_(std::move(root)),
+      inner_(std::move(inner)), cache_(std::move(cache)) {}
 
 CachedStore::~CachedStore() {
+  DcheckSnapshotsReleased();
   if (!closed_) {
     // Best-effort shutdown; errors are not recoverable in a destructor.
     Close().ok();
@@ -291,37 +296,7 @@ Status CachedStore::WriteSnapshotSegment() {
   return log_->Sync();
 }
 
-Status CachedStore::Write(const kv::WriteBatch& batch) {
-  PTSB_CHECK(!closed_);
-  if (batch.empty()) return Status::OK();
-  return write_group_.Commit(
-      batch, [this](const kv::WriteBatch& merged, size_t n_user_batches) {
-        return WriteInternal(merged, n_user_batches);
-      });
-}
-
-Status CachedStore::WriteInternal(const kv::WriteBatch& batch,
-                                  size_t n_user_batches) {
-  write_epoch_++;
-  stats_.user_batches += n_user_batches;
-  stats_.write_groups++;
-  stats_.write_group_batches += n_user_batches;
-  for (const kv::WriteBatch::Entry& e : batch.entries()) {
-    switch (e.kind) {
-      case kv::WriteBatch::EntryKind::kPut:
-        stats_.user_puts++;
-        stats_.user_bytes_written += e.key.size() + e.value.size();
-        break;
-      case kv::WriteBatch::EntryKind::kDelete:
-        stats_.user_deletes++;
-        stats_.user_bytes_written += e.key.size();
-        break;
-      case kv::WriteBatch::EntryKind::kDeleteRange:
-        stats_.user_deletes++;
-        stats_.user_bytes_written += e.key.size() + e.value.size();
-        break;
-    }
-  }
+Status CachedStore::WriteInternal(const kv::WriteBatch& batch) {
   const int64_t t0 = NowNs();
   const std::string record = alog::EncodeRecord(batch, nullptr);
   const Status logged = AppendLogRecord(record);
@@ -333,23 +308,13 @@ Status CachedStore::WriteInternal(const kv::WriteBatch& batch,
   return MaybeCheckpointLog();
 }
 
-kv::WriteHandle CachedStore::WriteAsync(const kv::WriteBatch& batch) {
-  PTSB_CHECK(!closed_);
-  return kv::AsyncCommit(options_.clock, options_.io_queue,
-                         [this, &batch] { return Write(batch); });
-}
-
 Status CachedStore::MaybeFlush() {
   if (buffer_bytes_ < options_.write_buffer_bytes) return Status::OK();
   const auto target = static_cast<uint64_t>(
       options_.flush_watermark *
       static_cast<double>(options_.write_buffer_bytes));
   if (options_.background_io && options_.clock != nullptr) {
-    const kv::BackgroundResult r = kv::RunBackgroundWork(
-        options_.clock, options_.background_queue, &background_horizon_ns_,
-        [this, target] { return FlushBuffer(target); });
-    stats_.time_background_ns += r.busy_ns;
-    return r.status;
+    return RunBackground(0, [this, target] { return FlushBuffer(target); });
   }
   // Inline flush: the commit that crossed the capacity line absorbs the
   // whole drain — the wrapper-level write stall.
@@ -364,10 +329,10 @@ Status CachedStore::FlushBuffer(uint64_t target_bytes) {
   if (buffer_bytes_ <= target_bytes) return Status::OK();
   if (buffer_.empty() && ranges_.empty()) return Status::OK();
 
-  // Pick victims largest-coalesced-first: the entries that already
-  // absorbed the most rewrite traffic have the highest payoff per inner
-  // write, and what stays behind is the set still most likely to keep
-  // coalescing.
+  // Pick victims least-coalesced-first: an entry that already absorbed
+  // rewrite traffic is likely to be rewritten again, so it stays in
+  // memory where the next rewrite costs no inner write; entries nobody
+  // rewrote drain.
   struct Victim {
     uint64_t priority;
     uint64_t charge;
@@ -380,7 +345,7 @@ Status CachedStore::FlushBuffer(uint64_t target_bytes) {
     order.push_back(Victim{entry.absorbed_bytes + charge, charge, key});
   }
   std::sort(order.begin(), order.end(), [](const Victim& a, const Victim& b) {
-    if (a.priority != b.priority) return a.priority > b.priority;
+    if (a.priority != b.priority) return a.priority < b.priority;
     return a.key < b.key;
   });
   // Buffered ranges always flush, all of them, so start the projection
@@ -450,17 +415,6 @@ Status CachedStore::DeleteLogSegments(uint64_t keep_from_id) {
   return Status::OK();
 }
 
-void CachedStore::JoinBackgroundWork() {
-  if (options_.clock != nullptr) {
-    options_.clock->AdvanceTo(background_horizon_ns_);
-  }
-}
-
-Status CachedStore::Get(std::string_view key, std::string* value) {
-  PTSB_CHECK(!closed_);
-  return write_group_.RunExclusive([&] { return GetInternal(key, value); });
-}
-
 Status CachedStore::GetInternal(std::string_view key, std::string* value) {
   stats_.user_gets++;
   if (const auto it = buffer_.find(key); it != buffer_.end()) {
@@ -506,8 +460,6 @@ std::vector<Status> CachedStore::MultiGet(
 std::vector<Status> CachedStore::MultiGetInternal(
     std::span<const std::string_view> keys,
     std::vector<std::string>* values) {
-  // Serve buffer/cache hits inline, then forward the misses as ONE inner
-  // MultiGet so they inherit the inner engine's read fan-out.
   values->assign(keys.size(), std::string());
   std::vector<Status> statuses(keys.size(), Status::OK());
   std::vector<size_t> miss_pos;
@@ -553,13 +505,6 @@ std::vector<Status> CachedStore::MultiGetInternal(
     }
   }
   return statuses;
-}
-
-kv::ReadHandle CachedStore::ReadAsync(std::string_view key,
-                                      std::string* value) {
-  PTSB_CHECK(!closed_);
-  return kv::AsyncRead(options_.clock, options_.io_queue,
-                       [this, key, value] { return Get(key, value); });
 }
 
 // Two-way merge of the write buffer over the inner engine's cursor. The
@@ -684,12 +629,14 @@ std::unique_ptr<kv::KVStore::Iterator> CachedStore::NewIterator() {
 // lock. Snapshot reads check the copies first, then read the inner
 // engine AT the inner snapshot; the live read cache is never consulted
 // (it tracks the live state, not this one).
-class CachedStore::SnapshotImpl : public kv::Snapshot {
+class CachedStore::SnapshotImpl : public StoreSnapshot {
  public:
+  explicit SnapshotImpl(CachedStore* store)
+      : StoreSnapshot(store), store_(store) {}
   ~SnapshotImpl() override { store_->ReleaseSnapshot(*this); }
   uint64_t sequence() const override { return seq_; }
 
-  CachedStore* store_ = nullptr;
+  CachedStore* const store_;
   uint64_t seq_ = 0;
   std::map<std::string, BufferEntry, std::less<>> buffer_;
   uint64_t buffer_bytes_ = 0;  // charge held in snapshot_pinned_bytes
@@ -703,8 +650,7 @@ StatusOr<std::shared_ptr<const kv::Snapshot>> CachedStore::GetSnapshot() {
       [&]() -> StatusOr<std::shared_ptr<const kv::Snapshot>> {
         PTSB_ASSIGN_OR_RETURN(std::shared_ptr<const kv::Snapshot> inner_snap,
                               inner_->GetSnapshot());
-        auto snap = std::make_shared<SnapshotImpl>();
-        snap->store_ = this;
+        auto snap = std::make_shared<SnapshotImpl>(this);
         snap->seq_ = write_epoch_;
         snap->buffer_ = buffer_;
         snap->buffer_bytes_ = buffer_bytes_;
@@ -724,9 +670,10 @@ void CachedStore::ReleaseSnapshot(const SnapshotImpl& snap) {
   });
 }
 
-Status CachedStore::SnapshotGetInternal(const SnapshotImpl& snap,
+Status CachedStore::SnapshotGetInternal(const kv::Snapshot& snapshot,
                                         std::string_view key,
                                         std::string* value) {
+  const auto& snap = static_cast<const SnapshotImpl&>(snapshot);
   stats_.user_gets++;
   if (const auto it = snap.buffer_.find(key); it != snap.buffer_.end()) {
     stats_.cache_hits++;
@@ -748,16 +695,6 @@ Status CachedStore::SnapshotGetInternal(const SnapshotImpl& snap,
   // Historical values never enter the read cache.
   if (s.ok()) stats_.user_bytes_read += value->size();
   return s;
-}
-
-Status CachedStore::Get(const kv::ReadOptions& opts, std::string_view key,
-                        std::string* value) {
-  if (opts.snapshot == nullptr) return Get(key, value);
-  PTSB_CHECK(!closed_);
-  const auto* snap = static_cast<const SnapshotImpl*>(opts.snapshot);
-  PTSB_CHECK(snap->store_ == this);
-  return write_group_.RunExclusive(
-      [&] { return SnapshotGetInternal(*snap, key, value); });
 }
 
 // Merge of the snapshot's frozen buffer copy over the inner engine's
@@ -861,8 +798,7 @@ std::unique_ptr<kv::KVStore::Iterator> CachedStore::NewIterator(
     const kv::ReadOptions& opts) {
   if (opts.snapshot == nullptr) return NewIterator();
   PTSB_CHECK(!closed_);
-  const auto* snap = static_cast<const SnapshotImpl*>(opts.snapshot);
-  PTSB_CHECK(snap->store_ == this);
+  const SnapshotImpl* snap = &OwnSnapshot<SnapshotImpl>(opts.snapshot);
   return write_group_.RunExclusive(
       [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
         stats_.user_scans++;

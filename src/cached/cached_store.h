@@ -3,7 +3,7 @@
 // open item 1). User batches land in an in-memory buffer (last-write-wins
 // per key, tombstones retained) backed by the wrapper's own append-only
 // durability log; the buffer is drained to the inner engine as large
-// group-commit batches picked largest-coalesced-first, so the inner
+// group-commit batches picked least-coalesced-first, so the inner
 // structure sees fewer, bigger, flash-friendlier writes. Point reads that
 // miss the buffer probe a pluggable scan-resistant read cache ("lru" or
 // "2q") before paying the inner read path.
@@ -21,14 +21,13 @@
 #include "cached/options.h"
 #include "cached/read_cache.h"
 #include "fs/filesystem.h"
-#include "kv/kvstore.h"
+#include "kv/group_commit_store.h"
 #include "kv/registry.h"
-#include "kv/write_group.h"
 #include "util/status.h"
 
 namespace ptsb::cached {
 
-class CachedStore : public kv::KVStore {
+class CachedStore : public kv::GroupCommitStore {
  public:
   // Opens (or reopens) the wrapper at eo.root: validates params, checks
   // the META file (layout-critical inner_engine must match the on-disk
@@ -39,18 +38,10 @@ class CachedStore : public kv::KVStore {
 
   ~CachedStore() override;
 
-  Status Write(const kv::WriteBatch& batch) override;
-  kv::WriteHandle WriteAsync(const kv::WriteBatch& batch) override;
-  Status Get(std::string_view key, std::string* value) override;
-  // Snapshot-aware point lookup: with a snapshot, consults the snapshot's
-  // frozen buffer/range copies, then the inner engine AT the snapshot's
-  // inner snapshot. The live read cache is skipped entirely (it reflects
-  // live state, not the snapshot's).
-  Status Get(const kv::ReadOptions& opts, std::string_view key,
-             std::string* value) override;
+  // Serves buffer/cache hits inline and forwards the misses as ONE inner
+  // MultiGet, so they inherit the inner engine's read fan-out.
   std::vector<Status> MultiGet(std::span<const std::string_view> keys,
                                std::vector<std::string>* values) override;
-  kv::ReadHandle ReadAsync(std::string_view key, std::string* value) override;
   std::unique_ptr<Iterator> NewIterator() override;
   // With a snapshot: a merge of the snapshot's frozen buffer copy over
   // the inner engine's own snapshot iterator, immune to concurrent
@@ -66,11 +57,6 @@ class CachedStore : public kv::KVStore {
   Status Flush() override;
   Status SettleBackgroundWork() override;
   Status Close() override;
-  // Concurrent Write callers group-commit into the wrapper's durability
-  // log; reads (which touch the shared buffer and read cache) run under
-  // the group's commit-exclusion lock. Iterators and lifecycle calls
-  // still expect a quiesced store.
-  bool SupportsConcurrentWriters() const override { return true; }
   kv::KvStoreStats GetStats() const override;
   std::string Name() const override;
   uint64_t DiskBytesUsed() const override;
@@ -88,7 +74,7 @@ class CachedStore : public kv::KVStore {
 
   // One buffered mutation. absorbed_bytes accumulates the charges of the
   // earlier versions this entry overwrote since it entered the buffer —
-  // the flush manager drains largest-absorbed-first, keeping the entries
+  // the flush manager drains least-absorbed-first, keeping the entries
   // that coalesce the most in memory the longest.
   struct BufferEntry {
     std::string value;
@@ -121,11 +107,15 @@ class CachedStore : public kv::KVStore {
   // by id.
   std::vector<std::pair<uint64_t, std::string>> ListLogSegments() const;
 
-  // The commit function the write group's leader runs: the old Write
-  // body, applied to the merged batch of `n_user_batches` user Writes.
-  Status WriteInternal(const kv::WriteBatch& batch, size_t n_user_batches);
-  // Get's body, run under the group's commit-exclusion lock.
-  Status GetInternal(std::string_view key, std::string* value);
+  // One durability-log record for the whole group, then the buffer
+  // update and any flush it triggers.
+  Status WriteInternal(const kv::WriteBatch& batch) override;
+  Status GetInternal(std::string_view key, std::string* value) override;
+  // Consults the snapshot's frozen buffer/range copies, then the inner
+  // engine AT the snapshot's inner snapshot. The live read cache is
+  // skipped entirely (it reflects live state, not the snapshot's).
+  Status SnapshotGetInternal(const kv::Snapshot& snap, std::string_view key,
+                             std::string* value) override;
   // MultiGet's body, run under the group's commit-exclusion lock.
   std::vector<Status> MultiGetInternal(std::span<const std::string_view> keys,
                                        std::vector<std::string>* values);
@@ -152,7 +142,7 @@ class CachedStore : public kv::KVStore {
   // log as a single snapshot segment.
   Status ReplayAndCompactLog();
   // Drains the buffer down to target_bytes with one inner group-commit
-  // batch (victims picked largest-absorbed-first). No-op if already at
+  // batch (victims picked least-absorbed-first). No-op if already at
   // or under target.
   Status FlushBuffer(uint64_t target_bytes);
   // Kicks a flush when the buffer crosses capacity — inline on the user
@@ -165,11 +155,7 @@ class CachedStore : public kv::KVStore {
   Status MaybeCheckpointLog();
   // Deletes every log segment with id < keep_from_id.
   Status DeleteLogSegments(uint64_t keep_from_id);
-  void JoinBackgroundWork();
 
-  // Snapshot Get's body, run under the group's commit-exclusion lock.
-  Status SnapshotGetInternal(const SnapshotImpl& snap, std::string_view key,
-                             std::string* value);
   // Called by ~SnapshotImpl: releases the pinned-buffer accounting (the
   // inner snapshot releases itself via its own shared_ptr deleter).
   void ReleaseSnapshot(const SnapshotImpl& snap);
@@ -197,14 +183,6 @@ class CachedStore : public kv::KVStore {
   uint64_t unsynced_log_bytes_ = 0;
 
   bool replaying_ = false;
-  bool closed_ = false;
-  uint64_t write_epoch_ = 0;  // bumped by every Write; guards iterators
-  int64_t background_horizon_ns_ = 0;
-
-  mutable kv::KvStoreStats stats_;
-  // Cross-thread group commit queue; also provides the commit-exclusion
-  // lock the read paths (and const stats snapshots) run under.
-  mutable kv::WriteGroup write_group_;
 };
 
 // Parses CachedOptions out of generic engine options (unknown params are

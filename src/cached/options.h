@@ -42,8 +42,8 @@ struct CachedOptions {
   // Fraction of write_buffer_bytes a flush drains the buffer down to.
   // Flushing to a watermark rather than to empty keeps the hottest
   // (largest-coalesced) entries buffered, where they keep absorbing
-  // rewrites; the flush victims are the entries that coalesced the most
-  // already (largest payoff per inner write). Must be in (0, 1].
+  // rewrites; the flush victims are the entries that coalesced the least.
+  // Must be in (0, 1].
   double flush_watermark = 0.5;
 
   // Cap on the merged byte size of one cross-thread commit group: a

@@ -321,7 +321,7 @@ void FillWriteBatch(kv::WorkloadGenerator* gen, const kv::WorkloadSpec& spec,
 // performs the op/latency/error accounting; once `depth` commits are in
 // flight the oldest handle is retired — its Wait() joins the commit's
 // virtual completion time into the shared clock, which fires the
-// callback. kv::AsyncCommit applies the commit inside its lane at
+// callback. WriteAsync applies the commit inside its lane at
 // submission, so the batch is reusable (and the completion time known)
 // the moment Submit returns; only the clock join is deferred, which is
 // what lets consecutive commits' device time overlap in virtual time.

@@ -17,8 +17,22 @@ BackgroundPool::BackgroundPool(sim::SimClock* clock, uint32_t base_queue,
 BackgroundResult BackgroundPool::Run(int lane,
                                      const std::function<Status()>& work) {
   const size_t i = static_cast<size_t>(lane) % horizons_.size();
-  return RunBackgroundWork(clock_, base_queue_ + static_cast<uint32_t>(i),
-                           &horizons_[i], work);
+  BackgroundResult r;
+  if (clock_ == nullptr ||
+      !clock_->BeginAsync(base_queue_ + static_cast<uint32_t>(i),
+                          sim::IoClass::kBackground)) {
+    // Untimed, or inside an enclosing lane (e.g. a WriteAsync commit):
+    // the work runs on the current timeline, nothing moves off it.
+    r.status = work();
+    return r;
+  }
+  // The lane starts no earlier than its previous span finished.
+  clock_->AdvanceTo(horizons_[i]);
+  const int64_t t0 = clock_->NowNanos();
+  r.status = work();
+  horizons_[i] = clock_->EndAsync();
+  r.busy_ns = horizons_[i] - t0;
+  return r;
 }
 
 void BackgroundPool::Barrier() {

@@ -1,23 +1,24 @@
-// A small pool of background submission lanes: the multi-lane
-// generalization of kv::RunBackgroundWork. One engine owns one pool;
-// lane i submits on queue `base_queue + i`, so the simulated SSD maps
-// concurrent background work to distinct flash channels
-// ((base_queue + i) % channels) and overlapped spans cost max, not sum,
-// of their device time — partitioned subcompactions, fanned-out GC
-// value reads and checkpoint block writes all ride on this.
+// A small pool of background submission lanes: an engine's background
+// workers (compaction, checkpoint, GC, buffer flush threads). One engine
+// owns one pool; lane i submits on queue `base_queue + i`, so the
+// simulated SSD maps concurrent background work to distinct flash
+// channels ((base_queue + i) % channels) and overlapped spans cost max,
+// not sum, of their device time — partitioned subcompactions, fanned-out
+// GC value reads and checkpoint block writes all ride on this.
 //
-// Like RunBackgroundWork, each lane is serialized behind its own
-// previous work via a per-lane horizon; the foreground clock does not
-// advance while work runs. Barrier() orders later background work
-// behind everything submitted so far WITHOUT advancing the foreground
-// (a background-side dependency: install-after-all-subranges,
-// delete-victim-after-all-reads). Join() advances the foreground to the
-// pool's completion — the points where the user genuinely waits.
+// Each lane is serialized behind its own previous work via a per-lane
+// horizon; the foreground clock does not advance while work runs, so
+// user commit latency does not absorb the maintenance I/O. Barrier()
+// orders later background work behind everything submitted so far
+// WITHOUT advancing the foreground (a background-side dependency:
+// install-after-all-subranges, delete-victim-after-all-reads). Join()
+// advances the foreground to the pool's completion — the points where
+// the user genuinely waits.
 //
-// A pool with one lane is exactly RunBackgroundWork with an owned
-// horizon. With no clock — or on a thread already inside a submission
-// lane, where a nested fork is impossible — Run degrades to running the
-// work synchronously on the current timeline.
+// A pool with one lane is one background worker, like a single
+// compaction thread. With no clock — or on a thread already inside a
+// submission lane, where a nested fork is impossible — Run degrades to
+// running the work synchronously on the current timeline.
 #ifndef PTSB_KV_BACKGROUND_POOL_H_
 #define PTSB_KV_BACKGROUND_POOL_H_
 
@@ -25,7 +26,6 @@
 #include <functional>
 #include <vector>
 
-#include "kv/kvstore.h"
 #include "util/status.h"
 
 namespace ptsb::sim {
@@ -33,6 +33,12 @@ class SimClock;
 }  // namespace ptsb::sim
 
 namespace ptsb::kv {
+
+// Outcome of one span of background work (BackgroundPool::Run).
+struct BackgroundResult {
+  Status status;
+  int64_t busy_ns = 0;  // virtual time the background lane spent on it
+};
 
 class BackgroundPool {
  public:

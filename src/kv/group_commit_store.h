@@ -1,0 +1,159 @@
+// GroupCommitStore: the shared base of the storage engines that commit
+// through a kv::WriteGroup (lsm, btree, alog and the cached wrapper). It
+// owns what those engines have in common — the write group and its
+// commit-exclusion lock, the KvStoreStats, the write epoch, the closed
+// flag, the clock/queue wiring and the engine's one kv::BackgroundPool —
+// and implements the shared surface once: Write (with the user-write
+// accounting WA-A divides by), WriteAsync, both Gets, ReadAsync, the
+// default MultiGet fan-out and GetStats. An engine supplies only its
+// mechanism, through the protected hooks.
+//
+// Concurrency contract. Write and WriteAsync may be called from any number
+// of threads: callers line up in the write group and a leader commits
+// their batches as ONE WriteInternal call (one log record). Every point
+// read — Get, snapshot Get, MultiGet, ReadAsync — runs under the group's
+// commit-exclusion lock, so no reader observes a half-applied group.
+// Iterators and lifecycle calls (Flush/Close/SettleBackgroundWork) still
+// expect a quiesced store; the engines' write-epoch checks enforce it for
+// iterators in debug builds.
+#ifndef PTSB_KV_GROUP_COMMIT_STORE_H_
+#define PTSB_KV_GROUP_COMMIT_STORE_H_
+
+#include <cstdint>
+#include <functional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "kv/background_pool.h"
+#include "kv/kvstore.h"
+#include "kv/write_group.h"
+#include "util/logging.h"
+#include "util/status.h"
+
+namespace ptsb::kv {
+
+class GroupCommitStore : public KVStore {
+ public:
+  // The parts of an engine's options the shared entry points need.
+  struct Wiring {
+    sim::SimClock* clock = nullptr;
+    // WriteAsync/ReadAsync lane, and the first MultiGet fan-out queue.
+    uint32_t io_queue = 0;
+    // Background lane i submits on background_queue + i.
+    uint32_t background_queue = 1;
+    int read_queue_depth = 1;
+    // CPU charge per written entry, paid by the group's leader.
+    int64_t cpu_put_ns = 0;
+    uint64_t max_write_group_bytes = WriteGroup::kDefaultMaxGroupBytes;
+    // Off: RunBackground runs the work inline on the caller's timeline.
+    // On (with a clock): the pool gets max(1, compaction_parallelism)
+    // lanes.
+    bool background_io = false;
+    int compaction_parallelism = 1;
+  };
+
+  // The wiring of an engine options struct that has every Wiring field.
+  template <typename Options>
+  static Wiring WiringOf(const Options& o) {
+    return Wiring{o.clock,
+                  o.io_queue,
+                  o.background_queue,
+                  o.read_queue_depth,
+                  o.cpu_put_ns,
+                  o.max_write_group_bytes,
+                  o.background_io,
+                  o.compaction_parallelism};
+  }
+
+  explicit GroupCommitStore(const Wiring& w);
+
+  Status Write(const WriteBatch& batch) override;
+  // Runs the commit in a foreground-write lane on io_queue, so
+  // back-to-back WriteAsync calls on distinct queues overlap in virtual
+  // time.
+  WriteHandle WriteAsync(const WriteBatch& batch) override;
+  Status Get(std::string_view key, std::string* value) override;
+  // Checks the snapshot came from this store, then runs
+  // SnapshotGetInternal under commit exclusion.
+  Status Get(const ReadOptions& opts, std::string_view key,
+             std::string* value) override;
+  // Fans the Gets out across foreground-read lanes on queues
+  // io_queue + (i mod read_queue_depth), at most read_queue_depth in
+  // flight, so independent lookups overlap in virtual device time. With
+  // no clock or a depth <= 1 the Gets run one after another.
+  std::vector<Status> MultiGet(std::span<const std::string_view> keys,
+                               std::vector<std::string>* values) override;
+  // Runs the lookup in a foreground-read lane on io_queue.
+  ReadHandle ReadAsync(std::string_view key, std::string* value) override;
+  bool SupportsConcurrentWriters() const override { return true; }
+  KvStoreStats GetStats() const override {
+    return write_group_.RunExclusive([&] { return stats_; });
+  }
+
+ protected:
+  // Base of every engine's snapshot type: remembers the store that froze
+  // it, so snapshot reads can reject another store's snapshot.
+  class StoreSnapshot : public Snapshot {
+   public:
+    explicit StoreSnapshot(const GroupCommitStore* owner) : owner_(owner) {}
+    const GroupCommitStore* owner() const { return owner_; }
+
+   private:
+    const GroupCommitStore* const owner_;
+  };
+
+  // `snap` (from ReadOptions) as the engine's snapshot type `Impl`,
+  // after checking this store made it.
+  template <typename Impl>
+  const Impl& OwnSnapshot(const Snapshot* snap) const {
+    const auto* s = static_cast<const StoreSnapshot*>(snap);
+    PTSB_CHECK(s->owner() == this) << "snapshot from a different store";
+    return static_cast<const Impl&>(*s);
+  }
+
+  // The leader's commit of a merged group, after the shared prologue has
+  // bumped the write epoch, charged the CPU and counted the user writes.
+  virtual Status WriteInternal(const WriteBatch& batch) = 0;
+  // Get's body, run under commit exclusion.
+  virtual Status GetInternal(std::string_view key, std::string* value) = 0;
+  // Snapshot Get's body, run under commit exclusion; `snap` is the
+  // engine's own snapshot type.
+  virtual Status SnapshotGetInternal(const Snapshot& snap,
+                                     std::string_view key,
+                                     std::string* value) = 0;
+
+  void ChargeCpu(int64_t ns) const;
+  // Runs `work` on background lane `lane` (inline when background_io is
+  // off) and adds the lane's busy time to time_background_ns.
+  Status RunBackground(int lane, const std::function<Status()>& work);
+  // Advances the foreground clock past all background work: the explicit
+  // wait at stalls, Flush, Close and SettleBackgroundWork.
+  void JoinBackgroundWork() { pool_.Join(); }
+  // Debug builds: every snapshot must be released before its store is
+  // destroyed (the snapshot's deleter calls back into the store). Engines
+  // call this first thing in their destructors, while GetStats still
+  // sees the whole engine.
+  void DcheckSnapshotsReleased() const;
+
+  KvStoreStats stats_;
+  // Bumped by every commit and by engine mutations that move what
+  // iterators point into; debug builds compare it against the value an
+  // iterator captured to fail fast on use-after-write.
+  uint64_t write_epoch_ = 0;
+  bool closed_ = false;
+  // mutable: taking the exclusion lock is not logically a mutation.
+  mutable WriteGroup write_group_;
+  BackgroundPool pool_;
+
+ private:
+  sim::SimClock* const clock_;
+  const uint32_t io_queue_;
+  const int read_queue_depth_;
+  const int64_t cpu_put_ns_;
+};
+
+}  // namespace ptsb::kv
+
+#endif  // PTSB_KV_GROUP_COMMIT_STORE_H_

@@ -31,13 +31,6 @@ void WriteHandle::Settle() {
   }
 }
 
-WriteHandle AsyncCommit(sim::SimClock* clock, uint32_t queue,
-                        const std::function<Status()>& commit) {
-  sim::LaneResult r =
-      sim::RunInLane(clock, queue, sim::IoClass::kForegroundWrite, commit);
-  return WriteHandle(std::move(r.status), r.complete_ns, clock);
-}
-
 Status ReadHandle::Wait() {
   Settle();
   return status_;
@@ -63,34 +56,6 @@ void ReadHandle::Settle() {
     callback_ = nullptr;
     cb(status_);
   }
-}
-
-ReadHandle AsyncRead(sim::SimClock* clock, uint32_t queue,
-                     const std::function<Status()>& read) {
-  sim::LaneResult r =
-      sim::RunInLane(clock, queue, sim::IoClass::kForegroundRead, read);
-  return ReadHandle(std::move(r.status), r.complete_ns, clock);
-}
-
-BackgroundResult RunBackgroundWork(sim::SimClock* clock, uint32_t queue,
-                                   int64_t* horizon_ns,
-                                   const std::function<Status()>& work) {
-  BackgroundResult r;
-  if (clock == nullptr ||
-      !clock->BeginAsync(queue, sim::IoClass::kBackground)) {
-    // Untimed, or inside an enclosing lane (e.g. a WriteAsync commit):
-    // the work runs on the current timeline, nothing moves off it.
-    r.status = work();
-    return r;
-  }
-  // One background worker per engine: new work starts no earlier than
-  // the previous background span finished.
-  clock->AdvanceTo(*horizon_ns);
-  const int64_t t0 = clock->NowNanos();
-  r.status = work();
-  *horizon_ns = clock->EndAsync();
-  r.busy_ns = *horizon_ns - t0;
-  return r;
 }
 
 namespace {
@@ -127,43 +92,10 @@ std::unique_ptr<KVStore::Iterator> KVStore::NewIterator(
 
 std::vector<Status> KVStore::MultiGet(std::span<const std::string_view> keys,
                                       std::vector<std::string>* values) {
-  // No clock and depth 1: FanOutMultiGet's sequential path, the one
-  // per-key Get loop in the codebase.
-  return FanOutMultiGet(this, nullptr, 0, 1, keys, values);
-}
-
-std::vector<Status> FanOutMultiGet(KVStore* store, sim::SimClock* clock,
-                                   uint32_t base_queue, int depth,
-                                   std::span<const std::string_view> keys,
-                                   std::vector<std::string>* values) {
   values->assign(keys.size(), std::string());
   std::vector<Status> statuses(keys.size());
-  if (clock == nullptr || depth <= 1) {
-    for (size_t i = 0; i < keys.size(); i++) {
-      statuses[i] = store->Get(keys[i], &(*values)[i]);
-    }
-    return statuses;
-  }
-  // Bounded fan-out: keep at most `depth` lookups in flight. Waiting the
-  // oldest joins its completion into the clock, so later submissions
-  // start no earlier than its finish. The in-flight window spans `depth`
-  // consecutive indices, so the mod-depth queue ids are distinct within
-  // it and lookups stripe across channels.
-  std::vector<ReadHandle> handles;
-  handles.reserve(keys.size());
-  size_t waited = 0;
   for (size_t i = 0; i < keys.size(); i++) {
-    const uint32_t queue =
-        base_queue + static_cast<uint32_t>(i % static_cast<size_t>(depth));
-    handles.push_back(AsyncRead(
-        clock, queue, [&, i] { return store->Get(keys[i], &(*values)[i]); }));
-    if (handles.size() - waited >= static_cast<size_t>(depth)) {
-      statuses[waited] = handles[waited].Wait();
-      waited++;
-    }
-  }
-  for (; waited < handles.size(); waited++) {
-    statuses[waited] = handles[waited].Wait();
+    statuses[i] = Get(keys[i], &(*values)[i]);
   }
   return statuses;
 }

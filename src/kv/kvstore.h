@@ -1,6 +1,8 @@
-// The engine-neutral key-value store interface. LsmStore (RocksDB-like)
-// and BTreeStore (WiredTiger-like) implement it; the experiment driver,
-// the benches and the examples program against it.
+// The engine-neutral key-value store interface. The storage engines (lsm,
+// btree, alog), the cached wrapper and the sharded front end implement
+// it; the experiment driver, the benches and the examples program
+// against it. The engines that group-commit share one implementation of
+// the write and point-read surface, kv::GroupCommitStore.
 //
 // The API has three pillars:
 //
@@ -14,9 +16,10 @@
 //     Next / key / value) that walks the store in ascending key order
 //     without materializing results: a merging iterator over
 //     memtable + SSTs in the LSM, a leaf-walking cursor in the B+Tree.
-//     An iterator observes the store as of its creation and is
-//     invalidated by writes (no snapshot pinning, like a RocksDB
-//     iterator without a snapshot); create, consume, discard.
+//     A live iterator observes the store as of its creation and is
+//     invalidated by writes; create, consume, discard. An iterator
+//     opened on a Snapshot (ReadOptions) instead reads that frozen view
+//     and survives concurrent writes.
 //     Point reads come in three shapes: Get (one key), MultiGet (a batch
 //     of keys, fanned out across read submission lanes so independent
 //     lookups overlap in virtual device time), and ReadAsync (one key,
@@ -24,10 +27,10 @@
 //     WriteAsync/WriteHandle).
 //
 //  3. Registry construction. Engines self-register by name ("lsm",
-//     "btree") in kv::EngineRegistry; callers build stores through
-//     kv::OpenStore(EngineOptions) with a string name + option map
-//     instead of linking against a concrete engine type (see
-//     kv/registry.h).
+//     "btree", "alog", "sharded", "cached") in kv::EngineRegistry;
+//     callers build stores through kv::OpenStore(EngineOptions) with a
+//     string name + option map instead of linking against a concrete
+//     engine type (see kv/registry.h).
 #ifndef PTSB_KV_KVSTORE_H_
 #define PTSB_KV_KVSTORE_H_
 
@@ -278,15 +281,6 @@ class WriteHandle {
   Callback callback_;
 };
 
-// Runs `commit` inside a virtual-time submission lane on `clock` (queue
-// id `queue`, which the simulated SSD maps to a flash channel) and wraps
-// the result in a WriteHandle. The shared engine-side implementation of
-// KVStore::WriteAsync: with no clock — or when the calling thread is
-// already inside a lane — the commit runs synchronously on the current
-// timeline.
-WriteHandle AsyncCommit(sim::SimClock* clock, uint32_t queue,
-                        const std::function<Status()>& commit);
-
 // Handle for one in-flight asynchronous point read (KVStore::ReadAsync),
 // mirroring WriteHandle: the value is filled at submission, `complete_ns`
 // is the virtual time the lookup's lane finished at, and Wait() joins
@@ -352,33 +346,6 @@ class ReadHandle {
   Callback callback_;
 };
 
-// Runs `read` inside a virtual-time submission lane on `clock` tagged
-// sim::IoClass::kForegroundRead and wraps the result in a ReadHandle.
-// The shared engine-side implementation of KVStore::ReadAsync.
-ReadHandle AsyncRead(sim::SimClock* clock, uint32_t queue,
-                     const std::function<Status()>& read);
-
-// Outcome of one span of background maintenance work (RunBackgroundWork).
-struct BackgroundResult {
-  Status status;
-  int64_t busy_ns = 0;  // virtual time the background lane spent on it
-};
-
-// Runs `work` on the engine's background submission lane: a lane on
-// `queue` tagged sim::IoClass::kBackground, serialized behind the
-// engine's previous background work via `*horizon_ns` (one background
-// worker per engine, like a compaction thread) — the foreground clock
-// does not advance, so user commit latency no longer absorbs the
-// maintenance I/O. `*horizon_ns` is updated to the work's completion
-// time; the engine must join it back into the clock (AdvanceTo) at the
-// points where the user genuinely waits: write stalls, Flush/Close, and
-// SettleBackgroundWork. With no clock — or inside an enclosing lane,
-// where a nested fork is impossible — the work simply runs on the
-// current timeline (busy_ns stays 0: nothing moved off the foreground).
-BackgroundResult RunBackgroundWork(sim::SimClock* clock, uint32_t queue,
-                                   int64_t* horizon_ns,
-                                   const std::function<Status()>& work);
-
 // A consistent, read-only view of a store as of one commit sequence
 // number. Obtained via KVStore::GetSnapshot() (which returns a
 // shared_ptr whose deleter releases the engine-side pins) and consumed
@@ -441,7 +408,7 @@ class KVStore {
 
   // Asynchronous variant: submits the commit and returns a handle whose
   // Wait() yields the commit status. Engines with a virtual clock run the
-  // commit in a submission lane (kv::AsyncCommit) so several WriteAsync
+  // commit in a submission lane (kv::GroupCommitStore) so several WriteAsync
   // calls issued back-to-back overlap in virtual device time — the
   // mechanism kv::ShardedStore uses to overlap cross-shard sub-batch
   // commits on distinct flash channels. The default implementation is
@@ -577,19 +544,6 @@ class KVStore {
   // Bytes of live engine data on the filesystem (for space amplification).
   virtual uint64_t DiskBytesUsed() const = 0;
 };
-
-// The shared MultiGet fan-out: submits each key's Get in its own
-// foreground-read lane on queues `base_queue + (i mod depth)` with at
-// most `depth` lookups in flight (waiting the oldest before submitting
-// past the depth, exactly a bounded submission queue), then waits the
-// stragglers. With no clock or depth <= 1 this degrades to sequential
-// Gets. Engines whose Get already expresses the whole lookup (LSM,
-// B+Tree) implement MultiGet with this directly; alog overrides it with
-// a File::SubmitReadAt fan-out instead.
-std::vector<Status> FanOutMultiGet(KVStore* store, sim::SimClock* clock,
-                                   uint32_t base_queue, int depth,
-                                   std::span<const std::string_view> keys,
-                                   std::vector<std::string>* values);
 
 // An always-invalid iterator carrying `status` — what NewIterator returns
 // when cursor setup itself fails (the API never returns null).

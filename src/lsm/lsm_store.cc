@@ -9,10 +9,11 @@ namespace ptsb::lsm {
 
 LsmStore::LsmStore(fs::SimpleFs* fs, const LsmOptions& options,
                    std::string dir)
-    : fs_(fs), options_(options), dir_(std::move(dir)),
-      write_group_(options.max_write_group_bytes) {}
+    : GroupCommitStore(WiringOf(options)), fs_(fs), options_(options),
+      dir_(std::move(dir)) {}
 
 LsmStore::~LsmStore() {
+  DcheckSnapshotsReleased();
   if (!closed_) {
     // Best-effort shutdown; errors are not recoverable in a destructor.
     Close().ok();
@@ -121,51 +122,7 @@ StatusOr<std::unique_ptr<LsmStore>> LsmStore::Open(fs::SimpleFs* fs,
   return store;
 }
 
-void LsmStore::ChargeCpu(int64_t ns) const {
-  if (options_.clock != nullptr) options_.clock->Advance(ns);
-}
-
-kv::WriteHandle LsmStore::WriteAsync(const kv::WriteBatch& batch) {
-  return kv::AsyncCommit(options_.clock, options_.io_queue,
-                         [&] { return Write(batch); });
-}
-
-Status LsmStore::Write(const kv::WriteBatch& batch) {
-  PTSB_CHECK(!closed_);
-  if (batch.empty()) return Status::OK();
-  // Cross-thread group commit: a single caller passes straight through
-  // (group of one, no copy); concurrent callers elect a leader that
-  // merges their batches into one WAL record.
-  return write_group_.Commit(
-      batch, [this](const kv::WriteBatch& merged, size_t n_user_batches) {
-        return WriteInternal(merged, n_user_batches);
-      });
-}
-
-Status LsmStore::WriteInternal(const kv::WriteBatch& batch,
-                               size_t n_user_batches) {
-  write_epoch_++;
-  ChargeCpu(options_.cpu_put_ns * static_cast<int64_t>(batch.Count()));
-  stats_.user_batches += n_user_batches;
-  stats_.write_groups++;
-  stats_.write_group_batches += n_user_batches;
-  for (const kv::WriteBatch::Entry& e : batch.entries()) {
-    switch (e.kind) {
-      case kv::WriteBatch::EntryKind::kPut:
-        stats_.user_puts++;
-        stats_.user_bytes_written += e.key.size() + e.value.size();
-        break;
-      case kv::WriteBatch::EntryKind::kDelete:
-        stats_.user_deletes++;
-        stats_.user_bytes_written += e.key.size();
-        break;
-      case kv::WriteBatch::EntryKind::kDeleteRange:
-        stats_.user_deletes++;
-        stats_.user_bytes_written += e.key.size() + e.value.size();
-        break;
-    }
-  }
-
+Status LsmStore::WriteInternal(const kv::WriteBatch& batch) {
   const SequenceNumber first_seq = seq_ + 1;
   seq_ += batch.Count();
   auto now = [this]() {
@@ -282,27 +239,10 @@ Status LsmStore::CompactionWork(uint64_t budget) {
   // still do device reads.
   if (budget == 0) return Status::OK();
   // Partitioned subcompactions need the pool's independent lanes; they
-  // only exist with background_io and a clock. K <= 1 (or neither)
-  // keeps the single-lane path below, byte for byte.
-  if (options_.compaction_parallelism > 1 && options_.background_io &&
-      options_.clock != nullptr) {
-    return ParallelCompactionWork(budget);
-  }
-  if (!options_.background_io || options_.clock == nullptr) {
-    return CompactionWorkImpl(budget);
-  }
-  kv::BackgroundResult r = kv::RunBackgroundWork(
-      options_.clock, options_.background_queue, &background_horizon_ns_,
-      [&] { return CompactionWorkImpl(budget); });
-  stats_.time_background_ns += r.busy_ns;
-  return r.status;
-}
-
-void LsmStore::JoinBackgroundWork() {
-  if (options_.clock != nullptr) {
-    options_.clock->AdvanceTo(background_horizon_ns_);
-    if (pool_ != nullptr) pool_->Join();
-  }
+  // only exist with background_io and a clock. One lane keeps the
+  // single-job path below, byte for byte.
+  if (pool_.lanes() > 1) return ParallelCompactionWork(budget);
+  return RunBackground(0, [&] { return CompactionWorkImpl(budget); });
 }
 
 Status LsmStore::CompactionWorkImpl(uint64_t budget) {
@@ -333,11 +273,6 @@ Status LsmStore::CompactionWorkImpl(uint64_t budget) {
 }
 
 Status LsmStore::ParallelCompactionWork(uint64_t budget) {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<kv::BackgroundPool>(
-        options_.clock, options_.background_queue,
-        options_.compaction_parallelism);
-  }
   if (parallel_job_ == nullptr) {
     CompactionPick pick =
         PickCompaction(*versions_, options_, &compaction_cursors_);
@@ -345,14 +280,12 @@ Status LsmStore::ParallelCompactionWork(uint64_t budget) {
     if (pick.trivial_move) {
       // No table I/O; the manifest append still runs (and is charged)
       // on a background lane, like the single-lane path.
-      kv::BackgroundResult r = pool_->Run(0, [&] {
+      return RunBackground(0, [&] {
         VersionEdit edit;
         edit.removed.emplace_back(pick.level, pick.inputs0[0].number);
         edit.added.emplace_back(pick.level + 1, pick.inputs0[0]);
         return versions_->LogAndApply(edit);
       });
-      stats_.time_background_ns += r.busy_ns;
-      return r.status;
     }
     PTSB_RETURN_IF_ERROR(StartSubcompaction(std::move(pick)));
   }
@@ -369,11 +302,9 @@ Status LsmStore::ParallelCompactionWork(uint64_t budget) {
         std::max<uint64_t>(1, budget / static_cast<uint64_t>(live));
     for (size_t i = 0; i < jobs.size(); i++) {
       if (jobs[i]->finished()) continue;
-      kv::BackgroundResult r = pool_->Run(
-          static_cast<int>(i),
-          [&]() -> Status { return jobs[i]->Step(share).status(); });
-      stats_.time_background_ns += r.busy_ns;
-      PTSB_RETURN_IF_ERROR(r.status);
+      PTSB_RETURN_IF_ERROR(RunBackground(static_cast<int>(i), [&] {
+        return jobs[i]->Step(share).status();
+      }));
     }
   }
   for (const auto& j : jobs) {
@@ -389,7 +320,7 @@ Status LsmStore::StartSubcompaction(CompactionPick pick) {
   // readers, so footer/index/bloom reads are paid once, not per
   // subrange.
   std::vector<SstReader*> raw;
-  kv::BackgroundResult open_r = pool_->Run(0, [&]() -> Status {
+  PTSB_RETURN_IF_ERROR(RunBackground(0, [&]() -> Status {
     auto open_input = [&](const FileMeta& f) -> Status {
       PTSB_ASSIGN_OR_RETURN(
           fs::File * file, fs_->Open(VersionSet::SstFileName(dir_, f.number)));
@@ -405,11 +336,9 @@ Status LsmStore::StartSubcompaction(CompactionPick pick) {
       PTSB_RETURN_IF_ERROR(open_input(f));
     }
     return Status::OK();
-  });
-  stats_.time_background_ns += open_r.busy_ns;
-  PTSB_RETURN_IF_ERROR(open_r.status);
+  }));
   // Every subrange depends on the shared opens.
-  pool_->Barrier();
+  pool_.Barrier();
 
   const std::vector<std::string> bounds =
       SplitCompactionRange(raw, options_.compaction_parallelism);
@@ -425,11 +354,9 @@ Status LsmStore::StartSubcompaction(CompactionPick pick) {
   // Seed each subrange on its own lane: the initial Seek loads data
   // blocks, and those reads already overlap across channels.
   for (size_t i = 0; i < k; i++) {
-    kv::BackgroundResult r =
-        pool_->Run(static_cast<int>(i),
-                   [&] { return sub->jobs[i]->PrepareWithReaders(raw); });
-    stats_.time_background_ns += r.busy_ns;
-    PTSB_RETURN_IF_ERROR(r.status);
+    PTSB_RETURN_IF_ERROR(RunBackground(static_cast<int>(i), [&] {
+      return sub->jobs[i]->PrepareWithReaders(raw);
+    }));
   }
   parallel_job_ = std::move(sub);
   return Status::OK();
@@ -444,9 +371,9 @@ Status LsmStore::InstallSubcompaction() {
   }
   // The install depends on every subrange: line the lanes up first,
   // then commit on lane 0.
-  pool_->Barrier();
+  pool_.Barrier();
   std::vector<uint64_t> deleted;
-  kv::BackgroundResult r = pool_->Run(0, [&]() -> Status {
+  const Status s = RunBackground(0, [&]() -> Status {
     // ONE atomic VersionEdit covering all subranges: removals for the
     // shared inputs, additions for every subrange's outputs. A crash
     // before this record leaves only orphan SSTs (the recovery sweep
@@ -484,10 +411,9 @@ Status LsmStore::InstallSubcompaction() {
     }
     return Status::OK();
   });
-  stats_.time_background_ns += r.busy_ns;
   parallel_job_.reset();
   EvictReaders(deleted);
-  return r.status;
+  return s;
 }
 
 Status LsmStore::MaybeStall() {
@@ -629,9 +555,10 @@ StatusOr<SstReader::GetResult> BoundedSstGet(SstReader* reader,
 // (each file pinned in the store against physical deletion) and range
 // tombstones. Destruction releases the pins under commit exclusion; the
 // snapshot must be released before the store is destroyed.
-class LsmStore::SnapshotImpl : public kv::Snapshot {
+class LsmStore::SnapshotImpl : public StoreSnapshot {
  public:
-  explicit SnapshotImpl(LsmStore* store) : store_(store) {}
+  explicit SnapshotImpl(LsmStore* store)
+      : StoreSnapshot(store), store_(store) {}
   ~SnapshotImpl() override { store_->ReleaseSnapshot(*this); }
   uint64_t sequence() const override { return seq_; }
 
@@ -701,9 +628,10 @@ CompactionJob::FileDeleter LsmStore::MakeFileDeleter() {
   };
 }
 
-Status LsmStore::SnapshotGetInternal(const SnapshotImpl& snap,
+Status LsmStore::SnapshotGetInternal(const kv::Snapshot& snapshot,
                                      std::string_view key,
                                      std::string* value) {
+  const auto& snap = static_cast<const SnapshotImpl&>(snapshot);
   ChargeCpu(options_.cpu_get_ns);
   stats_.user_gets++;
 
@@ -735,23 +663,6 @@ Status LsmStore::SnapshotGetInternal(const SnapshotImpl& snap,
     }
   }
   return Status::NotFound("no such key");
-}
-
-Status LsmStore::Get(std::string_view key, std::string* value) {
-  PTSB_CHECK(!closed_);
-  // Exclude in-flight group commits: a leader may be rotating the
-  // memtable or retiring SSTs for followers on another thread.
-  return write_group_.RunExclusive([&] { return GetInternal(key, value); });
-}
-
-Status LsmStore::Get(const kv::ReadOptions& opts, std::string_view key,
-                     std::string* value) {
-  if (opts.snapshot == nullptr) return Get(key, value);
-  PTSB_CHECK(!closed_);
-  const auto* snap = static_cast<const SnapshotImpl*>(opts.snapshot);
-  PTSB_CHECK(snap->store_ == this) << "snapshot from a different store";
-  return write_group_.RunExclusive(
-      [&] { return SnapshotGetInternal(*snap, key, value); });
 }
 
 Status LsmStore::GetInternal(std::string_view key, std::string* value) {
@@ -790,18 +701,6 @@ Status LsmStore::GetInternal(std::string_view key, std::string* value) {
     }
   }
   return Status::NotFound("no such key");
-}
-
-std::vector<Status> LsmStore::MultiGet(std::span<const std::string_view> keys,
-                                       std::vector<std::string>* values) {
-  PTSB_CHECK(!closed_);
-  return kv::FanOutMultiGet(this, options_.clock, options_.io_queue,
-                            options_.read_queue_depth, keys, values);
-}
-
-kv::ReadHandle LsmStore::ReadAsync(std::string_view key, std::string* value) {
-  return kv::AsyncRead(options_.clock, options_.io_queue,
-                       [&] { return Get(key, value); });
 }
 
 // Streaming merge over a memtable and a set of SSTs: picks the smallest
@@ -1041,10 +940,9 @@ std::unique_ptr<kv::KVStore::Iterator> LsmStore::NewIterator() {
 std::unique_ptr<kv::KVStore::Iterator> LsmStore::NewIterator(
     const kv::ReadOptions& opts) {
   PTSB_CHECK(!closed_);
-  const auto* snap = static_cast<const SnapshotImpl*>(opts.snapshot);
-  if (snap != nullptr) {
-    PTSB_CHECK(snap->store_ == this) << "snapshot from a different store";
-  }
+  const SnapshotImpl* snap =
+      opts.snapshot != nullptr ? &OwnSnapshot<SnapshotImpl>(opts.snapshot)
+                               : nullptr;
   return write_group_.RunExclusive(
       [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
         stats_.user_scans++;

@@ -6,15 +6,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "fs/filesystem.h"
-#include "kv/background_pool.h"
-#include "kv/kvstore.h"
+#include "kv/group_commit_store.h"
 #include "kv/registry.h"
-#include "kv/write_group.h"
 #include "lsm/compaction.h"
 #include "lsm/memtable.h"
 #include "lsm/options.h"
@@ -24,7 +21,7 @@
 
 namespace ptsb::lsm {
 
-class LsmStore : public kv::KVStore {
+class LsmStore : public kv::GroupCommitStore {
  public:
   // Opens (or creates) a store rooted at `dir` within `fs`. Recovers the
   // manifest and replays the WAL.
@@ -33,31 +30,8 @@ class LsmStore : public kv::KVStore {
                                                   std::string dir = "lsm");
   ~LsmStore() override;
 
-  // kv::KVStore interface. Write is the group-commit path: the batch is
-  // routed through a cross-thread kv::WriteGroup, so a single caller's
-  // batch becomes ONE WAL record (one memtable insertion pass, one
-  // flush/compaction pacing step) and N concurrent callers' batches are
-  // merged by a leader into sub-linearly many records.
-  Status Write(const kv::WriteBatch& batch) override;
-  // Runs the commit in a submission lane on options().io_queue, so
-  // back-to-back WriteAsync calls on distinct queues overlap in virtual
-  // time (see kv::KVStore::WriteAsync).
-  kv::WriteHandle WriteAsync(const kv::WriteBatch& batch) override;
-  Status Get(std::string_view key, std::string* value) override;
-  // Fans the lookups out across foreground-read submission lanes at
-  // options().read_queue_depth, so independent SST probes overlap in
-  // virtual device time (see kv::KVStore::MultiGet).
-  std::vector<Status> MultiGet(std::span<const std::string_view> keys,
-                               std::vector<std::string>* values) override;
-  // Runs the lookup in a foreground-read lane on options().io_queue (see
-  // kv::KVStore::ReadAsync).
-  kv::ReadHandle ReadAsync(std::string_view key, std::string* value) override;
-  // Snapshot-aware point lookup: resolves the key against the snapshot's
-  // pinned memtable + file lists at its sequence bound.
-  Status Get(const kv::ReadOptions& opts, std::string_view key,
-             std::string* value) override;
   // Merging iterator over the memtable and every live SST. Invalidated by
-  // any write to the store (no snapshot pinning).
+  // any write to the store.
   std::unique_ptr<kv::KVStore::Iterator> NewIterator() override;
   // Snapshot / readahead variant. With a snapshot the cursor reads the
   // pinned sources (shared memtable, pinned SSTs) at the snapshot's
@@ -77,13 +51,6 @@ class LsmStore : public kv::KVStore {
   Status Flush() override;
   Status SettleBackgroundWork() override { return DrainCompactions(); }
   Status Close() override;
-  // Concurrent Write callers group-commit; point reads run under the
-  // group's commit-exclusion lock. Iterators and lifecycle calls still
-  // expect a quiesced store.
-  bool SupportsConcurrentWriters() const override { return true; }
-  kv::KvStoreStats GetStats() const override {
-    return write_group_.RunExclusive([&] { return stats_; });
-  }
   std::string Name() const override { return "lsm(rocksdb-like)"; }
   uint64_t DiskBytesUsed() const override;
 
@@ -107,11 +74,14 @@ class LsmStore : public kv::KVStore {
 
   LsmStore(fs::SimpleFs* fs, const LsmOptions& options, std::string dir);
 
-  // The commit function the write group's leader runs: the old Write
-  // body, applied to the merged batch of `n_user_batches` user Writes.
-  Status WriteInternal(const kv::WriteBatch& batch, size_t n_user_batches);
-  // Get's body, run under the group's commit-exclusion lock.
-  Status GetInternal(std::string_view key, std::string* value);
+  // One WAL record and one memtable insertion pass for the whole group,
+  // then one flush/compaction pacing step.
+  Status WriteInternal(const kv::WriteBatch& batch) override;
+  Status GetInternal(std::string_view key, std::string* value) override;
+  // Resolves the key against the snapshot's pinned memtable + file lists
+  // at its sequence bound, filtered by its range tombstones.
+  Status SnapshotGetInternal(const kv::Snapshot& snap, std::string_view key,
+                             std::string* value) override;
   Status FlushMemtable();
   // Runs up to `budget` bytes of compaction work, starting a job if due.
   // With background_io on (and a clock), the work runs on the engine's
@@ -129,19 +99,10 @@ class LsmStore : public kv::KVStore {
   Status ParallelCompactionWork(uint64_t budget);
   Status StartSubcompaction(CompactionPick pick);
   Status InstallSubcompaction();
-  // AdvanceTo the background lane's completion horizon: the foreground
-  // explicitly waiting out pending compaction.
-  void JoinBackgroundWork();
   Status MaybeStall();
   StatusOr<SstReader*> GetReader(uint64_t number);
   void EvictReaders(const std::vector<uint64_t>& numbers);
-  void ChargeCpu(int64_t ns) const;
 
-  // Snapshot Get's body: newest version of `key` at the snapshot's
-  // sequence bound across its pinned memtable + frozen file lists,
-  // filtered by its range tombstones. Runs under commit exclusion.
-  Status SnapshotGetInternal(const SnapshotImpl& snap, std::string_view key,
-                             std::string* value);
   // The CompactionJob input-disposal hook: pinned inputs become on-disk
   // zombies (snapshot_pinned_bytes grows) instead of being deleted.
   CompactionJob::FileDeleter MakeFileDeleter();
@@ -172,14 +133,7 @@ class LsmStore : public kv::KVStore {
     std::vector<std::unique_ptr<CompactionJob>> jobs;
   };
   std::unique_ptr<Subcompaction> parallel_job_;
-  // Background lanes for subcompactions (queue background_queue + i).
-  // Created lazily on the first parallel pick.
-  std::unique_ptr<kv::BackgroundPool> pool_;
   std::vector<uint64_t> compaction_cursors_;
-  // Completion time of the last background-lane compaction span
-  // (background_io): the engine's one background worker serializes on
-  // it, and foreground waits join it via JoinBackgroundWork().
-  int64_t background_horizon_ns_ = 0;
 
   // Table cache: open readers with pinned index+bloom (never evicted while
   // the file is live, as RocksDB effectively does for filter/index blocks).
@@ -202,17 +156,6 @@ class LsmStore : public kv::KVStore {
   std::map<uint64_t, uint64_t> zombies_;
 
   SequenceNumber seq_ = 0;
-  // Bumped by every mutating entry point (Write, Flush, compaction
-  // drains). Debug builds compare it against the value captured at
-  // iterator creation to fail fast on use-after-write instead of reading
-  // freed memtables/SSTs.
-  uint64_t write_epoch_ = 0;
-  kv::KvStoreStats stats_;
-  // Cross-thread group commit queue; also provides the commit-exclusion
-  // lock the read paths (and const stats snapshots) run under. mutable:
-  // taking the exclusion lock is not logically a mutation.
-  mutable kv::WriteGroup write_group_;
-  bool closed_ = false;
 };
 
 // Registers the "lsm" engine factory with kv::EngineRegistry. Recognized

@@ -116,8 +116,8 @@ struct LaneResult {
 
 // THE lane protocol, shared by every submission wrapper in the stack
 // (block::BlockDevice::SubmitWrite/SubmitRead, fs::File::SubmitAppend/
-// SubmitWriteAt/SubmitReadAt, kv::AsyncCommit, kv::AsyncRead): run `op`
-// inside a lane on `clock` tagged with `queue` and `io_class` and
+// SubmitWriteAt/SubmitReadAt, kv::GroupCommitStore's WriteAsync/ReadAsync):
+// run `op` inside a lane on `clock` tagged with `queue` and `io_class` and
 // capture its completion time. With no clock the op just runs; inside an
 // enclosing lane the op charges that lane and "completes" at its current
 // time (nesting collapses). Centralized so a change to lane semantics

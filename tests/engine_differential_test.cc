@@ -1203,7 +1203,7 @@ TEST(QosDifferentialTest, ThrottledSchedulingNeverChangesVisibleState) {
     // maintenance on the background lane under background_io, so a trace
     // this size that never touches the lane means classification broke.
     // Exception: async-dispatch configs (queue_depth) run maintenance
-    // inside the enclosing write lane — RunBackgroundWork cannot fork a
+    // inside the enclosing write lane — a BackgroundPool cannot fork a
     // nested lane and legitimately falls back to the caller's class.
     ssd::SsdDevice::ChannelStats device;
     for (const auto& c : qos->ssd->channel_stats()) device += c;

@@ -46,7 +46,7 @@ SsdConfig QosTestConfig() {
 
 // Books a background span of `pages` programs on channel 0 via a
 // background lane forked at the CURRENT global time (the global clock
-// does not move — exactly how kv::RunBackgroundWork books compaction
+// does not move — exactly how kv::BackgroundPool books compaction
 // ahead of the foreground).
 void BookBackground(sim::SimClock* clock, SsdDevice* dev, uint64_t lba,
                     uint64_t pages) {
