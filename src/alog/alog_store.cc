@@ -312,17 +312,22 @@ Status AlogStore::SettleBackgroundWork() {
 }
 
 Status AlogStore::GetInternal(std::string_view key, std::string* value) {
+  return IndexGet(index_, key, value);
+}
+
+Status AlogStore::IndexGet(const Index& index, std::string_view key,
+                           std::string* value) {
   ChargeCpu(options_.cpu_get_ns);
   stats_.user_gets++;
-  const auto it = index_.find(key);
-  if (it == index_.end()) return Status::NotFound("no such key");
+  const auto it = index.find(key);
+  if (it == index.end()) return Status::NotFound("no such key");
   if (it->second.tombstone) return Status::NotFound("deleted");
   const Location& loc = it->second;
   value->resize(loc.value_bytes);
   PTSB_ASSIGN_OR_RETURN(
       const uint64_t got,
-      segments_.at(loc.segment)
-          .file->ReadAt(loc.value_offset, loc.value_bytes, value->data()));
+      SegmentFile(loc.segment)
+          ->ReadAt(loc.value_offset, loc.value_bytes, value->data()));
   if (got != loc.value_bytes) return Status::Corruption("short value read");
   stats_.user_bytes_read += value->size();
   return Status::OK();
@@ -609,101 +614,6 @@ fs::File* AlogStore::SegmentFile(uint64_t id) const {
   return z->second.file;
 }
 
-// Ordered cursor over the index; values are read lazily from the segment
-// files as the cursor positions. Holds a live std::map iterator, so any
-// write to the store invalidates it (appends retarget the index, GC
-// deletes segment files) — the same contract as the other engines.
-class AlogStore::OrderedIterator : public kv::KVStore::Iterator {
- public:
-  explicit OrderedIterator(AlogStore* store)
-      : store_(store),
-        epoch_(store->write_epoch_),
-        pos_(store->index_.end()) {}
-
-  void SeekToFirst() override {
-    CheckEpoch();
-    Position(store_->index_.begin());
-  }
-  void Seek(std::string_view target) override {
-    CheckEpoch();
-    Position(store_->index_.lower_bound(target));
-  }
-  bool Valid() const override {
-    CheckEpoch();
-    return valid_;
-  }
-
-  void Next() override {
-    CheckEpoch();
-    if (!valid_) return;
-    Position(std::next(pos_));
-  }
-
-  std::string_view key() const override {
-    CheckEpoch();
-    return pos_->first;
-  }
-  std::string_view value() const override {
-    CheckEpoch();
-    return value_;
-  }
-  Status status() const override { return status_; }
-
- private:
-  using IndexIter = std::map<std::string, Location, std::less<>>::iterator;
-
-  // Debug-build fail-fast on use-after-write: appends retarget the index
-  // node this cursor holds and GC deletes the segment files it reads
-  // from, so continuing would silently read stale (or freed) state.
-  void CheckEpoch() const {
-    PTSB_DCHECK(epoch_ == store_->write_epoch_)
-        << "alog iterator used after a write to the store; iterators "
-           "observe the store as of creation and are invalidated by "
-           "writes (create, consume, discard)";
-  }
-
-  void Position(IndexIter it) {
-    valid_ = false;
-    if (!status_.ok()) return;
-    while (it != store_->index_.end() && it->second.tombstone) ++it;
-    if (it == store_->index_.end()) return;  // clean end-of-data
-    pos_ = it;
-    const Location& loc = it->second;
-    value_.resize(loc.value_bytes);
-    auto got = store_->segments_.at(loc.segment)
-                   .file->ReadAt(loc.value_offset, loc.value_bytes,
-                                 value_.data());
-    if (!got.ok()) {
-      status_ = got.status();
-      return;
-    }
-    if (*got != loc.value_bytes) {
-      status_ = Status::Corruption("short value read");
-      return;
-    }
-    store_->stats_.user_bytes_read += pos_->first.size() + value_.size();
-    valid_ = true;
-  }
-
-  AlogStore* store_;
-  const uint64_t epoch_;  // store_->write_epoch_ at creation
-  IndexIter pos_;
-  std::string value_;
-  bool valid_ = false;
-  Status status_;
-};
-
-std::unique_ptr<kv::KVStore::Iterator> AlogStore::NewIterator() {
-  PTSB_CHECK(!closed_);
-  // Construction excludes in-flight commits; iteration itself still
-  // requires a quiesced writer (epoch-checked).
-  return write_group_.RunExclusive(
-      [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
-        stats_.user_scans++;
-        return std::make_unique<OrderedIterator>(this);
-      });
-}
-
 // A frozen copy of the index plus pins on every segment existing at
 // creation. Segments are append-only, so the copied locations stay
 // readable as long as the files exist; the pins defer GC's file deletion
@@ -719,7 +629,7 @@ class AlogStore::SnapshotImpl : public StoreSnapshot {
 
   AlogStore* store_;
   uint64_t seq_ = 0;  // write_epoch_ at creation (opaque ordering token)
-  std::map<std::string, Location, std::less<>> index_;
+  Index index_;
   std::vector<uint64_t> pinned_;  // segment ids pinned at creation
 };
 
@@ -763,70 +673,96 @@ void AlogStore::ReleaseSnapshot(const SnapshotImpl& snap) {
   });
 }
 
-Status AlogStore::SnapshotGetInternal(const kv::Snapshot& snapshot,
+Status AlogStore::SnapshotGetInternal(const kv::Snapshot& snap,
                                       std::string_view key,
                                       std::string* value) {
-  const auto& snap = static_cast<const SnapshotImpl&>(snapshot);
-  ChargeCpu(options_.cpu_get_ns);
-  stats_.user_gets++;
-  const auto it = snap.index_.find(key);
-  if (it == snap.index_.end()) return Status::NotFound("no such key");
-  if (it->second.tombstone) return Status::NotFound("deleted");
-  const Location& loc = it->second;
-  value->resize(loc.value_bytes);
-  PTSB_ASSIGN_OR_RETURN(
-      const uint64_t got,
-      SegmentFile(loc.segment)
-          ->ReadAt(loc.value_offset, loc.value_bytes, value->data()));
-  if (got != loc.value_bytes) return Status::Corruption("short value read");
-  stats_.user_bytes_read += value->size();
-  return Status::OK();
+  return IndexGet(static_cast<const SnapshotImpl&>(snap).index_, key, value);
 }
 
-// Ordered cursor over a snapshot's frozen index copy. The index it walks
-// is owned by the snapshot (immutable), so concurrent writes never move
-// it — no write-epoch check. Each movement runs under the
-// commit-exclusion lock (segment reads share the File substrate with
-// commits), but the cursor stays valid across writes made between
-// movements. With readahead > 1, the next span of value reads is
+// Ordered cursor over an index, the store's own (live view) or a
+// snapshot's frozen copy; values are read lazily from the segment files
+// (SegmentFile, which also finds the GC-deferred files a snapshot pins)
+// as the cursor positions.
+//
+// Live view: the cursor holds an iterator into the store's index, so any
+// write invalidates it (appends retarget the index, GC deletes segment
+// files) — the same contract as the other engines, checked in debug
+// builds. Moves take no lock, and readahead is ignored: the contract
+// already requires a quiesced writer.
+//
+// Snapshot view: the index is owned by the snapshot (immutable), so
+// concurrent writes never move it — no write-epoch check. Each movement
+// runs under the commit-exclusion lock (segment reads share the File
+// substrate with commits), but the cursor stays valid across writes made
+// between movements. With readahead > 1, the next span of value reads is
 // submitted across foreground-read lanes before any is waited, so their
 // virtual device time overlaps.
-class AlogStore::SnapIterator : public kv::KVStore::Iterator {
+class AlogStore::Cursor : public kv::KVStore::Iterator {
  public:
-  SnapIterator(AlogStore* store, const SnapshotImpl* snap, int readahead)
+  // A null `snap` selects the live view.
+  Cursor(AlogStore* store, const SnapshotImpl* snap, int readahead)
       : store_(store),
-        snap_(snap),
-        span_(readahead > 1 ? readahead : 1),
+        index_(snap != nullptr ? &snap->index_ : &store->index_),
+        live_(snap == nullptr),
+        epoch_(store->write_epoch_),
+        span_(!live_ && readahead > 1 ? readahead : 1),
         depth_(std::min<int>(span_,
                              std::max(1, store->options_.read_queue_depth))),
-        pos_(snap->index_.end()) {}
+        pos_(index_->end()) {}
 
-  void SeekToFirst() override {
-    store_->write_group_.RunExclusive(
-        [&] { Position(snap_->index_.begin()); });
-  }
+  void SeekToFirst() override { Move([&] { Position(index_->begin()); }); }
   void Seek(std::string_view target) override {
-    store_->write_group_.RunExclusive(
-        [&] { Position(snap_->index_.lower_bound(target)); });
+    Move([&] { Position(index_->lower_bound(target)); });
   }
   void Next() override {
-    if (!valid_) return;
-    store_->write_group_.RunExclusive([&] { Position(std::next(pos_)); });
+    Move([&] {
+      if (valid_) Position(std::next(pos_));
+    });
   }
-  bool Valid() const override { return valid_; }
-  std::string_view key() const override { return pos_->first; }
-  std::string_view value() const override { return value_; }
+  bool Valid() const override {
+    CheckEpoch();
+    return valid_;
+  }
+  std::string_view key() const override {
+    CheckEpoch();
+    return pos_->first;
+  }
+  std::string_view value() const override {
+    CheckEpoch();
+    return value_;
+  }
   Status status() const override { return status_; }
 
  private:
-  using ConstIter =
-      std::map<std::string, Location, std::less<>>::const_iterator;
+  using ConstIter = Index::const_iterator;
+
+  // Debug-build fail-fast on a live cursor used after a write: appends
+  // retarget the index node it holds and GC deletes the segment files it
+  // reads from, so continuing would silently read stale (or freed) state.
+  void CheckEpoch() const {
+    PTSB_DCHECK(!live_ || epoch_ == store_->write_epoch_)
+        << "alog iterator used after a write to the store; iterators "
+           "observe the store as of creation and are invalidated by "
+           "writes (create, consume, discard)";
+  }
+
+  // Runs one cursor movement: epoch-checked in the live view, under the
+  // commit-exclusion lock in the snapshot view.
+  template <typename F>
+  void Move(const F& move) {
+    if (live_) {
+      CheckEpoch();
+      move();
+    } else {
+      store_->write_group_.RunExclusive(move);
+    }
+  }
 
   void Position(ConstIter it) {
     valid_ = false;
     if (!status_.ok()) return;
-    while (it != snap_->index_.end() && it->second.tombstone) ++it;
-    if (it == snap_->index_.end()) return;  // clean end-of-data
+    while (it != index_->end() && it->second.tombstone) ++it;
+    if (it == index_->end()) return;  // clean end-of-data
     if (!ready_.empty() && ready_.front().first == it) {
       value_ = std::move(ready_.front().second);
       ready_.pop_front();
@@ -849,7 +785,7 @@ class AlogStore::SnapIterator : public kv::KVStore::Iterator {
     std::vector<ConstIter> batch;
     batch.reserve(static_cast<size_t>(span_));
     for (ConstIter it = first;
-         it != snap_->index_.end() &&
+         it != index_->end() &&
          batch.size() < static_cast<size_t>(span_);
          ++it) {
       if (!it->second.tombstone) batch.push_back(it);
@@ -896,9 +832,11 @@ class AlogStore::SnapIterator : public kv::KVStore::Iterator {
   }
 
   AlogStore* store_;
-  const SnapshotImpl* snap_;
-  const int span_;   // values per prefetch batch
-  const int depth_;  // submission lanes used per batch
+  const Index* const index_;
+  const bool live_;
+  const uint64_t epoch_;  // store_->write_epoch_ at creation (live view)
+  const int span_;        // values per prefetch batch
+  const int depth_;       // submission lanes used per batch
   ConstIter pos_;
   std::string value_;
   std::deque<std::pair<ConstIter, std::string>> ready_;
@@ -906,20 +844,10 @@ class AlogStore::SnapIterator : public kv::KVStore::Iterator {
   Status status_;
 };
 
-std::unique_ptr<kv::KVStore::Iterator> AlogStore::NewIterator(
-    const kv::ReadOptions& opts) {
-  PTSB_CHECK(!closed_);
-  if (opts.snapshot == nullptr) {
-    // Readahead is a snapshot-cursor concern here: the live cursor's
-    // epoch contract already requires a quiesced writer.
-    return NewIterator();
-  }
-  const SnapshotImpl* snap = &OwnSnapshot<SnapshotImpl>(opts.snapshot);
-  return write_group_.RunExclusive(
-      [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
-        stats_.user_scans++;
-        return std::make_unique<SnapIterator>(this, snap, opts.readahead);
-      });
+std::unique_ptr<kv::KVStore::Iterator> AlogStore::NewIteratorInternal(
+    const kv::Snapshot* snap, int readahead) {
+  return std::make_unique<Cursor>(
+      this, static_cast<const SnapshotImpl*>(snap), readahead);
 }
 
 Status AlogStore::Flush() {

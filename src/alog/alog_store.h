@@ -41,19 +41,6 @@ class AlogStore : public kv::GroupCommitStore {
   // virtual device time.
   std::vector<Status> MultiGet(std::span<const std::string_view> keys,
                                std::vector<std::string>* values) override;
-  // Ordered cursor over the in-memory index, reading values lazily from
-  // the segments. Invalidated by any write to the store (appends move the
-  // index; GC deletes segment files).
-  std::unique_ptr<kv::KVStore::Iterator> NewIterator() override;
-  // With a snapshot: an ordered cursor over the snapshot's frozen index
-  // copy, immune to concurrent writes (segments are append-only and the
-  // snapshot's pins defer GC file deletion). opts.readahead > 1 batches
-  // that many upcoming value reads per span across foreground-read
-  // submission lanes (capped at read_queue_depth), so the segment reads
-  // overlap in virtual device time. Without a snapshot, falls back to
-  // the live cursor.
-  std::unique_ptr<kv::KVStore::Iterator> NewIterator(
-      const kv::ReadOptions& opts) override;
   // Freezes the current index (a full copy — the index IS the engine's
   // version state) and pins every current segment: GC may still collect
   // a pinned segment, but its file deletion is deferred until the last
@@ -73,9 +60,8 @@ class AlogStore : public kv::GroupCommitStore {
   std::string DebugString() const;
 
  private:
-  class OrderedIterator;
+  class Cursor;
   class SnapshotImpl;
-  class SnapIterator;
 
   // Where the newest record for a key lives. Tombstones stay in the index
   // so GC can carry them forward past older shadowed puts (dropping one is
@@ -87,6 +73,7 @@ class AlogStore : public kv::GroupCommitStore {
     uint32_t entry_bytes = 0;
     bool tombstone = false;
   };
+  using Index = std::map<std::string, Location, std::less<>>;
 
   struct SegmentInfo {
     fs::File* file = nullptr;
@@ -106,6 +93,20 @@ class AlogStore : public kv::GroupCommitStore {
   // its (possibly GC-deferred) segment file.
   Status SnapshotGetInternal(const kv::Snapshot& snap, std::string_view key,
                              std::string* value) override;
+  // Both point reads' body: looks `key` up in `index` (the live one or a
+  // snapshot's copy) and reads the value from its segment file.
+  Status IndexGet(const Index& index, std::string_view key,
+                  std::string* value);
+  // The one Cursor: an ordered walk of the in-memory index (live, and
+  // invalidated by any write) or of a snapshot's frozen copy (immune to
+  // concurrent writes: segments are append-only and the snapshot's pins
+  // defer GC file deletion), reading values lazily from the segments. On
+  // a snapshot, readahead > 1 batches that many upcoming value reads per
+  // span across foreground-read submission lanes (capped at
+  // read_queue_depth), so the segment reads overlap in virtual device
+  // time; the live cursor ignores readahead.
+  std::unique_ptr<kv::KVStore::Iterator> NewIteratorInternal(
+      const kv::Snapshot* snap, int readahead) override;
   // MultiGet's read fan-out, run under the group's commit-exclusion lock.
   std::vector<Status> MultiGetFanOut(std::span<const std::string_view> keys,
                                      std::vector<std::string>* values);
@@ -160,7 +161,7 @@ class AlogStore : public kv::GroupCommitStore {
   AlogOptions options_;
   std::string dir_;
 
-  std::map<std::string, Location, std::less<>> index_;
+  Index index_;
   std::map<uint64_t, SegmentInfo> segments_;  // ordered by segment id
   uint64_t active_id_ = 0;                    // 0 = no active segment yet
   uint64_t next_segment_id_ = 1;

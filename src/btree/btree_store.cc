@@ -808,15 +808,6 @@ class BTreeStore::Cursor : public kv::KVStore::Iterator {
   Status status_;
 };
 
-std::unique_ptr<kv::KVStore::Iterator> BTreeStore::NewIterator() {
-  PTSB_CHECK(!closed_);
-  return write_group_.RunExclusive(
-      [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
-        stats_.user_scans++;
-        return std::make_unique<Cursor>(this);
-      });
-}
-
 // A pinned checkpoint: the tree image rooted at `root_` stays readable on
 // disk because the block manager quarantines (instead of reusing) every
 // block freed by later checkpoints while this generation is pinned.
@@ -904,6 +895,10 @@ Status BTreeStore::SnapshotGetInternal(const kv::Snapshot& snapshot,
 // single-user contract), but the cursor stays valid across writes made
 // between movements. With readahead > 1, sibling-leaf reads are batched
 // across foreground-read submission lanes so their device time overlaps.
+// Unlike the other engines' one-cursor-two-views design, it stays a class
+// of its own: Cursor links nodes into the shared leaf cache and evicts
+// between leaves, while this one owns private copies, so a shared body
+// would branch on the mode at every step.
 class BTreeStore::SnapCursor : public kv::KVStore::Iterator {
  public:
   SnapCursor(BTreeStore* store, const SnapshotImpl* snap, int readahead)
@@ -1088,20 +1083,13 @@ class BTreeStore::SnapCursor : public kv::KVStore::Iterator {
   Status status_;
 };
 
-std::unique_ptr<kv::KVStore::Iterator> BTreeStore::NewIterator(
-    const kv::ReadOptions& opts) {
-  PTSB_CHECK(!closed_);
-  if (opts.snapshot == nullptr) {
-    // Readahead is a disk-cursor concern; the live cursor reads through
-    // the leaf cache.
-    return NewIterator();
-  }
-  const SnapshotImpl* snap = &OwnSnapshot<SnapshotImpl>(opts.snapshot);
-  return write_group_.RunExclusive(
-      [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
-        stats_.user_scans++;
-        return std::make_unique<SnapCursor>(this, snap, opts.readahead);
-      });
+std::unique_ptr<kv::KVStore::Iterator> BTreeStore::NewIteratorInternal(
+    const kv::Snapshot* snap, int readahead) {
+  // Readahead is a disk-cursor concern; the live cursor reads through
+  // the leaf cache.
+  if (snap == nullptr) return std::make_unique<Cursor>(this);
+  return std::make_unique<SnapCursor>(
+      this, static_cast<const SnapshotImpl*>(snap), readahead);
 }
 
 Status BTreeStore::Flush() {

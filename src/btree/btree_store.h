@@ -30,17 +30,6 @@ class BTreeStore : public kv::GroupCommitStore {
       std::string file_name = "btree/tree.db");
   ~BTreeStore() override;
 
-  // Leaf-walking cursor in key order. Invalidated by any write to the
-  // store (splits and evictions move items between pages).
-  std::unique_ptr<kv::KVStore::Iterator> NewIterator() override;
-  // With a snapshot: a disk-walking cursor over the pinned checkpoint's
-  // tree, immune to concurrent writes (it never touches the live cache).
-  // opts.readahead > 1 batches that many sibling-leaf reads per span
-  // across foreground-read submission lanes (capped at
-  // read_queue_depth), so the leaf fetches overlap in virtual device
-  // time. Without a snapshot, falls back to the live cursor.
-  std::unique_ptr<kv::KVStore::Iterator> NewIterator(
-      const kv::ReadOptions& opts) override;
   // Pins the current state as a checkpoint: runs a foreground checkpoint
   // and holds its generation's blocks out of reuse (quarantine cohorts
   // in the block manager) until the snapshot drops.
@@ -88,6 +77,15 @@ class BTreeStore : public kv::GroupCommitStore {
   // (never touching the live cache).
   Status SnapshotGetInternal(const kv::Snapshot& snap, std::string_view key,
                              std::string* value) override;
+  // Live: a Cursor, the leaf-walking cursor in key order through the leaf
+  // cache, invalidated by any write (splits and evictions move items
+  // between pages); it ignores readahead. With a snapshot: a SnapCursor,
+  // a disk-walking cursor over the pinned checkpoint's tree, immune to
+  // concurrent writes (it never touches the live cache); readahead > 1
+  // batches that many sibling-leaf reads per span across foreground-read
+  // submission lanes (capped at read_queue_depth).
+  std::unique_ptr<kv::KVStore::Iterator> NewIteratorInternal(
+      const kv::Snapshot* snap, int readahead) override;
 
   // Applies one batch entry to its leaf (insert/overwrite/erase + split).
   Status ApplyEntry(const kv::WriteBatch::Entry& entry);

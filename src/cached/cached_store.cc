@@ -1,6 +1,7 @@
 #include "cached/cached_store.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "alog/segment.h"
@@ -416,8 +417,14 @@ Status CachedStore::DeleteLogSegments(uint64_t keep_from_id) {
 }
 
 Status CachedStore::GetInternal(std::string_view key, std::string* value) {
+  return ViewGet(ViewOf(nullptr), key, value);
+}
+
+std::optional<Status> CachedStore::ProbeAbove(const View& v,
+                                              std::string_view key,
+                                              std::string* value) {
   stats_.user_gets++;
-  if (const auto it = buffer_.find(key); it != buffer_.end()) {
+  if (const auto it = v.buffer->find(key); it != v.buffer->end()) {
     stats_.cache_hits++;
     if (it->second.tombstone) {
       return Status::NotFound("key deleted in write buffer");
@@ -428,19 +435,27 @@ Status CachedStore::GetInternal(std::string_view key, std::string* value) {
   }
   // A key inside a buffered range delete is gone, whatever the cache or
   // the inner engine still hold (the range has not flushed down yet).
-  if (Covers(ranges_, key)) {
+  if (Covers(*v.ranges, key)) {
     stats_.cache_hits++;
     return Status::NotFound("key covered by buffered range delete");
   }
-  if (cache_ != nullptr && cache_->Get(key, value)) {
+  if (v.cache != nullptr && v.cache->Get(key, value)) {
     stats_.cache_hits++;
     stats_.user_bytes_read += value->size();
     return Status::OK();
   }
   stats_.cache_misses++;
-  const Status s = inner_->Get(key, value);
+  return std::nullopt;
+}
+
+Status CachedStore::ViewGet(const View& v, std::string_view key,
+                            std::string* value) {
+  if (std::optional<Status> hit = ProbeAbove(v, key, value)) return *hit;
+  kv::ReadOptions inner_opts;
+  inner_opts.snapshot = v.inner;
+  const Status s = inner_->Get(inner_opts, key, value);
   if (s.ok()) {
-    if (cache_ != nullptr) cache_->Insert(key, *value);
+    if (v.cache != nullptr) v.cache->Insert(key, *value);
     stats_.user_bytes_read += value->size();
   }
   return s;
@@ -464,29 +479,12 @@ std::vector<Status> CachedStore::MultiGetInternal(
   std::vector<Status> statuses(keys.size(), Status::OK());
   std::vector<size_t> miss_pos;
   std::vector<std::string_view> miss_keys;
+  const View live = ViewOf(nullptr);
   for (size_t i = 0; i < keys.size(); i++) {
-    stats_.user_gets++;
-    if (const auto it = buffer_.find(keys[i]); it != buffer_.end()) {
-      stats_.cache_hits++;
-      if (it->second.tombstone) {
-        statuses[i] = Status::NotFound("key deleted in write buffer");
-      } else {
-        (*values)[i] = it->second.value;
-        stats_.user_bytes_read += it->second.value.size();
-      }
+    if (std::optional<Status> hit = ProbeAbove(live, keys[i], &(*values)[i])) {
+      statuses[i] = *hit;
       continue;
     }
-    if (Covers(ranges_, keys[i])) {
-      stats_.cache_hits++;
-      statuses[i] = Status::NotFound("key covered by buffered range delete");
-      continue;
-    }
-    if (cache_ != nullptr && cache_->Get(keys[i], &(*values)[i])) {
-      stats_.cache_hits++;
-      stats_.user_bytes_read += (*values)[i].size();
-      continue;
-    }
-    stats_.cache_misses++;
     miss_pos.push_back(i);
     miss_keys.push_back(keys[i]);
   }
@@ -507,121 +505,6 @@ std::vector<Status> CachedStore::MultiGetInternal(
   return statuses;
 }
 
-// Two-way merge of the write buffer over the inner engine's cursor. The
-// buffer wins ties (it holds the newer version) and its tombstones hide
-// inner keys. Yielded pairs feed the read cache — deliberately including
-// scan traffic, which is exactly what the 2Q policy must shrug off.
-class CachedStore::MergeIterator : public kv::KVStore::Iterator {
- public:
-  MergeIterator(CachedStore* store,
-                std::unique_ptr<kv::KVStore::Iterator> inner)
-      : store_(store), inner_(std::move(inner)),
-        epoch_(store->write_epoch_) {}
-
-  void SeekToFirst() override { Seek(""); }
-
-  void Seek(std::string_view target) override {
-    CheckEpoch();
-    buf_it_ = store_->buffer_.lower_bound(target);
-    inner_->Seek(target);
-    FindNext();
-  }
-
-  bool Valid() const override {
-    return source_ != Source::kNone && status_.ok();
-  }
-
-  void Next() override {
-    CheckEpoch();
-    if (source_ == Source::kNone) return;
-    if (source_ == Source::kBuffer) {
-      ++buf_it_;
-    } else {
-      inner_->Next();
-    }
-    FindNext();
-  }
-
-  std::string_view key() const override {
-    return source_ == Source::kBuffer ? std::string_view(buf_it_->first)
-                                      : inner_->key();
-  }
-  std::string_view value() const override {
-    return source_ == Source::kBuffer
-               ? std::string_view(buf_it_->second.value)
-               : inner_->value();
-  }
-
-  Status status() const override {
-    if (!status_.ok()) return status_;
-    return inner_->status();
-  }
-
- private:
-  enum class Source { kNone, kBuffer, kInner };
-
-  void CheckEpoch() const {
-    PTSB_DCHECK(epoch_ == store_->write_epoch_)
-        << "cached iterator used after a write to the store";
-  }
-
-  void FindNext() {
-    source_ = Source::kNone;
-    for (;;) {
-      if (!inner_->status().ok()) {
-        status_ = inner_->status();
-        return;
-      }
-      const bool have_buf = buf_it_ != store_->buffer_.end();
-      const bool have_inner = inner_->Valid();
-      if (!have_buf && !have_inner) return;  // clean end
-      // Inner keys swallowed by a buffered range delete are invisible; a
-      // buffered entry for the same key would win anyway (it postdates
-      // the range), so skipping unconditionally is safe.
-      if (have_inner && Covers(store_->ranges_, inner_->key())) {
-        inner_->Next();
-        continue;
-      }
-      if (have_buf && (!have_inner || buf_it_->first <= inner_->key())) {
-        // The buffer shadows an equal inner key: step past both versions
-        // together.
-        if (have_inner && inner_->key() == buf_it_->first) inner_->Next();
-        if (buf_it_->second.tombstone) {
-          ++buf_it_;
-          continue;
-        }
-        source_ = Source::kBuffer;
-        Observe(buf_it_->first, buf_it_->second.value);
-        return;
-      }
-      source_ = Source::kInner;
-      Observe(inner_->key(), inner_->value());
-      return;
-    }
-  }
-
-  void Observe(std::string_view key, std::string_view value) {
-    store_->stats_.user_bytes_read += key.size() + value.size();
-    if (store_->cache_ != nullptr) store_->cache_->Insert(key, value);
-  }
-
-  CachedStore* const store_;
-  std::unique_ptr<kv::KVStore::Iterator> inner_;
-  const uint64_t epoch_;
-  std::map<std::string, BufferEntry, std::less<>>::const_iterator buf_it_;
-  Source source_ = Source::kNone;
-  Status status_;
-};
-
-std::unique_ptr<kv::KVStore::Iterator> CachedStore::NewIterator() {
-  PTSB_CHECK(!closed_);
-  return write_group_.RunExclusive(
-      [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
-        stats_.user_scans++;
-        return std::make_unique<MergeIterator>(this, inner_->NewIterator());
-      });
-}
-
 // The wrapper's snapshot is a composite: a full copy of the write buffer
 // and its buffered ranges (they are memory-resident and small by
 // construction — write_buffer_bytes caps them) plus the inner engine's
@@ -638,7 +521,7 @@ class CachedStore::SnapshotImpl : public StoreSnapshot {
 
   CachedStore* const store_;
   uint64_t seq_ = 0;
-  std::map<std::string, BufferEntry, std::less<>> buffer_;
+  Buffer buffer_;
   uint64_t buffer_bytes_ = 0;  // charge held in snapshot_pinned_bytes
   std::vector<BufferedRange> ranges_;
   std::shared_ptr<const kv::Snapshot> inner_;
@@ -670,51 +553,47 @@ void CachedStore::ReleaseSnapshot(const SnapshotImpl& snap) {
   });
 }
 
-Status CachedStore::SnapshotGetInternal(const kv::Snapshot& snapshot,
-                                        std::string_view key,
-                                        std::string* value) {
-  const auto& snap = static_cast<const SnapshotImpl&>(snapshot);
-  stats_.user_gets++;
-  if (const auto it = snap.buffer_.find(key); it != snap.buffer_.end()) {
-    stats_.cache_hits++;
-    if (it->second.tombstone) {
-      return Status::NotFound("key deleted in snapshot's buffer");
-    }
-    *value = it->second.value;
-    stats_.user_bytes_read += value->size();
-    return Status::OK();
-  }
-  if (Covers(snap.ranges_, key)) {
-    stats_.cache_hits++;
-    return Status::NotFound("key covered by snapshot's range delete");
-  }
-  stats_.cache_misses++;
-  kv::ReadOptions inner_opts;
-  inner_opts.snapshot = snap.inner_.get();
-  const Status s = inner_->Get(inner_opts, key, value);
-  // Historical values never enter the read cache.
-  if (s.ok()) stats_.user_bytes_read += value->size();
-  return s;
+CachedStore::View CachedStore::ViewOf(const kv::Snapshot* snapshot) const {
+  if (snapshot == nullptr) return {&buffer_, &ranges_, cache_.get(), nullptr};
+  const auto& snap = static_cast<const SnapshotImpl&>(*snapshot);
+  return {&snap.buffer_, &snap.ranges_, nullptr, snap.inner_.get()};
 }
 
-// Merge of the snapshot's frozen buffer copy over the inner engine's
-// snapshot cursor. Same shape as MergeIterator, minus everything live:
-// no write-epoch check (the sources cannot move under it), no read-cache
-// feeding (the values are historical), and movements serialize against
-// concurrent commits via the wrapper's commit-exclusion lock — the
-// wrapper's flushes land in the inner engine's LIVE state, which the
-// inner snapshot cursor is immune to by its own contract.
-class CachedStore::SnapIterator : public kv::KVStore::Iterator {
+Status CachedStore::SnapshotGetInternal(const kv::Snapshot& snap,
+                                        std::string_view key,
+                                        std::string* value) {
+  return ViewGet(ViewOf(&snap), key, value);
+}
+
+// Two-way merge of a view's write buffer over an inner-engine cursor. The
+// buffer wins ties (it holds the newer version), its tombstones hide
+// inner keys, and inner keys inside its buffered range deletes are
+// skipped.
+//
+// Live view: the store's own buffer over a live inner cursor, so any
+// write invalidates the cursor (checked on every move in debug builds).
+// Yielded pairs feed the read cache — deliberately including scan
+// traffic, which is exactly what the 2Q policy must shrug off.
+//
+// Snapshot view: the snapshot's frozen buffer and range copies over the
+// inner engine's snapshot cursor, so nothing moves under it: no
+// write-epoch check, no read-cache feeding (the values are historical),
+// and movements serialize against concurrent commits via the wrapper's
+// commit-exclusion lock — the wrapper's flushes land in the inner
+// engine's LIVE state, which the inner snapshot cursor is immune to by
+// its own contract.
+class CachedStore::Cursor : public kv::KVStore::Iterator {
  public:
-  SnapIterator(CachedStore* store, const SnapshotImpl* snap,
-               std::unique_ptr<kv::KVStore::Iterator> inner)
-      : store_(store), snap_(snap), inner_(std::move(inner)) {}
+  Cursor(CachedStore* store, const View& view,
+         std::unique_ptr<kv::KVStore::Iterator> inner)
+      : store_(store), view_(view), inner_(std::move(inner)),
+        epoch_(store->write_epoch_) {}
 
   void SeekToFirst() override { Seek(""); }
 
   void Seek(std::string_view target) override {
-    store_->write_group_.RunExclusive([&] {
-      buf_it_ = snap_->buffer_.lower_bound(target);
+    Move([&] {
+      buf_it_ = view_.buffer->lower_bound(target);
       inner_->Seek(target);
       FindNext();
     });
@@ -725,7 +604,7 @@ class CachedStore::SnapIterator : public kv::KVStore::Iterator {
   }
 
   void Next() override {
-    store_->write_group_.RunExclusive([&] {
+    Move([&] {
       if (source_ == Source::kNone) return;
       if (source_ == Source::kBuffer) {
         ++buf_it_;
@@ -754,6 +633,19 @@ class CachedStore::SnapIterator : public kv::KVStore::Iterator {
  private:
   enum class Source { kNone, kBuffer, kInner };
 
+  // Runs one cursor movement: epoch-checked in the live view, under the
+  // commit-exclusion lock in the snapshot view.
+  template <typename F>
+  void Move(const F& move) {
+    if (view_.inner != nullptr) {
+      store_->write_group_.RunExclusive(move);
+      return;
+    }
+    PTSB_DCHECK(epoch_ == store_->write_epoch_)
+        << "cached iterator used after a write to the store";
+    move();
+  }
+
   void FindNext() {
     source_ = Source::kNone;
     for (;;) {
@@ -761,53 +653,57 @@ class CachedStore::SnapIterator : public kv::KVStore::Iterator {
         status_ = inner_->status();
         return;
       }
-      const bool have_buf = buf_it_ != snap_->buffer_.end();
+      const bool have_buf = buf_it_ != view_.buffer->end();
       const bool have_inner = inner_->Valid();
       if (!have_buf && !have_inner) return;  // clean end
-      if (have_inner && Covers(snap_->ranges_, inner_->key())) {
+      // Inner keys swallowed by a buffered range delete are invisible; a
+      // buffered entry for the same key would win anyway (it postdates
+      // the range), so skipping unconditionally is safe.
+      if (have_inner && Covers(*view_.ranges, inner_->key())) {
         inner_->Next();
         continue;
       }
       if (have_buf && (!have_inner || buf_it_->first <= inner_->key())) {
+        // The buffer shadows an equal inner key: step past both versions
+        // together.
         if (have_inner && inner_->key() == buf_it_->first) inner_->Next();
         if (buf_it_->second.tombstone) {
           ++buf_it_;
           continue;
         }
         source_ = Source::kBuffer;
-        store_->stats_.user_bytes_read +=
-            buf_it_->first.size() + buf_it_->second.value.size();
+        Observe(buf_it_->first, buf_it_->second.value);
         return;
       }
       source_ = Source::kInner;
-      store_->stats_.user_bytes_read +=
-          inner_->key().size() + inner_->value().size();
+      Observe(inner_->key(), inner_->value());
       return;
     }
   }
 
+  void Observe(std::string_view key, std::string_view value) {
+    store_->stats_.user_bytes_read += key.size() + value.size();
+    if (view_.cache != nullptr) view_.cache->Insert(key, value);
+  }
+
   CachedStore* const store_;
-  const SnapshotImpl* const snap_;
+  const View view_;
   std::unique_ptr<kv::KVStore::Iterator> inner_;
-  std::map<std::string, BufferEntry, std::less<>>::const_iterator buf_it_;
+  const uint64_t epoch_;  // store_->write_epoch_ at creation (live view)
+  Buffer::const_iterator buf_it_;
   Source source_ = Source::kNone;
   Status status_;
 };
 
-std::unique_ptr<kv::KVStore::Iterator> CachedStore::NewIterator(
-    const kv::ReadOptions& opts) {
-  if (opts.snapshot == nullptr) return NewIterator();
-  PTSB_CHECK(!closed_);
-  const SnapshotImpl* snap = &OwnSnapshot<SnapshotImpl>(opts.snapshot);
-  return write_group_.RunExclusive(
-      [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
-        stats_.user_scans++;
-        kv::ReadOptions inner_opts;
-        inner_opts.snapshot = snap->inner_.get();
-        inner_opts.readahead = opts.readahead;
-        return std::make_unique<SnapIterator>(this, snap,
-                                              inner_->NewIterator(inner_opts));
-      });
+std::unique_ptr<kv::KVStore::Iterator> CachedStore::NewIteratorInternal(
+    const kv::Snapshot* snap, int readahead) {
+  const View v = ViewOf(snap);
+  // The buffer is memory-resident, so prefetch only helps below, and
+  // only on the snapshot path.
+  kv::ReadOptions inner_opts;
+  inner_opts.snapshot = v.inner;
+  if (v.inner != nullptr) inner_opts.readahead = readahead;
+  return std::make_unique<Cursor>(this, v, inner_->NewIterator(inner_opts));
 }
 
 Status CachedStore::Flush() {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -42,13 +43,6 @@ class CachedStore : public kv::GroupCommitStore {
   // MultiGet, so they inherit the inner engine's read fan-out.
   std::vector<Status> MultiGet(std::span<const std::string_view> keys,
                                std::vector<std::string>* values) override;
-  std::unique_ptr<Iterator> NewIterator() override;
-  // With a snapshot: a merge of the snapshot's frozen buffer copy over
-  // the inner engine's own snapshot iterator, immune to concurrent
-  // writes. opts.readahead forwards to the inner snapshot cursor (the
-  // wrapper's buffer is memory-resident; prefetch only helps below).
-  // Without a snapshot, falls back to the live merging cursor.
-  std::unique_ptr<Iterator> NewIterator(const kv::ReadOptions& opts) override;
   // Freezes the wrapper state (a copy of the write buffer and buffered
   // range deletes) AND the inner engine (inner_->GetSnapshot()) into one
   // composite view at the wrapper's commit sequence. The buffer copy's
@@ -68,9 +62,8 @@ class CachedStore : public kv::GroupCommitStore {
   size_t BufferEntries() const { return buffer_.size(); }
 
  private:
-  class MergeIterator;
+  class Cursor;
   class SnapshotImpl;
-  class SnapIterator;
 
   // One buffered mutation. absorbed_bytes accumulates the charges of the
   // earlier versions this entry overwrote since it entered the buffer —
@@ -81,6 +74,7 @@ class CachedStore : public kv::GroupCommitStore {
     bool tombstone = false;
     uint64_t absorbed_bytes = 0;
   };
+  using Buffer = std::map<std::string, BufferEntry, std::less<>>;
 
   // One buffered range delete ([begin, end), end exclusive). Ingesting a
   // range erases every covered buffer entry, so EVERY buffered entry
@@ -90,6 +84,17 @@ class CachedStore : public kv::GroupCommitStore {
   struct BufferedRange {
     std::string begin;
     std::string end;
+  };
+
+  // What a read sees above the inner engine: the live write buffer,
+  // buffered ranges and read cache over the inner engine's live state,
+  // or a snapshot's frozen buffer and range copies over its inner
+  // snapshot (no cache: historical values never enter it).
+  struct View {
+    const Buffer* buffer;
+    const std::vector<BufferedRange>* ranges;
+    ReadCache* cache;           // null: no read cache in this view
+    const kv::Snapshot* inner;  // null: the live view
   };
 
   CachedStore(const CachedOptions& options, fs::SimpleFs* fs,
@@ -116,6 +121,27 @@ class CachedStore : public kv::GroupCommitStore {
   // skipped entirely (it reflects live state, not the snapshot's).
   Status SnapshotGetInternal(const kv::Snapshot& snap, std::string_view key,
                              std::string* value) override;
+  // The live view for a null `snap`, else the snapshot's frozen one.
+  View ViewOf(const kv::Snapshot* snap) const;
+  // The point-read probe above the inner engine, shared by every point
+  // read: counts the lookup and, when the view's buffer, ranges or cache
+  // answer it, counts the hit and returns its status (filling *value on
+  // a found key). Returns nullopt on a miss (counted), which the caller
+  // forwards to the inner engine.
+  std::optional<Status> ProbeAbove(const View& v, std::string_view key,
+                                   std::string* value);
+  // Both Gets' body: ProbeAbove, then the inner engine at the view's
+  // inner snapshot; a value found below enters the view's read cache.
+  Status ViewGet(const View& v, std::string_view key, std::string* value);
+  // The one Cursor: a merge of the view's write buffer over an inner
+  // cursor. Live, it feeds the read cache and is invalidated by any
+  // write; on a snapshot, it merges the frozen buffer copy over the inner
+  // engine's snapshot cursor and is immune to concurrent writes.
+  // readahead forwards to the inner snapshot cursor (the wrapper's buffer
+  // is memory-resident; prefetch only helps below); the live cursor
+  // ignores it.
+  std::unique_ptr<Iterator> NewIteratorInternal(const kv::Snapshot* snap,
+                                                int readahead) override;
   // MultiGet's body, run under the group's commit-exclusion lock.
   std::vector<Status> MultiGetInternal(std::span<const std::string_view> keys,
                                        std::vector<std::string>* values);
@@ -166,7 +192,7 @@ class CachedStore : public kv::GroupCommitStore {
   std::unique_ptr<kv::KVStore> inner_;
   std::unique_ptr<ReadCache> cache_;  // null when read_cache_bytes == 0
 
-  std::map<std::string, BufferEntry, std::less<>> buffer_;
+  Buffer buffer_;
   uint64_t buffer_bytes_ = 0;
   // Buffered range deletes in ingest order; flushed (all of them, first
   // in the batch) by the next FlushBuffer. Their begin+end bytes are

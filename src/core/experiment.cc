@@ -198,94 +198,10 @@ struct ReadBatchScratch {
   std::vector<std::string> values;
 };
 
-// Applies one generated op to the store. `ops_done` counts logical
-// entries (a batch counts its size). NotFound on point reads is success;
-// NoSpace is returned for the caller to treat as data (paper Fig. 6).
-Status ExecuteOp(kv::KVStore* store, kv::WorkloadGenerator* gen,
-                 const kv::WorkloadSpec& spec, const kv::Op& op,
-                 kv::WriteBatch* batch, std::string* read_value,
-                 ReadBatchScratch* reads, uint64_t* ops_done) {
-  *ops_done = 1;
-  switch (op.type) {
-    case kv::Op::Type::kPut:
-      return store->Put(gen->KeyFor(op.key_id),
-                        kv::MakeValue(op.value_seed, spec.value_bytes));
-    case kv::Op::Type::kBatchPut: {
-      batch->Clear();
-      batch->Put(gen->KeyFor(op.key_id),
-                 kv::MakeValue(op.value_seed, spec.value_bytes));
-      for (size_t j = 1; j < spec.batch_size; j++) {
-        batch->Put(gen->KeyFor(gen->NextKeyId()),
-                   kv::MakeValue(gen->NextValueSeed(), spec.value_bytes));
-      }
-      *ops_done = batch->Count();
-      return store->Write(*batch);
-    }
-    case kv::Op::Type::kDelete:
-      return store->Delete(gen->KeyFor(op.key_id));
-    case kv::Op::Type::kGet: {
-      if (spec.read_batch_size > 1) {
-        // Read-side batching: one MultiGet submission covering
-        // read_batch_size lookups; the engine fans them out at its
-        // read_queue_depth. NotFound per key is data, like for Get.
-        reads->keys.clear();
-        reads->keys.push_back(gen->KeyFor(op.key_id));
-        for (size_t j = 1; j < spec.read_batch_size; j++) {
-          reads->keys.push_back(gen->KeyFor(gen->NextKeyId()));
-        }
-        reads->views.assign(reads->keys.begin(), reads->keys.end());
-        const std::vector<Status> statuses =
-            store->MultiGet(reads->views, &reads->values);
-        *ops_done = statuses.size();
-        for (const Status& s : statuses) {
-          if (!s.ok() && !s.IsNotFound()) return s;
-        }
-        return Status::OK();
-      }
-      const Status s = store->Get(gen->KeyFor(op.key_id), read_value);
-      return s.IsNotFound() ? Status::OK() : s;
-    }
-    case kv::Op::Type::kScan: {
-      // Snapshot scans (scan_snapshot, or any readahead request — the
-      // engines honor readahead only on the snapshot path) freeze a
-      // sequence first, so the cursor tolerates concurrent writers and
-      // can prefetch through read submission lanes.
-      std::shared_ptr<const kv::Snapshot> snap;
-      std::unique_ptr<kv::KVStore::Iterator> it;
-      if (spec.scan_snapshot || spec.scan_readahead > 1) {
-        auto got = store->GetSnapshot();
-        if (!got.ok()) return got.status();
-        snap = *std::move(got);
-        kv::ReadOptions opts;
-        opts.snapshot = snap.get();
-        opts.readahead = spec.scan_readahead;
-        it = store->NewIterator(opts);
-      } else {
-        it = store->NewIterator();
-      }
-      size_t seen = 0;
-      for (it->Seek(gen->KeyFor(op.key_id));
-           it->Valid() && seen < spec.scan_count; it->Next()) {
-        seen++;
-      }
-      return it->status();
-    }
-  }
-  return Status::OK();
-}
-
-
-// True for ops the pipelined writer mode (pipeline_writes) can issue
-// through WriteAsync; reads and scans stay synchronous.
-bool IsWriteOp(const kv::Op& op) {
-  return op.type == kv::Op::Type::kPut ||
-         op.type == kv::Op::Type::kBatchPut ||
-         op.type == kv::Op::Type::kDelete;
-}
-
-// Fills `batch` with the entries ExecuteOp would apply for the write op
-// `op` (same key and value streams) and sets *ops_done to the logical
-// entry count.
+// Fills `batch` with the entries of the write op `op` (put, batch put or
+// delete) — the one encoder behind both ExecuteOp and the pipelined
+// writer, so both draw the same key and value streams — and sets
+// *ops_done to the logical entry count.
 void FillWriteBatch(kv::WorkloadGenerator* gen, const kv::WorkloadSpec& spec,
                     const kv::Op& op, kv::WriteBatch* batch,
                     uint64_t* ops_done) {
@@ -313,6 +229,76 @@ void FillWriteBatch(kv::WorkloadGenerator* gen, const kv::WorkloadSpec& spec,
     default:
       break;
   }
+}
+
+// Applies one generated op to the store. `ops_done` counts logical
+// entries (a batch counts its size). NotFound on point reads is success;
+// NoSpace is returned for the caller to treat as data (paper Fig. 6).
+Status ExecuteOp(kv::KVStore* store, kv::WorkloadGenerator* gen,
+                 const kv::WorkloadSpec& spec, const kv::Op& op,
+                 kv::WriteBatch* batch, std::string* read_value,
+                 ReadBatchScratch* reads, uint64_t* ops_done) {
+  *ops_done = 1;
+  switch (op.type) {
+    case kv::Op::Type::kPut:
+    case kv::Op::Type::kBatchPut:
+    case kv::Op::Type::kDelete:
+      FillWriteBatch(gen, spec, op, batch, ops_done);
+      return store->Write(*batch);
+    case kv::Op::Type::kGet: {
+      if (spec.read_batch_size > 1) {
+        // Read-side batching: one MultiGet submission covering
+        // read_batch_size lookups; the engine fans them out at its
+        // read_queue_depth. NotFound per key is data, like for Get.
+        reads->keys.clear();
+        reads->keys.push_back(gen->KeyFor(op.key_id));
+        for (size_t j = 1; j < spec.read_batch_size; j++) {
+          reads->keys.push_back(gen->KeyFor(gen->NextKeyId()));
+        }
+        reads->views.assign(reads->keys.begin(), reads->keys.end());
+        const std::vector<Status> statuses =
+            store->MultiGet(reads->views, &reads->values);
+        *ops_done = statuses.size();
+        for (const Status& s : statuses) {
+          if (!s.ok() && !s.IsNotFound()) return s;
+        }
+        return Status::OK();
+      }
+      const Status s = store->Get(gen->KeyFor(op.key_id), read_value);
+      return s.IsNotFound() ? Status::OK() : s;
+    }
+    case kv::Op::Type::kScan: {
+      // Snapshot scans (scan_snapshot, or any readahead request — every
+      // engine but lsm honors readahead only on snapshot cursors) freeze
+      // a sequence first, so the cursor tolerates concurrent writers and
+      // can prefetch through read submission lanes.
+      std::shared_ptr<const kv::Snapshot> snap;
+      kv::ReadOptions opts;
+      if (spec.scan_snapshot || spec.scan_readahead > 1) {
+        auto got = store->GetSnapshot();
+        if (!got.ok()) return got.status();
+        snap = *std::move(got);
+        opts.snapshot = snap.get();
+        opts.readahead = spec.scan_readahead;
+      }
+      std::unique_ptr<kv::KVStore::Iterator> it = store->NewIterator(opts);
+      size_t seen = 0;
+      for (it->Seek(gen->KeyFor(op.key_id));
+           it->Valid() && seen < spec.scan_count; it->Next()) {
+        seen++;
+      }
+      return it->status();
+    }
+  }
+  return Status::OK();
+}
+
+// True for ops the pipelined writer mode (pipeline_writes) can issue
+// through WriteAsync; reads and scans stay synchronous.
+bool IsWriteOp(const kv::Op& op) {
+  return op.type == kv::Op::Type::kPut ||
+         op.type == kv::Op::Type::kBatchPut ||
+         op.type == kv::Op::Type::kDelete;
 }
 
 // Bounded window of in-flight asynchronous commits for the pipelined

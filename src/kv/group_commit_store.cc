@@ -119,6 +119,21 @@ ReadHandle GroupCommitStore::ReadAsync(std::string_view key,
   return AsyncRead(clock_, io_queue_, [&] { return Get(key, value); });
 }
 
+std::unique_ptr<KVStore::Iterator> GroupCommitStore::NewIterator(
+    const ReadOptions& opts) {
+  PTSB_CHECK(!closed_);
+  const Snapshot* snap = opts.snapshot == nullptr
+                             ? nullptr
+                             : &OwnSnapshot<StoreSnapshot>(opts.snapshot);
+  // Construction reads the engine's state, so it excludes in-flight
+  // commits; a live cursor's later moves still require a quiesced writer
+  // (epoch-checked in debug builds).
+  return write_group_.RunExclusive([&] {
+    stats_.user_scans++;
+    return NewIteratorInternal(snap, opts.readahead);
+  });
+}
+
 void GroupCommitStore::ChargeCpu(int64_t ns) const {
   if (clock_ != nullptr) clock_->Advance(ns);
 }

@@ -5,8 +5,8 @@
 // flag, the clock/queue wiring and the engine's one kv::BackgroundPool —
 // and implements the shared surface once: Write (with the user-write
 // accounting WA-A divides by), WriteAsync, both Gets, ReadAsync, the
-// default MultiGet fan-out and GetStats. An engine supplies only its
-// mechanism, through the protected hooks.
+// default MultiGet fan-out, NewIterator and GetStats. An engine supplies
+// only its mechanism, through the protected hooks.
 //
 // Concurrency contract. Write and WriteAsync may be called from any number
 // of threads: callers line up in the write group and a leader commits
@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -87,6 +88,11 @@ class GroupCommitStore : public KVStore {
                                std::vector<std::string>* values) override;
   // Runs the lookup in a foreground-read lane on io_queue.
   ReadHandle ReadAsync(std::string_view key, std::string* value) override;
+  // Checks a snapshot came from this store, then counts the scan and
+  // opens the engine's cursor (NewIteratorInternal) under commit
+  // exclusion.
+  std::unique_ptr<Iterator> NewIterator(const ReadOptions& opts) override;
+  using KVStore::NewIterator;
   bool SupportsConcurrentWriters() const override { return true; }
   KvStoreStats GetStats() const override {
     return write_group_.RunExclusive([&] { return stats_; });
@@ -123,6 +129,12 @@ class GroupCommitStore : public KVStore {
   virtual Status SnapshotGetInternal(const Snapshot& snap,
                                      std::string_view key,
                                      std::string* value) = 0;
+  // NewIterator's body, run under commit exclusion: the engine's one
+  // cursor over the live store (`snap` null) or over `snap`, which is the
+  // engine's own snapshot type. Engines that cannot prefetch ignore
+  // `readahead`.
+  virtual std::unique_ptr<Iterator> NewIteratorInternal(const Snapshot* snap,
+                                                        int readahead) = 0;
 
   void ChargeCpu(int64_t ns) const;
   // Runs `work` on background lane `lane` (inline when background_io is

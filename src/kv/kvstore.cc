@@ -58,38 +58,6 @@ void ReadHandle::Settle() {
   }
 }
 
-namespace {
-
-class FailedIteratorImpl : public KVStore::Iterator {
- public:
-  explicit FailedIteratorImpl(Status status) : status_(std::move(status)) {}
-  void SeekToFirst() override {}
-  void Seek(std::string_view) override {}
-  bool Valid() const override { return false; }
-  void Next() override {}
-  std::string_view key() const override { return {}; }
-  std::string_view value() const override { return {}; }
-  Status status() const override { return status_; }
-
- private:
-  Status status_;
-};
-
-}  // namespace
-
-std::unique_ptr<KVStore::Iterator> FailedIterator(Status status) {
-  return std::make_unique<FailedIteratorImpl>(std::move(status));
-}
-
-std::unique_ptr<KVStore::Iterator> KVStore::NewIterator(
-    const ReadOptions& opts) {
-  if (opts.snapshot != nullptr) {
-    return FailedIterator(
-        Status::NotSupported(Name() + ": snapshot iterators not supported"));
-  }
-  return NewIterator();
-}
-
 std::vector<Status> KVStore::MultiGet(std::span<const std::string_view> keys,
                                       std::vector<std::string>* values) {
   values->assign(keys.size(), std::string());

@@ -12,14 +12,14 @@
 //     Put and Delete are thin one-entry convenience wrappers over Write —
 //     correct, but paying the full per-record log overhead each call.
 //
-//  2. Streaming reads. NewIterator() returns a cursor (Seek / Valid /
-//     Next / key / value) that walks the store in ascending key order
-//     without materializing results: a merging iterator over
-//     memtable + SSTs in the LSM, a leaf-walking cursor in the B+Tree.
-//     A live iterator observes the store as of its creation and is
-//     invalidated by writes; create, consume, discard. An iterator
-//     opened on a Snapshot (ReadOptions) instead reads that frozen view
-//     and survives concurrent writes.
+//  2. Streaming reads. NewIterator(ReadOptions) returns a cursor (Seek /
+//     Valid / Next / key / value) that walks the store in ascending key
+//     order without materializing results: a merging iterator over
+//     memtable + SSTs in the LSM, a leaf-walking cursor in the B+Tree, an
+//     index walk in the log. One cursor serves two views: without a
+//     Snapshot it reads the live store as of its creation and is
+//     invalidated by writes (create, consume, discard); opened on a
+//     Snapshot it reads that frozen view and survives concurrent writes.
 //     Point reads come in three shapes: Get (one key), MultiGet (a batch
 //     of keys, fanned out across read submission lanes so independent
 //     lookups overlap in virtual device time), and ReadAsync (one key,
@@ -495,17 +495,16 @@ class KVStore {
     return ReadHandle(Get(key, value));
   }
 
-  // The streaming read path. Never returns null; a failed setup yields an
-  // iterator whose status() carries the error.
-  virtual std::unique_ptr<Iterator> NewIterator() = 0;
-
-  // Snapshot-aware iterator. With a snapshot, the cursor observes exactly
-  // the state at the snapshot's sequence and SURVIVES concurrent writes
-  // (the engine's write-epoch invalidation check is skipped); with
-  // readahead > 1 the cursor prefetches through foreground-read lanes.
-  // The default forwards live cursors and errors on snapshot requests
-  // (defined out of line: it needs FailedIterator).
-  virtual std::unique_ptr<Iterator> NewIterator(const ReadOptions& opts);
+  // The streaming read path; never returns null. Without a snapshot the
+  // cursor reads the live store and is invalidated by any write. With
+  // one, it observes exactly the state at the snapshot's sequence and
+  // SURVIVES concurrent writes (the engine's write-epoch invalidation
+  // check is skipped). readahead > 1 lets a cursor prefetch through
+  // foreground-read lanes where the engine supports it (see
+  // docs/ENGINES.md).
+  virtual std::unique_ptr<Iterator> NewIterator(const ReadOptions& opts) = 0;
+  // A live cursor with default options.
+  std::unique_ptr<Iterator> NewIterator() { return NewIterator(ReadOptions{}); }
 
   // Freezes the current committed state into a refcounted snapshot. The
   // returned shared_ptr's deleter releases the engine-side pins (under
@@ -544,10 +543,6 @@ class KVStore {
   // Bytes of live engine data on the filesystem (for space amplification).
   virtual uint64_t DiskBytesUsed() const = 0;
 };
-
-// An always-invalid iterator carrying `status` — what NewIterator returns
-// when cursor setup itself fails (the API never returns null).
-std::unique_ptr<KVStore::Iterator> FailedIterator(Status status);
 
 }  // namespace ptsb::kv
 

@@ -926,28 +926,10 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
   Status status_;
 };
 
-std::unique_ptr<kv::KVStore::Iterator> LsmStore::NewIterator() {
-  PTSB_CHECK(!closed_);
-  // Construction snapshots sources, so it excludes in-flight commits;
-  // iteration itself still requires a quiesced writer (epoch-checked).
-  return write_group_.RunExclusive(
-      [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
-        stats_.user_scans++;
-        return std::make_unique<MergingIterator>(this, nullptr, 0);
-      });
-}
-
-std::unique_ptr<kv::KVStore::Iterator> LsmStore::NewIterator(
-    const kv::ReadOptions& opts) {
-  PTSB_CHECK(!closed_);
-  const SnapshotImpl* snap =
-      opts.snapshot != nullptr ? &OwnSnapshot<SnapshotImpl>(opts.snapshot)
-                               : nullptr;
-  return write_group_.RunExclusive(
-      [&]() -> std::unique_ptr<kv::KVStore::Iterator> {
-        stats_.user_scans++;
-        return std::make_unique<MergingIterator>(this, snap, opts.readahead);
-      });
+std::unique_ptr<kv::KVStore::Iterator> LsmStore::NewIteratorInternal(
+    const kv::Snapshot* snap, int readahead) {
+  return std::make_unique<MergingIterator>(
+      this, static_cast<const SnapshotImpl*>(snap), readahead);
 }
 
 Status LsmStore::Flush() {

@@ -30,18 +30,6 @@ class LsmStore : public kv::GroupCommitStore {
                                                   std::string dir = "lsm");
   ~LsmStore() override;
 
-  // Merging iterator over the memtable and every live SST. Invalidated by
-  // any write to the store.
-  std::unique_ptr<kv::KVStore::Iterator> NewIterator() override;
-  // Snapshot / readahead variant. With a snapshot the cursor reads the
-  // pinned sources (shared memtable, pinned SSTs) at the snapshot's
-  // sequence bound, takes the commit-exclusion lock around every cursor
-  // move (so it is safe under concurrent writers), and skips the
-  // write-epoch invalidation check. The snapshot must outlive the
-  // cursor. readahead > 1 prefetches that many data blocks per span,
-  // split across foreground-read lanes at read_queue_depth.
-  std::unique_ptr<kv::KVStore::Iterator> NewIterator(
-      const kv::ReadOptions& opts) override;
   // Freezes the current state: sequence bound + shared memtable + the
   // per-level file lists (each file pinned against physical deletion) +
   // the range-tombstone list. Compaction may still retire pinned files
@@ -82,6 +70,14 @@ class LsmStore : public kv::GroupCommitStore {
   // at its sequence bound, filtered by its range tombstones.
   Status SnapshotGetInternal(const kv::Snapshot& snap, std::string_view key,
                              std::string* value) override;
+  // A MergingIterator. Live: over the memtable and every live SST,
+  // invalidated by any write. With a snapshot: over its pinned sources
+  // (shared memtable, pinned SSTs) at its sequence bound, taking the
+  // commit-exclusion lock around every move and skipping the write-epoch
+  // check. In both modes readahead > 1 prefetches that many data blocks
+  // per span, split across foreground-read lanes at read_queue_depth.
+  std::unique_ptr<kv::KVStore::Iterator> NewIteratorInternal(
+      const kv::Snapshot* snap, int readahead) override;
   Status FlushMemtable();
   // Runs up to `budget` bytes of compaction work, starting a job if due.
   // With background_io on (and a clock), the work runs on the engine's

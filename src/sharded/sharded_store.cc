@@ -391,32 +391,23 @@ class ShardedStore::MergingIterator : public kv::KVStore::Iterator {
   int current_ = -1;
 };
 
-std::unique_ptr<kv::KVStore::Iterator> ShardedStore::NewIterator() {
-  PTSB_CHECK(!closed_);
-  std::vector<std::unique_ptr<kv::KVStore::Iterator>> inners;
-  inners.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    inners.push_back(shard->store->NewIterator());
-  }
-  return std::make_unique<MergingIterator>(std::move(inners));
-}
-
 std::unique_ptr<kv::KVStore::Iterator> ShardedStore::NewIterator(
     const kv::ReadOptions& opts) {
-  if (opts.snapshot == nullptr) return NewIterator();
   PTSB_CHECK(!closed_);
   const auto* snap = static_cast<const SnapshotImpl*>(opts.snapshot);
-  PTSB_CHECK(snap->store_ == this);
+  PTSB_CHECK(snap == nullptr || snap->store_ == this);
   // The merge layer itself shares no mutable state with writers; each
   // per-shard snapshot cursor serializes its own movements against that
-  // shard's commits internally, so the merged cursor survives concurrent
-  // writes exactly as far as its components do.
+  // shard's commits internally, so a merged snapshot cursor survives
+  // concurrent writes exactly as far as its components do.
   std::vector<std::unique_ptr<kv::KVStore::Iterator>> inners;
   inners.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); i++) {
-    kv::ReadOptions inner_opts = opts;
-    inner_opts.snapshot = snap->shard_snaps_[i].get();
+    kv::ReadOptions inner_opts;
+    if (snap != nullptr) {
+      inner_opts.snapshot = snap->shard_snaps_[i].get();
+      inner_opts.readahead = opts.readahead;
+    }
     std::lock_guard<std::mutex> lock(shards_[i]->mu);
     inners.push_back(shards_[i]->store->NewIterator(inner_opts));
   }

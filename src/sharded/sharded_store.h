@@ -22,12 +22,13 @@
 //    order is preserved. Atomicity is per shard: a crash can persist one
 //    shard's sub-batch and not another's (like a distributed store
 //    without a cross-shard commit protocol).
-//  - NewIterator() is a k-way merge over per-shard ordered iterators; the
-//    partition is disjoint so no key appears twice. Like every iterator
-//    in this codebase it observes the store as of creation, must not run
+//  - NewIterator is a k-way merge over per-shard cursors; the partition
+//    is disjoint so no key appears twice. Like every live iterator in
+//    this codebase it observes the store as of creation, must not run
 //    concurrently with writes, and is invalidated by them (the inner
-//    engines' debug-build epoch checks fail fast on misuse). A snapshot
-//    iterator (NewIterator(ReadOptions)) survives concurrent writes.
+//    engines' debug-build epoch checks fail fast on misuse). Opened on a
+//    snapshot, it merges the shards' snapshot cursors and survives
+//    concurrent writes.
 //  - GetStats() sums KvStoreStats across shards. user_batches counts
 //    per-shard sub-batch commits (each is one WAL/journal/segment
 //    record), which is the unit the group-commit accounting cares about.
@@ -81,13 +82,13 @@ class ShardedStore : public kv::KVStore {
                                std::vector<std::string>* values) override;
   // Routes to the owning shard's ReadAsync.
   kv::ReadHandle ReadAsync(std::string_view key, std::string* value) override;
-  std::unique_ptr<kv::KVStore::Iterator> NewIterator() override;
-  // With a snapshot: the same k-way merge over per-shard SNAPSHOT
-  // iterators (opts.readahead forwards to each shard's cursor), immune
-  // to concurrent writes. Without a snapshot, falls back to the live
-  // merged cursor.
+  // A k-way merge over one cursor per shard, each opened on that shard's
+  // component of the snapshot (if any). A snapshot cursor forwards
+  // opts.readahead to each shard's cursor and is immune to concurrent
+  // writes; a live cursor ignores readahead.
   std::unique_ptr<kv::KVStore::Iterator> NewIterator(
       const kv::ReadOptions& opts) override;
+  using kv::KVStore::NewIterator;
   // Composes one inner snapshot per shard. Each component is a
   // consistent view of its shard, but the composite is NOT cross-shard
   // atomic: a concurrent multi-shard Write can land in a later shard's

@@ -470,7 +470,8 @@ TEST_P(IteratorEpochDeathTest, UseAfterWriteDiesInDebug) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, IteratorEpochDeathTest,
-                         ::testing::Values("lsm", "btree", "alog"));
+                         ::testing::Values("lsm", "btree", "alog",
+                                           "cached"));
 #endif  // NDEBUG
 
 // The snapshot counterpart of the epoch check: an iterator opened over a
@@ -531,7 +532,8 @@ TEST_P(SnapshotIteratorSurvivalTest, SnapshotIteratorSurvivesWrites) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, SnapshotIteratorSurvivalTest,
-                         ::testing::Values("lsm", "btree", "alog"));
+                         ::testing::Values("lsm", "btree", "alog",
+                                           "cached"));
 
 }  // namespace
 }  // namespace ptsb
