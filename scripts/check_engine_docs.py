@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lint: the reference docs must stay in sync with the code.
 
-Three checks, run from the repo root (exits non-zero with a report when
+Four checks, run from the repo root (exits non-zero with a report when
 any doc has rotted):
 
 1. docs/ENGINES.md: for every engine section, the parameter keys listed

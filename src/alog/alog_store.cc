@@ -16,15 +16,10 @@ AlogStore::AlogStore(fs::SimpleFs* fs, const AlogOptions& options,
 
 AlogStore::~AlogStore() {
   DcheckSnapshotsReleased();
-  if (!closed_) {
+  if (opened_ && !closed_) {
     // Best-effort shutdown; errors are not recoverable in a destructor.
     Close().ok();
   }
-}
-
-std::string AlogStore::SegmentFileName(const std::string& dir, uint64_t id) {
-  return StrPrintf("%s/%06llu.seg", dir.c_str(),
-                   static_cast<unsigned long long>(id));
 }
 
 StatusOr<std::unique_ptr<AlogStore>> AlogStore::Open(fs::SimpleFs* fs,
@@ -45,38 +40,30 @@ StatusOr<std::unique_ptr<AlogStore>> AlogStore::Open(fs::SimpleFs* fs,
   // Pre-existing segments are sealed: after a crash the newest one may end
   // in a torn record, and appending past a torn tail would bury it
   // mid-file where replay cannot skip it.
-  std::vector<std::pair<uint64_t, std::string>> files;
-  for (const std::string& name : fs->List(store->dir_ + "/")) {
-    if (!name.ends_with(".seg")) continue;
-    const size_t slash = name.rfind('/');
-    const std::string base =
-        name.substr(slash + 1, name.size() - slash - 1 - 4);
-    // A foreign or mangled file name must not abort recovery (std::stoull
-    // throws); anything non-numeric is simply not one of our segments.
-    if (base.empty() || base.size() > 19 ||
-        base.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    files.emplace_back(std::stoull(base), name);
-  }
-  std::sort(files.begin(), files.end());
   store->replaying_ = true;
-  for (const auto& [id, name] : files) {
+  std::vector<kv::DecodedEntry> entries;
+  for (const auto& [id, name] :
+       kv::ListNumberedFiles(*fs, store->dir_, ".seg")) {
     PTSB_ASSIGN_OR_RETURN(fs::File * file, fs->Open(name));
     SegmentInfo info;
     info.file = file;
     info.sealed = true;
     store->segments_.emplace(id, info);
-    PTSB_RETURN_IF_ERROR(ReplaySegment(file, [&](const ReplayedEntry& e) {
-      store->segments_.at(id).payload_bytes += e.entry_bytes;
-      store->sealed_payload_bytes_ += e.entry_bytes;
-      Location loc;
-      loc.segment = id;
-      loc.value_offset = e.value_offset;
-      loc.value_bytes = static_cast<uint32_t>(e.value.size());
-      loc.entry_bytes = e.entry_bytes;
-      store->ApplyToIndex(e.kind, e.key, loc);
-    }));
+    PTSB_RETURN_IF_ERROR(kv::ReplayLog(
+        file, [&](uint64_t offset, std::string_view payload) -> Status {
+          PTSB_RETURN_IF_ERROR(kv::DecodeBatch(payload, &entries));
+          store->segments_.at(id).payload_bytes += payload.size();
+          store->sealed_payload_bytes_ += payload.size();
+          for (const kv::DecodedEntry& e : entries) {
+            Location loc;
+            loc.segment = id;
+            loc.value_offset = offset + (e.value.data() - payload.data());
+            loc.value_bytes = static_cast<uint32_t>(e.value.size());
+            loc.entry_bytes = e.entry_bytes;
+            store->ApplyToIndex(e.kind, e.key, loc);
+          }
+          return Status::OK();
+        }));
     store->next_segment_id_ = std::max(store->next_segment_id_, id + 1);
   }
   store->replaying_ = false;
@@ -88,12 +75,13 @@ StatusOr<std::unique_ptr<AlogStore>> AlogStore::Open(fs::SimpleFs* fs,
       store->sealed_payload_bytes_ -= it->second.payload_bytes;
       store->sealed_live_bytes_ -= it->second.live_bytes;
       PTSB_RETURN_IF_ERROR(
-          fs->Delete(SegmentFileName(store->dir_, it->first)));
+          fs->Delete(kv::NumberedFileName(store->dir_, it->first, ".seg")));
       it = store->segments_.erase(it);
     } else {
       ++it;
     }
   }
+  store->opened_ = true;
   return store;
 }
 
@@ -102,8 +90,7 @@ Status AlogStore::RollSegment() {
     SegmentInfo& old = segments_.at(active_id_);
     // Sealing makes the segment durable and returns its over-allocated
     // append slack to the filesystem; it is never written again.
-    unsynced_bytes_ = 0;  // the seal sync restarts the sync cadence
-    PTSB_RETURN_IF_ERROR(old.file->Sync());
+    PTSB_RETURN_IF_ERROR(log_->Sync());
     PTSB_RETURN_IF_ERROR(old.file->ShrinkToFit());
     old.sealed = true;
     sealed_payload_bytes_ += old.payload_bytes;
@@ -115,40 +102,14 @@ Status AlogStore::RollSegment() {
   }
   const uint64_t id = next_segment_id_++;
   PTSB_ASSIGN_OR_RETURN(fs::File * file,
-                        fs_->Create(SegmentFileName(dir_, id)));
+                        fs_->Create(kv::NumberedFileName(dir_, id, ".seg")));
   SegmentInfo info;
   info.file = file;
   segments_.emplace(id, info);
   active_id_ = id;
+  log_ = std::make_unique<kv::LogWriter>(file, options_.sync_every_bytes,
+                                         /*buffer_bytes=*/0);
   return Status::OK();
-}
-
-StatusOr<uint64_t> AlogStore::AppendRecord(std::string_view record,
-                                           uint64_t payload, bool gc) {
-  if (active_id_ == 0 ||
-      segments_.at(active_id_).payload_bytes >= options_.segment_bytes) {
-    PTSB_RETURN_IF_ERROR(RollSegment());
-  }
-  SegmentInfo& seg = segments_.at(active_id_);
-  const uint64_t start = seg.file->size();
-  PTSB_RETURN_IF_ERROR(seg.file->Append(record));
-  seg.payload_bytes += payload;
-  if (gc) {
-    stats_.gc_bytes_written += record.size();
-  } else {
-    stats_.wal_bytes_written += record.size();
-    // GC rewrites are internal traffic: only user commits count as log
-    // records for the group-commit accounting.
-    stats_.wal_records++;
-  }
-  if (options_.sync_every_bytes > 0) {
-    unsynced_bytes_ += record.size();
-    if (unsynced_bytes_ >= options_.sync_every_bytes) {
-      unsynced_bytes_ = 0;
-      PTSB_RETURN_IF_ERROR(seg.file->Sync());
-    }
-  }
-  return start;
 }
 
 void AlogStore::ReleaseLocation(const Location& loc) {
@@ -192,24 +153,35 @@ void AlogStore::ApplyToIndex(kv::WriteBatch::EntryKind kind,
 
 Status AlogStore::ApplyBatchRecord(const kv::WriteBatch& batch, bool gc) {
   // Group commit: one record, one crc, for the whole batch.
-  std::vector<EntryLayout> layout;
-  const std::string record = EncodeRecord(batch, &layout);
-  uint64_t payload = 0;
-  for (const EntryLayout& l : layout) payload += l.entry_bytes;
-  PTSB_ASSIGN_OR_RETURN(const uint64_t start,
-                        AppendRecord(record, payload, gc));
+  std::vector<kv::EntryLayout> layout;
+  const std::string payload = kv::EncodeBatch(batch, &layout);
+  if (active_id_ == 0 ||
+      segments_.at(active_id_).payload_bytes >= options_.segment_bytes) {
+    PTSB_RETURN_IF_ERROR(RollSegment());
+  }
+  const uint64_t log_before = log_->bytes_written();
+  PTSB_ASSIGN_OR_RETURN(const uint64_t offset, log_->Add(payload));
+  segments_.at(active_id_).payload_bytes += payload.size();
+  const uint64_t record_bytes = log_->bytes_written() - log_before;
+  if (gc) {
+    stats_.gc_bytes_written += record_bytes;
+  } else {
+    stats_.wal_bytes_written += record_bytes;
+    // GC rewrites are internal traffic: only user commits count as log
+    // records for the group-commit accounting.
+    stats_.wal_records++;
+  }
   // Entries index in order, so a later entry for the same key wins (and
   // immediately deadens the earlier one), exactly as if submitted
   // individually — crash replay walks the record in the same order.
-  size_t i = 0;
-  for (const kv::WriteBatch::Entry& e : batch.entries()) {
+  for (size_t i = 0; i < layout.size(); i++) {
+    const kv::WriteBatch::Entry& e = batch.entries()[i];
     Location loc;
     loc.segment = active_id_;
-    loc.value_offset = start + layout[i].value_offset;
-    loc.value_bytes = layout[i].value_bytes;
+    loc.value_offset = offset + layout[i].value_offset;
+    loc.value_bytes = static_cast<uint32_t>(e.value.size());
     loc.entry_bytes = layout[i].entry_bytes;
     ApplyToIndex(e.kind, e.key, loc);
-    i++;
   }
   return Status::OK();
 }
@@ -465,8 +437,12 @@ Status AlogStore::CollectSegment(uint64_t id) {
   // survive it. The index points at the newest record per key, so every
   // other record for the key is older; if this is the oldest segment they
   // all live here and die with the file. Otherwise the tombstone must move
-  // forward to keep shadowing them through future replays.
-  const bool oldest = segments_.begin()->first == id;
+  // forward to keep shadowing them through future replays. An older
+  // zombie counts: its file is still on disk, and a crash before its
+  // deletion replays it.
+  const bool oldest =
+      segments_.begin()->first == id &&
+      (zombie_segments_.empty() || zombie_segments_.begin()->first > id);
 
   // Finding the victim's entries costs a full index walk. Collections are
   // rare (once per segment lifetime) and simulation-scale indexes are
@@ -568,8 +544,7 @@ Status AlogStore::CollectSegment(uint64_t id) {
     // originals are already gone with the victim's file.
     auto apply = [&]() -> Status {
       PTSB_RETURN_IF_ERROR(ApplyBatchRecord(batch, /*gc=*/true));
-      unsynced_bytes_ = 0;
-      return segments_.at(active_id_).file->Sync();
+      return log_->Sync();
     };
     if (pool_.lanes() > 1) {
       // The rewrite depends on every lane's reads; it runs on lane 0
@@ -597,10 +572,11 @@ Status AlogStore::CollectSegment(uint64_t id) {
   } else if (pool_.lanes() > 1) {
     // Partitioned mode: the deletion orders after the rewrite on lane 0
     // (file metadata work stays on the background timeline).
-    PTSB_RETURN_IF_ERROR(RunBackground(
-        0, [&] { return fs_->Delete(SegmentFileName(dir_, id)); }));
+    PTSB_RETURN_IF_ERROR(RunBackground(0, [&] {
+      return fs_->Delete(kv::NumberedFileName(dir_, id, ".seg"));
+    }));
   } else {
-    PTSB_RETURN_IF_ERROR(fs_->Delete(SegmentFileName(dir_, id)));
+    PTSB_RETURN_IF_ERROR(fs_->Delete(kv::NumberedFileName(dir_, id, ".seg")));
   }
   segments_.erase(id);
   return Status::OK();
@@ -660,10 +636,14 @@ void AlogStore::UnpinSegment(uint64_t id) {
   seg_pins_.erase(it);
   const auto z = zombie_segments_.find(id);
   if (z == zombie_segments_.end()) return;  // still a live segment
+  // No snapshot pins the file any more, whether or not it can be deleted.
   stats_.snapshot_pinned_bytes -= z->second.file_bytes;
-  const Status s = fs_->Delete(SegmentFileName(dir_, id));
-  PTSB_CHECK(s.ok()) << "zombie segment delete failed: " << s.ToString();
-  zombie_segments_.erase(z);
+  // A failed deletion (a dying device) keeps the zombie: its file stays on
+  // disk, where the next open replays it harmlessly and reclaims it, and
+  // CollectSegment's oldest-segment rule must keep counting it.
+  if (fs_->Delete(kv::NumberedFileName(dir_, id, ".seg")).ok()) {
+    zombie_segments_.erase(z);
+  }
 }
 
 void AlogStore::ReleaseSnapshot(const SnapshotImpl& snap) {
@@ -853,9 +833,7 @@ std::unique_ptr<kv::KVStore::Iterator> AlogStore::NewIteratorInternal(
 Status AlogStore::Flush() {
   PTSB_CHECK(!closed_);
   JoinBackgroundWork();  // durability waits out in-flight GC rewrites
-  if (active_id_ != 0) {
-    PTSB_RETURN_IF_ERROR(segments_.at(active_id_).file->Sync());
-  }
+  if (log_ != nullptr) PTSB_RETURN_IF_ERROR(log_->Sync());
   return Status::OK();
 }
 
@@ -864,14 +842,16 @@ Status AlogStore::Close() {
   JoinBackgroundWork();
   if (active_id_ != 0) {
     SegmentInfo& seg = segments_.at(active_id_);
-    PTSB_RETURN_IF_ERROR(seg.file->Sync());
+    PTSB_RETURN_IF_ERROR(log_->Sync());
     PTSB_RETURN_IF_ERROR(seg.file->ShrinkToFit());
     if (seg.payload_bytes == 0) {
       // Nothing was ever appended; don't leave an empty segment behind.
-      PTSB_RETURN_IF_ERROR(fs_->Delete(SegmentFileName(dir_, active_id_)));
+      PTSB_RETURN_IF_ERROR(
+          fs_->Delete(kv::NumberedFileName(dir_, active_id_, ".seg")));
       segments_.erase(active_id_);
     }
     active_id_ = 0;
+    log_.reset();
   }
   closed_ = true;
   return Status::OK();

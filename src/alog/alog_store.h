@@ -6,6 +6,10 @@
 // ratio across sealed segments exceeds a trigger. Where the LSM pays
 // compaction and the B+Tree pays page writebacks, the log pays only GC —
 // the third point of the paper's flash-friendliness trade-off space.
+//
+// A segment is a kv::LogWriter log with one kv::EncodeBatch record per
+// write batch (group commit). Unlike a WAL, the segment IS the value
+// store: the index keeps the file offset of each live value.
 #ifndef PTSB_ALOG_ALOG_STORE_H_
 #define PTSB_ALOG_ALOG_STORE_H_
 
@@ -17,9 +21,9 @@
 #include <vector>
 
 #include "alog/options.h"
-#include "alog/segment.h"
 #include "fs/filesystem.h"
 #include "kv/group_commit_store.h"
+#include "kv/log.h"
 #include "kv/registry.h"
 
 namespace ptsb::alog {
@@ -27,9 +31,11 @@ namespace ptsb::alog {
 class AlogStore : public kv::GroupCommitStore {
  public:
   // Opens (or creates) a store rooted at `dir` within `fs`. Recovery
-  // replays every segment in file order, rebuilding the index; a torn
-  // record tail stops that segment's replay (the normal crash case). All
-  // pre-existing segments are sealed; new writes go to a fresh segment.
+  // replays every segment in numeric id order, rebuilding the index; a
+  // torn record tail stops that segment's replay (the normal crash case),
+  // and a bad record followed by an intact one fails the open with
+  // Corruption. All pre-existing segments are sealed; new writes go to a
+  // fresh segment.
   static StatusOr<std::unique_ptr<AlogStore>> Open(fs::SimpleFs* fs,
                                                    const AlogOptions& options,
                                                    std::string dir = "alog");
@@ -111,16 +117,11 @@ class AlogStore : public kv::GroupCommitStore {
   std::vector<Status> MultiGetFanOut(std::span<const std::string_view> keys,
                                      std::vector<std::string>* values);
 
-  static std::string SegmentFileName(const std::string& dir, uint64_t id);
-
-  // Appends one framed record, rolling to a new segment first if the
-  // active one is full. Returns the record's start offset in the (possibly
-  // new) active segment. GC appends are accounted to gc_bytes_written,
-  // user appends to wal_bytes_written (the log is both data and WAL).
-  StatusOr<uint64_t> AppendRecord(std::string_view record, uint64_t payload,
-                                  bool gc);
-  // Appends the batch as ONE record (group commit) and points the index
-  // at the new locations, in entry order (last entry wins on duplicates).
+  // Appends the batch as ONE record (group commit), rolling to a new
+  // segment first if the active one is full, and points the index at the
+  // new locations, in entry order (last entry wins on duplicates). GC
+  // appends are accounted to gc_bytes_written, user appends to
+  // wal_bytes_written (the log is both data and WAL).
   Status ApplyBatchRecord(const kv::WriteBatch& batch, bool gc);
   Status RollSegment();
 
@@ -164,8 +165,8 @@ class AlogStore : public kv::GroupCommitStore {
   Index index_;
   std::map<uint64_t, SegmentInfo> segments_;  // ordered by segment id
   uint64_t active_id_ = 0;                    // 0 = no active segment yet
+  std::unique_ptr<kv::LogWriter> log_;        // the active segment's writer
   uint64_t next_segment_id_ = 1;
-  uint64_t unsynced_bytes_ = 0;
   // Running sums over the sealed segments, so the GC trigger check is
   // O(1) per write instead of a scan of segments_.
   uint64_t sealed_payload_bytes_ = 0;

@@ -66,7 +66,7 @@ BTreeStore::BTreeStore(fs::SimpleFs* fs, const BTreeOptions& options,
 
 BTreeStore::~BTreeStore() {
   DcheckSnapshotsReleased();
-  if (!closed_) Close().ok();
+  if (opened_ && !closed_) Close().ok();
 }
 
 StatusOr<std::unique_ptr<BTreeStore>> BTreeStore::Open(
@@ -81,38 +81,34 @@ StatusOr<std::unique_ptr<BTreeStore>> BTreeStore::Open(
   PTSB_RETURN_IF_ERROR(store->Recover());
 
   if (options.journal_enabled) {
-    const std::string jname = store->file_name_ + ".journal";
-    if (fs->Exists(jname)) {
-      PTSB_ASSIGN_OR_RETURN(store->journal_file_, fs->Open(jname));
-      // Replay through the normal write path, without re-journaling.
+    PTSB_ASSIGN_OR_RETURN(fs::File * journal,
+                          fs->OpenOrCreate(store->file_name_ + ".journal"));
+    if (journal->size() > 0) {
+      // Replay through the normal write path, before the journal has a
+      // writer: nothing is re-journaled.
       store->replaying_ = true;
-      Status replay_status = Status::OK();
-      PTSB_RETURN_IF_ERROR(ReplayJournal(
-          store->journal_file_,
-          [&](JournalOp op, std::string_view key, std::string_view value) {
-            if (!replay_status.ok()) return;
-            switch (op) {
-              case JournalOp::kPut:
-                replay_status = store->Put(key, value);
-                break;
-              case JournalOp::kDelete:
-                replay_status = store->Delete(key);
-                break;
-              case JournalOp::kDeleteRange:
-                // Deterministic re-expansion through the same eager
-                // range-erase the original write used.
-                replay_status = store->DeleteRange(key, value);
-                break;
+      std::vector<kv::DecodedEntry> entries;
+      kv::WriteBatch op;
+      const Status replayed = kv::ReplayLog(
+          journal, [&](uint64_t, std::string_view payload) -> Status {
+            PTSB_RETURN_IF_ERROR(kv::DecodeBatch(payload, &entries));
+            for (const kv::DecodedEntry& e : entries) {
+              op.SetSingle(e.kind, e.key, e.value);
+              PTSB_RETURN_IF_ERROR(store->Write(op));
             }
-          }));
+            return Status::OK();
+          });
       store->replaying_ = false;
-      PTSB_RETURN_IF_ERROR(replay_status);
-    } else {
-      PTSB_ASSIGN_OR_RETURN(store->journal_file_, fs->Create(jname));
+      PTSB_RETURN_IF_ERROR(replayed);
     }
-    store->journal_ = std::make_unique<JournalWriter>(
-        store->journal_file_, options.journal_sync_every_bytes);
+    store->journal_ = std::make_unique<kv::LogWriter>(
+        journal, options.journal_sync_every_bytes, /*buffer_bytes=*/0);
+    // Never append to the journal just replayed (a torn tail must stay
+    // its last record): checkpoint the replayed state, which rotates the
+    // journal, before accepting writes.
+    if (journal->size() > 0) PTSB_RETURN_IF_ERROR(store->Flush());
   }
+  store->opened_ = true;
   return store;
 }
 
@@ -325,29 +321,31 @@ Status BTreeStore::Checkpoint() {
   bytes_since_checkpoint_ = 0;
 
   // Rotate the journal: everything it held is now in the checkpoint.
-  if (journal_ != nullptr) {
-    Status rotated = [&]() -> Status {
-      PTSB_RETURN_IF_ERROR(journal_->Sync());
-      const std::string jname = file_name_ + ".journal";
-      journal_.reset();
-      PTSB_RETURN_IF_ERROR(fs_->Delete(jname));
-      PTSB_ASSIGN_OR_RETURN(journal_file_, fs_->Create(jname));
-      journal_ = std::make_unique<JournalWriter>(
-          journal_file_, options_.journal_sync_every_bytes);
-      return Status::OK();
-    }();
-    if (!rotated.ok()) {
-      // Everything up to here IS durable (the checkpoint header synced
-      // above), but with the rotation half-done there is no journal to
-      // give further commits a durable record — acknowledging them would
-      // silently drop them at the next crash. Refuse writes until a
-      // reopen rebuilds the journal (see WriteInternal).
-      journal_.reset();
-      journal_lost_ = true;
-      return rotated;
-    }
-  }
+  if (journal_ != nullptr) return RotateJournal();
   return Status::OK();
+}
+
+Status BTreeStore::RotateJournal() {
+  const Status rotated = [&]() -> Status {
+    PTSB_RETURN_IF_ERROR(journal_->Sync());
+    const std::string jname = file_name_ + ".journal";
+    journal_.reset();
+    PTSB_RETURN_IF_ERROR(fs_->Delete(jname));
+    PTSB_ASSIGN_OR_RETURN(fs::File * file, fs_->Create(jname));
+    journal_ = std::make_unique<kv::LogWriter>(
+        file, options_.journal_sync_every_bytes, /*buffer_bytes=*/0);
+    return Status::OK();
+  }();
+  if (!rotated.ok()) {
+    // Everything up to here IS durable (the checkpoint header synced
+    // before), but with the rotation half-done there is no journal to
+    // give further commits a durable record — acknowledging them would
+    // silently drop them at the next crash. Refuse writes until a reopen
+    // rebuilds the journal (see WriteInternal).
+    journal_.reset();
+    journal_lost_ = true;
+  }
+  return rotated;
 }
 
 Status BTreeStore::CheckpointParallel() {
@@ -412,23 +410,9 @@ Status BTreeStore::CheckpointParallel() {
   bytes_since_checkpoint_ = 0;
 
   // Journal rotation, on lane 0 behind the header (same order as the
-  // serial path; see Checkpoint for the journal_lost_ contract).
+  // serial path).
   if (journal_ != nullptr) {
-    const Status rotated = RunBackground(0, [&]() -> Status {
-      PTSB_RETURN_IF_ERROR(journal_->Sync());
-      const std::string jname = file_name_ + ".journal";
-      journal_.reset();
-      PTSB_RETURN_IF_ERROR(fs_->Delete(jname));
-      PTSB_ASSIGN_OR_RETURN(journal_file_, fs_->Create(jname));
-      journal_ = std::make_unique<JournalWriter>(
-          journal_file_, options_.journal_sync_every_bytes);
-      return Status::OK();
-    });
-    if (!rotated.ok()) {
-      journal_.reset();
-      journal_lost_ = true;
-      return rotated;
-    }
+    return RunBackground(0, [&] { return RotateJournal(); });
   }
   return Status::OK();
 }
@@ -618,7 +602,8 @@ Status BTreeStore::WriteInternal(const kv::WriteBatch& batch) {
   if (journal_ != nullptr && !replaying_) {
     // Group commit: one journal record, one crc, for the whole batch.
     const uint64_t journal_before = journal_->bytes_written();
-    PTSB_RETURN_IF_ERROR(journal_->AppendBatch(batch));
+    PTSB_RETURN_IF_ERROR(
+        journal_->Add(kv::EncodeBatch(batch, nullptr)).status());
     stats_.wal_bytes_written += journal_->bytes_written() - journal_before;
     stats_.wal_records++;
   }
@@ -1117,7 +1102,7 @@ Status BTreeStore::Close() {
 
 uint64_t BTreeStore::DiskBytesUsed() const {
   uint64_t total = file_->allocated_bytes();
-  if (journal_file_ != nullptr) total += journal_file_->size();
+  if (journal_ != nullptr) total += journal_->file()->size();
   return total;
 }
 

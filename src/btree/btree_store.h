@@ -12,11 +12,11 @@
 #include <vector>
 
 #include "btree/block_manager.h"
-#include "btree/journal.h"
 #include "btree/node.h"
 #include "btree/options.h"
 #include "fs/filesystem.h"
 #include "kv/group_commit_store.h"
+#include "kv/log.h"
 #include "kv/registry.h"
 
 namespace ptsb::btree {
@@ -24,7 +24,9 @@ namespace ptsb::btree {
 class BTreeStore : public kv::GroupCommitStore {
  public:
   // Opens (or creates) the tree file at `file_name`, recovering from the
-  // newest valid checkpoint and replaying the journal if enabled.
+  // newest valid checkpoint and replaying the journal if enabled. A
+  // replayed journal is checkpointed and rotated before the store
+  // accepts writes, so new records never follow a torn tail.
   static StatusOr<std::unique_ptr<BTreeStore>> Open(
       fs::SimpleFs* fs, const BTreeOptions& options,
       std::string file_name = "btree/tree.db");
@@ -126,6 +128,9 @@ class BTreeStore : public kv::GroupCommitStore {
   // barrier — same crash-safety order (header last, frees after), same
   // bytes, overlapped device time.
   Status CheckpointParallel();
+  // Syncs the journal and replaces it with an empty one. On failure the
+  // journal is lost and WriteInternal refuses writes until a reopen.
+  Status RotateJournal();
   Status WriteHeader();
 
   // Leaf cache management.
@@ -155,8 +160,10 @@ class BTreeStore : public kv::GroupCommitStore {
   std::list<Node*> lru_;  // front = least recently used
   uint64_t cache_leaf_bytes_ = 0;
 
-  std::unique_ptr<JournalWriter> journal_;
-  fs::File* journal_file_ = nullptr;
+  // The optional journal (WiredTiger's logging): a kv::LogWriter log of
+  // kv::EncodeBatch payloads, one record per write batch (group commit),
+  // rotated by every checkpoint.
+  std::unique_ptr<kv::LogWriter> journal_;
   bool replaying_ = false;
   // Set when a journal rotation failed mid-way: the tree state is durable
   // but new commits would have no durable record, so Write fail-stops

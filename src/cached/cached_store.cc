@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "alog/segment.h"
 #include "fs/file.h"
 #include "kv/registry.h"
 #include "util/human.h"
@@ -26,7 +25,7 @@ CachedStore::CachedStore(const CachedOptions& options, fs::SimpleFs* fs,
 
 CachedStore::~CachedStore() {
   DcheckSnapshotsReleased();
-  if (!closed_) {
+  if (opened_ && !closed_) {
     // Best-effort shutdown; errors are not recoverable in a destructor.
     Close().ok();
   }
@@ -129,48 +128,24 @@ StatusOr<std::unique_ptr<CachedStore>> CachedStore::Open(
   auto store = std::unique_ptr<CachedStore>(new CachedStore(
       o, eo.fs, root, *std::move(opened), std::move(cache)));
   PTSB_RETURN_IF_ERROR(store->ReplayAndCompactLog());
+  store->opened_ = true;
   return store;
 }
 
-std::string CachedStore::LogName(uint64_t id) const {
-  return StrPrintf("%s/%06llu.wlog", root_.c_str(),
-                   static_cast<unsigned long long>(id));
-}
-
-std::vector<std::pair<uint64_t, std::string>>
-CachedStore::ListLogSegments() const {
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  for (const std::string& name : fs_->List(root_ + "/")) {
-    if (!name.ends_with(".wlog")) continue;
-    std::string_view base(name);
-    base.remove_prefix(root_.size() + 1);
-    base.remove_suffix(5);
-    if (base.empty() || base.size() > 19) continue;  // not a sane id
-    uint64_t id = 0;
-    bool numeric = true;
-    for (const char c : base) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      id = id * 10 + static_cast<uint64_t>(c - '0');
-    }
-    if (!numeric) continue;  // inner-engine files etc.
-    segments.emplace_back(id, name);
-  }
-  std::sort(segments.begin(), segments.end());
-  return segments;
-}
-
 Status CachedStore::ReplayAndCompactLog() {
-  const auto segments = ListLogSegments();
+  const auto segments = kv::ListNumberedFiles(*fs_, root_, ".wlog");
   if (segments.empty()) return Status::OK();
   replaying_ = true;
+  std::vector<kv::DecodedEntry> entries;
   for (const auto& [id, name] : segments) {
     PTSB_ASSIGN_OR_RETURN(fs::File * file, fs_->Open(name));
-    PTSB_RETURN_IF_ERROR(alog::ReplaySegment(
-        file, [this](const alog::ReplayedEntry& e) {
-          ApplyEntry(e.kind, e.key, e.value);
+    PTSB_RETURN_IF_ERROR(kv::ReplayLog(
+        file, [&](uint64_t, std::string_view payload) -> Status {
+          PTSB_RETURN_IF_ERROR(kv::DecodeBatch(payload, &entries));
+          for (const kv::DecodedEntry& e : entries) {
+            ApplyEntry(e.kind, e.key, e.value);
+          }
+          return Status::OK();
         }));
   }
   replaying_ = false;
@@ -254,30 +229,26 @@ bool CachedStore::Covers(const std::vector<BufferedRange>& ranges,
   return false;
 }
 
-Status CachedStore::AppendLogRecord(const std::string& record) {
-  if (log_ == nullptr) {
-    log_id_ = next_log_id_++;
-    PTSB_ASSIGN_OR_RETURN(fs::File * file, fs_->Create(LogName(log_id_)));
-    log_ = file;
-    unsynced_log_bytes_ = 0;
-  }
-  PTSB_RETURN_IF_ERROR(log_->Append(record));
-  stats_.wal_bytes_written += record.size();
-  if (options_.log_sync_every_bytes > 0) {
-    unsynced_log_bytes_ += record.size();
-    if (unsynced_log_bytes_ >= options_.log_sync_every_bytes) {
-      unsynced_log_bytes_ = 0;
-      PTSB_RETURN_IF_ERROR(log_->Sync());
-    }
-  }
+Status CachedStore::StartLogSegment() {
+  log_id_ = next_log_id_++;
+  PTSB_ASSIGN_OR_RETURN(
+      fs::File * file,
+      fs_->Create(kv::NumberedFileName(root_, log_id_, ".wlog")));
+  log_ = std::make_unique<kv::LogWriter>(file, options_.log_sync_every_bytes,
+                                         /*buffer_bytes=*/0);
+  return Status::OK();
+}
+
+Status CachedStore::AppendLogRecord(const kv::WriteBatch& batch) {
+  if (log_ == nullptr) PTSB_RETURN_IF_ERROR(StartLogSegment());
+  const uint64_t log_before = log_->bytes_written();
+  PTSB_RETURN_IF_ERROR(log_->Add(kv::EncodeBatch(batch, nullptr)).status());
+  stats_.wal_bytes_written += log_->bytes_written() - log_before;
   return Status::OK();
 }
 
 Status CachedStore::WriteSnapshotSegment() {
-  log_id_ = next_log_id_++;
-  PTSB_ASSIGN_OR_RETURN(fs::File * file, fs_->Create(LogName(log_id_)));
-  log_ = file;
-  unsynced_log_bytes_ = 0;
+  PTSB_RETURN_IF_ERROR(StartLogSegment());
   if (buffer_.empty() && ranges_.empty()) return Status::OK();
   kv::WriteBatch snapshot;
   // Ranges first: every buffered entry postdates every buffered range
@@ -291,16 +262,15 @@ Status CachedStore::WriteSnapshotSegment() {
       snapshot.Put(key, entry.value);
     }
   }
-  const std::string record = alog::EncodeRecord(snapshot, nullptr);
-  PTSB_RETURN_IF_ERROR(log_->Append(record));
-  stats_.checkpoint_bytes_written += record.size();
-  return log_->Sync();
+  PTSB_RETURN_IF_ERROR(
+      log_->Add(kv::EncodeBatch(snapshot, nullptr), /*sync=*/true).status());
+  stats_.checkpoint_bytes_written += log_->bytes_written();
+  return Status::OK();
 }
 
 Status CachedStore::WriteInternal(const kv::WriteBatch& batch) {
   const int64_t t0 = NowNs();
-  const std::string record = alog::EncodeRecord(batch, nullptr);
-  const Status logged = AppendLogRecord(record);
+  const Status logged = AppendLogRecord(batch);
   stats_.time_wal_ns += NowNs() - t0;
   PTSB_RETURN_IF_ERROR(logged);
   stats_.wal_records++;
@@ -396,7 +366,7 @@ Status CachedStore::MaybeCheckpointLog() {
   if (log_ == nullptr) return Status::OK();
   const uint64_t limit = std::max<uint64_t>(8 * options_.write_buffer_bytes,
                                             uint64_t{128} << 10);
-  if (log_->size() <= limit) return Status::OK();
+  if (log_->file()->size() <= limit) return Status::OK();
   const int64_t t0 = NowNs();
   // Records about to be dropped from the log cover entries already
   // flushed to the inner engine; make those durable below before the log
@@ -409,7 +379,8 @@ Status CachedStore::MaybeCheckpointLog() {
 }
 
 Status CachedStore::DeleteLogSegments(uint64_t keep_from_id) {
-  for (const auto& [id, name] : ListLogSegments()) {
+  for (const auto& [id, name] :
+       kv::ListNumberedFiles(*fs_, root_, ".wlog")) {
     if (id >= keep_from_id) continue;
     PTSB_RETURN_IF_ERROR(fs_->Delete(name));
   }
@@ -717,8 +688,7 @@ Status CachedStore::Flush() {
   // Everything the log guarded is durable in the inner engine now; the
   // log is logically empty and its segments can go. The next Write
   // starts a fresh one.
-  log_ = nullptr;
-  unsynced_log_bytes_ = 0;
+  log_.reset();
   return DeleteLogSegments(next_log_id_);
 }
 
@@ -738,8 +708,7 @@ Status CachedStore::Close() {
   if (persist.ok()) persist = inner_->Flush();
   if (persist.ok()) {
     // Clean shutdown: buffer durable below, log segments redundant.
-    log_ = nullptr;
-    unsynced_log_bytes_ = 0;
+    log_.reset();
     persist = DeleteLogSegments(next_log_id_);
   }
   const Status closed = inner_->Close();
@@ -778,7 +747,8 @@ std::string CachedStore::Name() const {
 
 uint64_t CachedStore::DiskBytesUsed() const {
   uint64_t total = inner_->DiskBytesUsed();
-  for (const auto& [id, name] : ListLogSegments()) {
+  for (const auto& [id, name] :
+       kv::ListNumberedFiles(*fs_, root_, ".wlog")) {
     const auto size = fs_->FileSize(name);
     if (size.ok()) total += *size;
   }

@@ -23,6 +23,7 @@
 #include "cached/read_cache.h"
 #include "fs/filesystem.h"
 #include "kv/group_commit_store.h"
+#include "kv/log.h"
 #include "kv/registry.h"
 #include "util/status.h"
 
@@ -107,10 +108,6 @@ class CachedStore : public kv::GroupCommitStore {
   static uint64_t EntryCharge(std::string_view key, const BufferEntry& e) {
     return key.size() + e.value.size();
   }
-  std::string LogName(uint64_t id) const;
-  // Every ".wlog" segment under the root with a numeric basename, sorted
-  // by id.
-  std::vector<std::pair<uint64_t, std::string>> ListLogSegments() const;
 
   // One durability-log record for the whole group, then the buffer
   // update and any flush it triggers.
@@ -158,9 +155,11 @@ class CachedStore : public kv::GroupCommitStore {
   // Whether `key` falls inside any of the given buffered ranges.
   static bool Covers(const std::vector<BufferedRange>& ranges,
                      std::string_view key);
-  // Appends one encoded batch record to the active log segment (creating
-  // it lazily) and honors the sync cadence.
-  Status AppendLogRecord(const std::string& record);
+  // Starts a fresh, empty log segment as the active one.
+  Status StartLogSegment();
+  // Appends the batch as one record to the active log segment (starting
+  // one lazily) at the log_sync_every_bytes cadence.
+  Status AppendLogRecord(const kv::WriteBatch& batch);
   // Starts a fresh log segment holding the whole buffer as one synced
   // snapshot record (no record at all if the buffer is empty).
   Status WriteSnapshotSegment();
@@ -203,10 +202,11 @@ class CachedStore : public kv::GroupCommitStore {
   // reported as this layer's share of snapshot_pinned_bytes).
   uint64_t snapshot_pinned_buffer_bytes_ = 0;
 
-  fs::File* log_ = nullptr;  // owned by fs_; null until first append
-  uint64_t log_id_ = 0;      // id of the active segment
+  // The durability log: numbered ".wlog" segments under the root, each a
+  // kv::LogWriter log of kv::EncodeBatch records.
+  std::unique_ptr<kv::LogWriter> log_;  // null until the first append
+  uint64_t log_id_ = 0;                 // id of the active segment
   uint64_t next_log_id_ = 0;
-  uint64_t unsynced_log_bytes_ = 0;
 
   bool replaying_ = false;
 };

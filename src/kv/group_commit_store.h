@@ -154,6 +154,11 @@ class GroupCommitStore : public KVStore {
   // iterators point into; debug builds compare it against the value an
   // iterator captured to fail fast on use-after-write.
   uint64_t write_epoch_ = 0;
+  // Set by each engine's Open once recovery succeeded. A store whose Open
+  // failed is dropped as it stands: its destructor must not run Close,
+  // which would checkpoint or flush a partly replayed state and retire
+  // the logs that still hold the rest.
+  bool opened_ = false;
   bool closed_ = false;
   // mutable: taking the exclusion lock is not logically a mutation.
   mutable WriteGroup write_group_;

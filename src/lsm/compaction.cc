@@ -177,8 +177,9 @@ Status CompactionJob::Prepare() {
   auto open_input = [&](const FileMeta& meta) -> Status {
     Input in;
     in.meta = meta;
-    PTSB_ASSIGN_OR_RETURN(fs::File * file,
-                          fs_->Open(VersionSet::SstFileName(dir_, meta.number)));
+    PTSB_ASSIGN_OR_RETURN(
+        fs::File * file,
+        fs_->Open(kv::NumberedFileName(dir_, meta.number, ".sst")));
     PTSB_ASSIGN_OR_RETURN(in.owned_reader, SstReader::Open(file));
     in.reader = in.owned_reader.get();
     in.iter = std::make_unique<SstReader::Iterator>(
@@ -247,7 +248,8 @@ int CompactionJob::FindSmallest() const {
 Status CompactionJob::OpenOutput() {
   output_number_ = versions_->NewFileNumber();
   PTSB_ASSIGN_OR_RETURN(
-      output_file_, fs_->Create(VersionSet::SstFileName(dir_, output_number_)));
+      output_file_,
+      fs_->Create(kv::NumberedFileName(dir_, output_number_, ".sst")));
   builder_ = std::make_unique<SstBuilder>(output_file_, options_.block_bytes,
                                           options_.bloom_bits_per_key);
   return Status::OK();
@@ -258,7 +260,7 @@ Status CompactionJob::FinishOutput() {
   if (builder_->num_entries() == 0) {
     builder_.reset();
     PTSB_RETURN_IF_ERROR(
-        fs_->Delete(VersionSet::SstFileName(dir_, output_number_)));
+        fs_->Delete(kv::NumberedFileName(dir_, output_number_, ".sst")));
     output_file_ = nullptr;
     return Status::OK();
   }
@@ -346,7 +348,7 @@ Status CompactionJob::Install() {
       PTSB_ASSIGN_OR_RETURN(deleted, file_deleter_(f));
     } else {
       PTSB_RETURN_IF_ERROR(
-          fs_->Delete(VersionSet::SstFileName(dir_, f.number)));
+          fs_->Delete(kv::NumberedFileName(dir_, f.number, ".sst")));
     }
     if (deleted) deleted_.push_back(f.number);
     return Status::OK();

@@ -14,7 +14,7 @@ LsmStore::LsmStore(fs::SimpleFs* fs, const LsmOptions& options,
 
 LsmStore::~LsmStore() {
   DcheckSnapshotsReleased();
-  if (!closed_) {
+  if (opened_ && !closed_) {
     // Best-effort shutdown; errors are not recoverable in a destructor.
     Close().ok();
   }
@@ -40,86 +40,77 @@ StatusOr<std::unique_ptr<LsmStore>> LsmStore::Open(fs::SimpleFs* fs,
   // hand out again (next_file_number is only durable as of the last
   // edit) — the next flush would then collide on Create. Files the
   // manifest doesn't reference are dead by construction; delete them.
-  {
-    std::vector<std::string> files = fs->List(store->dir_ + "/");
-    for (const std::string& name : files) {
-      const size_t slash = name.rfind('/');
-      if (name.ends_with(".log")) {
-        // Kept and replayed below, but its allocation may not be durable:
-        // never hand the number out again.
-        store->versions_->EnsureFileNumberPast(
-            std::stoull(name.substr(slash + 1)));
-        continue;
-      }
-      if (!name.ends_with(".sst")) continue;
-      const uint64_t number = std::stoull(name.substr(slash + 1));
-      store->versions_->EnsureFileNumberPast(number);
-      bool live = false;
-      for (int level = 0; level < store->versions_->num_levels() && !live;
-           level++) {
-        for (const FileMeta& f : store->versions_->LevelFiles(level)) {
-          if (f.number == number) {
-            live = true;
-            break;
-          }
+  for (const auto& [number, name] :
+       kv::ListNumberedFiles(*fs, store->dir_, ".sst")) {
+    store->versions_->EnsureFileNumberPast(number);
+    bool live = false;
+    for (int level = 0; level < store->versions_->num_levels() && !live;
+         level++) {
+      for (const FileMeta& f : store->versions_->LevelFiles(level)) {
+        if (f.number == number) {
+          live = true;
+          break;
         }
       }
-      if (!live) PTSB_RETURN_IF_ERROR(fs->Delete(name));
     }
+    if (!live) PTSB_RETURN_IF_ERROR(fs->Delete(name));
   }
 
-  // Replay WALs at or above the manifest's log number, in file order.
-  std::vector<std::string> logs = fs->List(store->dir_ + "/");
-  std::erase_if(logs, [](const std::string& n) {
-    return !n.ends_with(".log");
-  });
-  std::sort(logs.begin(), logs.end());
-  fs::File* newest_wal = nullptr;
-  uint64_t newest_number = 0;
-  for (const std::string& name : logs) {
-    const size_t slash = name.rfind('/');
-    const uint64_t number = std::stoull(name.substr(slash + 1));
+  // Replay WALs at or above the manifest's log number, in numeric order.
+  // A replayed WAL is never appended to (a torn tail must stay the last
+  // record): writes go to a fresh WAL, and the next flush deletes it along
+  // with the replayed ones.
+  std::vector<WalEntry> entries;
+  for (const auto& [number, name] :
+       kv::ListNumberedFiles(*fs, store->dir_, ".log")) {
+    // Its allocation may not be durable: never hand the number out again.
+    store->versions_->EnsureFileNumberPast(number);
     if (number < store->versions_->log_number()) {
       // Obsolete: already flushed.
       PTSB_RETURN_IF_ERROR(fs->Delete(name));
       continue;
     }
     PTSB_ASSIGN_OR_RETURN(fs::File * file, fs->Open(name));
-    SequenceNumber max_seq = store->seq_;
-    PTSB_RETURN_IF_ERROR(ReplayWal(
-        file, [&](std::string_view key, SequenceNumber seq, EntryType type,
-                  std::string_view value) {
-          if (type == EntryType::kRangeDelete) {
-            // Range tombstones never enter the memtable: they live in the
-            // store's side list (key=begin, value=exclusive end).
-            store->tombstones_.push_back(RangeTombstone{
-                std::string(key), std::string(value), seq});
-          } else {
-            store->memtable_->Add(key, seq, type, value);
+    PTSB_RETURN_IF_ERROR(kv::ReplayLog(
+        file, [&](uint64_t, std::string_view payload) -> Status {
+          PTSB_RETURN_IF_ERROR(DecodeWalBatch(payload, &entries));
+          for (const WalEntry& e : entries) {
+            if (e.type == EntryType::kRangeDelete) {
+              // Range tombstones never enter the memtable: they live in
+              // the store's side list (key=begin, value=exclusive end).
+              store->tombstones_.push_back(RangeTombstone{
+                  std::string(e.key), std::string(e.value), e.seq});
+            } else {
+              store->memtable_->Add(e.key, e.seq, e.type, e.value);
+            }
+            store->seq_ = std::max(store->seq_, e.seq);
           }
-          max_seq = std::max(max_seq, seq);
+          return Status::OK();
         }));
-    store->seq_ = max_seq;
-    newest_wal = file;
-    newest_number = number;
+    store->wal_numbers_.push_back(number);
   }
   if (options.wal_enabled) {
-    if (newest_wal == nullptr) {
-      newest_number = store->versions_->NewFileNumber();
-      PTSB_ASSIGN_OR_RETURN(
-          newest_wal,
-          fs->Create(VersionSet::WalFileName(store->dir_, newest_number)));
+    const bool replayed = !store->wal_numbers_.empty();
+    PTSB_ASSIGN_OR_RETURN(const uint64_t number, store->StartWal());
+    if (!replayed) {
       VersionEdit edit;
-      edit.log_number = newest_number;
+      edit.log_number = number;
       PTSB_RETURN_IF_ERROR(store->versions_->LogAndApply(edit));
     }
-    store->wal_file_ = newest_wal;
-    store->wal_number_ = newest_number;
-    store->wal_ = std::make_unique<WalWriter>(newest_wal,
-                                              options.wal_sync_every_bytes,
-                                              options.wal_buffer_bytes);
   }
+  store->opened_ = true;
   return store;
+}
+
+StatusOr<uint64_t> LsmStore::StartWal() {
+  const uint64_t number = versions_->NewFileNumber();
+  PTSB_ASSIGN_OR_RETURN(
+      fs::File * file,
+      fs_->Create(kv::NumberedFileName(dir_, number, ".log")));
+  wal_ = std::make_unique<kv::LogWriter>(file, options_.wal_sync_every_bytes,
+                                         options_.wal_buffer_bytes);
+  wal_numbers_.push_back(number);
+  return number;
 }
 
 Status LsmStore::WriteInternal(const kv::WriteBatch& batch) {
@@ -132,7 +123,7 @@ Status LsmStore::WriteInternal(const kv::WriteBatch& batch) {
     // Group commit: one record, one crc, for the whole batch.
     const int64_t t0 = now();
     const uint64_t wal_before = wal_->bytes_written();
-    PTSB_RETURN_IF_ERROR(wal_->AddBatch(batch, first_seq));
+    PTSB_RETURN_IF_ERROR(wal_->Add(EncodeWalBatch(batch, first_seq)).status());
     stats_.time_wal_ns += now() - t0;
     stats_.wal_bytes_written += wal_->bytes_written() - wal_before;
     stats_.wal_records++;
@@ -184,8 +175,9 @@ Status LsmStore::FlushMemtable() {
     return Status::OK();
   }
   const uint64_t number = versions_->NewFileNumber();
-  PTSB_ASSIGN_OR_RETURN(fs::File * file,
-                        fs_->Create(VersionSet::SstFileName(dir_, number)));
+  PTSB_ASSIGN_OR_RETURN(
+      fs::File * file,
+      fs_->Create(kv::NumberedFileName(dir_, number, ".sst")));
   SstBuilder builder(file, options_.block_bytes, options_.bloom_bits_per_key);
   Memtable::Iterator it(memtable_.get());
   for (it.SeekToFirst(); it.Valid(); it.Next()) {
@@ -209,22 +201,17 @@ Status LsmStore::FlushMemtable() {
   // the rotated-away WAL's range deletes stay durable.
   edit.range_tombstones = tombstones_;
 
-  // Rotate the WAL: the flushed SST covers everything in the old log.
-  uint64_t old_wal = wal_number_;
+  // Rotate the WAL: the flushed SST covers everything in the older logs
+  // (the current one, plus any replayed at open).
   if (wal_ != nullptr) {
-    wal_number_ = versions_->NewFileNumber();
-    PTSB_ASSIGN_OR_RETURN(
-        wal_file_, fs_->Create(VersionSet::WalFileName(dir_, wal_number_)));
-    wal_ = std::make_unique<WalWriter>(wal_file_,
-                                       options_.wal_sync_every_bytes,
-                                       options_.wal_buffer_bytes);
-    edit.log_number = wal_number_;
+    PTSB_ASSIGN_OR_RETURN(edit.log_number, StartWal());
   }
   PTSB_RETURN_IF_ERROR(versions_->LogAndApply(edit));
   tombstones_persisted_ = tombstones_.size();
-  if (wal_ != nullptr) {
-    PTSB_RETURN_IF_ERROR(
-        fs_->Delete(VersionSet::WalFileName(dir_, old_wal)));
+  while (wal_ != nullptr && wal_numbers_.size() > 1) {
+    PTSB_RETURN_IF_ERROR(fs_->Delete(
+        kv::NumberedFileName(dir_, wal_numbers_.front(), ".log")));
+    wal_numbers_.erase(wal_numbers_.begin());
   }
   // Rotate, not reset: a snapshot's shared_ptr keeps the old memtable
   // (and the versions it froze) readable after the swap.
@@ -323,7 +310,8 @@ Status LsmStore::StartSubcompaction(CompactionPick pick) {
   PTSB_RETURN_IF_ERROR(RunBackground(0, [&]() -> Status {
     auto open_input = [&](const FileMeta& f) -> Status {
       PTSB_ASSIGN_OR_RETURN(
-          fs::File * file, fs_->Open(VersionSet::SstFileName(dir_, f.number)));
+          fs::File * file,
+          fs_->Open(kv::NumberedFileName(dir_, f.number, ".sst")));
       PTSB_ASSIGN_OR_RETURN(auto reader, SstReader::Open(file));
       raw.push_back(reader.get());
       sub->input_readers.push_back(std::move(reader));
@@ -501,7 +489,7 @@ StatusOr<SstReader*> LsmStore::GetReader(uint64_t number) {
   auto it = readers_.find(number);
   if (it != readers_.end()) return it->second.get();
   PTSB_ASSIGN_OR_RETURN(fs::File * file,
-                        fs_->Open(VersionSet::SstFileName(dir_, number)));
+                        fs_->Open(kv::NumberedFileName(dir_, number, ".sst")));
   PTSB_ASSIGN_OR_RETURN(auto reader, SstReader::Open(file));
   SstReader* raw = reader.get();
   readers_[number] = std::move(reader);
@@ -612,7 +600,7 @@ void LsmStore::UnpinFile(uint64_t number) {
   // fail; on a dying device (fault injection) it can — the file is then
   // left behind as an orphan for the open-time sweep instead of
   // crashing in a destructor.
-  fs_->Delete(VersionSet::SstFileName(dir_, number)).ok();
+  fs_->Delete(kv::NumberedFileName(dir_, number, ".sst")).ok();
 }
 
 CompactionJob::FileDeleter LsmStore::MakeFileDeleter() {
@@ -623,7 +611,8 @@ CompactionJob::FileDeleter LsmStore::MakeFileDeleter() {
       stats_.snapshot_pinned_bytes += f.file_bytes;
       return false;
     }
-    PTSB_RETURN_IF_ERROR(fs_->Delete(VersionSet::SstFileName(dir_, f.number)));
+    PTSB_RETURN_IF_ERROR(
+        fs_->Delete(kv::NumberedFileName(dir_, f.number, ".sst")));
     return true;
   };
 }

@@ -11,6 +11,7 @@
 
 #include "fs/filesystem.h"
 #include "kv/group_commit_store.h"
+#include "kv/log.h"
 #include "kv/registry.h"
 #include "lsm/compaction.h"
 #include "lsm/memtable.h"
@@ -24,7 +25,8 @@ namespace ptsb::lsm {
 class LsmStore : public kv::GroupCommitStore {
  public:
   // Opens (or creates) a store rooted at `dir` within `fs`. Recovers the
-  // manifest and replays the WAL.
+  // manifest into a fresh one and replays the WALs; new writes go to a
+  // fresh WAL, never to a replayed one.
   static StatusOr<std::unique_ptr<LsmStore>> Open(fs::SimpleFs* fs,
                                                   const LsmOptions& options,
                                                   std::string dir = "lsm");
@@ -78,6 +80,8 @@ class LsmStore : public kv::GroupCommitStore {
   // per span, split across foreground-read lanes at read_queue_depth.
   std::unique_ptr<kv::KVStore::Iterator> NewIteratorInternal(
       const kv::Snapshot* snap, int readahead) override;
+  // Creates a fresh WAL as wal_ and returns its file number.
+  StatusOr<uint64_t> StartWal();
   Status FlushMemtable();
   // Runs up to `budget` bytes of compaction work, starting a job if due.
   // With background_io on (and a clock), the work runs on the engine's
@@ -115,9 +119,10 @@ class LsmStore : public kv::GroupCommitStore {
   // shared_ptr: a snapshot keeps the memtable it froze alive across
   // rotations (flush swaps in a fresh one; pinned versions stay readable).
   std::shared_ptr<Memtable> memtable_;
-  std::unique_ptr<WalWriter> wal_;
-  fs::File* wal_file_ = nullptr;
-  uint64_t wal_number_ = 0;
+  std::unique_ptr<kv::LogWriter> wal_;
+  // Every WAL no flush has covered yet, oldest first: the WALs replayed
+  // at open, then wal_'s (last).
+  std::vector<uint64_t> wal_numbers_;
 
   std::unique_ptr<CompactionJob> job_;
   // In-flight partitioned subcompaction: one pick, the shared input

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "util/crc32.h"
 #include "util/encoding.h"
 #include "util/human.h"
 #include "util/logging.h"
@@ -140,16 +139,6 @@ StatusOr<VersionEdit> VersionEdit::Decode(std::string_view in) {
 VersionSet::VersionSet(fs::SimpleFs* fs, std::string dir, int max_levels)
     : fs_(fs), dir_(std::move(dir)), levels_(max_levels) {}
 
-std::string VersionSet::SstFileName(const std::string& dir, uint64_t number) {
-  return StrPrintf("%s/%06llu.sst", dir.c_str(),
-                   static_cast<unsigned long long>(number));
-}
-
-std::string VersionSet::WalFileName(const std::string& dir, uint64_t number) {
-  return StrPrintf("%s/%06llu.log", dir.c_str(),
-                   static_cast<unsigned long long>(number));
-}
-
 std::string VersionSet::ManifestName(uint64_t number) const {
   return StrPrintf("%s/MANIFEST-%06llu", dir_.c_str(),
                    static_cast<unsigned long long>(number));
@@ -205,11 +194,7 @@ void VersionSet::Apply(const VersionEdit& edit) {
 }
 
 Status VersionSet::Recover() {
-  if (!fs_->Exists(CurrentName())) {
-    // Fresh store.
-    manifest_number_ = next_file_number_++;
-    return WriteSnapshot();
-  }
+  if (!fs_->Exists(CurrentName())) return WriteSnapshot("");  // Fresh store.
   // Read CURRENT.
   PTSB_ASSIGN_OR_RETURN(fs::File * current, fs_->Open(CurrentName()));
   std::string manifest_name(current->size(), '\0');
@@ -220,30 +205,19 @@ Status VersionSet::Recover() {
   if (manifest_name.empty()) return Status::Corruption("empty CURRENT");
 
   PTSB_ASSIGN_OR_RETURN(fs::File * manifest, fs_->Open(manifest_name));
-  std::string data(manifest->size(), '\0');
-  PTSB_ASSIGN_OR_RETURN(const uint64_t mgot,
-                        manifest->ReadAt(0, data.size(), data.data()));
-  std::string_view in(data.data(), mgot);
-  while (!in.empty()) {
-    uint32_t crc, len;
-    if (!GetFixed32(&in, &crc) || !GetVarint32(&in, &len) ||
-        in.size() < len) {
-      break;  // torn tail
-    }
-    const std::string_view payload = in.substr(0, len);
-    in.remove_prefix(len);
-    if (UnmaskCrc(crc) != Crc32c(payload)) break;
-    PTSB_ASSIGN_OR_RETURN(VersionEdit edit, VersionEdit::Decode(payload));
-    Apply(edit);
-  }
-  // Parse the manifest number back out of its name for rotation.
-  const size_t dash = manifest_name.rfind('-');
-  manifest_number_ = std::stoull(manifest_name.substr(dash + 1));
-  manifest_file_ = manifest;
-  return Status::OK();
+  PTSB_RETURN_IF_ERROR(kv::ReplayLog(
+      manifest, [&](uint64_t, std::string_view payload) -> Status {
+        PTSB_ASSIGN_OR_RETURN(VersionEdit edit, VersionEdit::Decode(payload));
+        Apply(edit);
+        return Status::OK();
+      }));
+  // Never append to the manifest just replayed (a torn tail must stay its
+  // last record): carry on in a fresh snapshot manifest.
+  return WriteSnapshot(manifest_name);
 }
 
-Status VersionSet::WriteSnapshot() {
+Status VersionSet::WriteSnapshot(const std::string& obsolete) {
+  const uint64_t number = next_file_number_++;
   // Full state as one edit, into a fresh manifest.
   VersionEdit snapshot;
   snapshot.next_file_number = next_file_number_;
@@ -255,18 +229,12 @@ Status VersionSet::WriteSnapshot() {
       snapshot.added.emplace_back(level, f);
     }
   }
-  const uint64_t new_number = manifest_number_;
-  const std::string name = ManifestName(new_number);
+  const std::string name = ManifestName(number);
   if (fs_->Exists(name)) PTSB_RETURN_IF_ERROR(fs_->Delete(name));
   PTSB_ASSIGN_OR_RETURN(fs::File * file, fs_->Create(name));
-
-  const std::string payload = snapshot.Encode();
-  std::string record;
-  PutFixed32(&record, MaskCrc(Crc32c(payload)));
-  PutVarint32(&record, static_cast<uint32_t>(payload.size()));
-  record.append(payload);
-  PTSB_RETURN_IF_ERROR(file->Append(record));
-  PTSB_RETURN_IF_ERROR(file->Sync());
+  auto writer = std::make_unique<kv::LogWriter>(file, /*sync_every_bytes=*/1,
+                                                /*buffer_bytes=*/0);
+  PTSB_RETURN_IF_ERROR(writer->Add(snapshot.Encode()).status());
 
   // Point CURRENT at it.
   const std::string tmp = CurrentName() + ".tmp";
@@ -276,8 +244,10 @@ Status VersionSet::WriteSnapshot() {
   PTSB_RETURN_IF_ERROR(cur->Sync());
   PTSB_RETURN_IF_ERROR(fs_->Rename(tmp, CurrentName()));
 
-  manifest_file_ = file;
+  manifest_number_ = number;
+  manifest_ = std::move(writer);
   manifest_edits_ = 0;
+  if (!obsolete.empty()) PTSB_RETURN_IF_ERROR(fs_->Delete(obsolete));
   return Status::OK();
 }
 
@@ -285,28 +255,15 @@ Status VersionSet::LogAndApply(const VersionEdit& edit) {
   Apply(edit);
   // Rotate the manifest periodically so it does not grow unboundedly.
   constexpr uint64_t kEditsPerManifest = 512;
-  if (manifest_file_ == nullptr || manifest_edits_ >= kEditsPerManifest) {
-    const uint64_t old_number = manifest_number_;
-    const bool had_manifest = manifest_file_ != nullptr;
-    manifest_number_ = next_file_number_++;
-    PTSB_RETURN_IF_ERROR(WriteSnapshot());
-    if (had_manifest) {
-      PTSB_RETURN_IF_ERROR(fs_->Delete(ManifestName(old_number)));
-    }
-    return Status::OK();
+  if (manifest_edits_ >= kEditsPerManifest) {
+    return WriteSnapshot(ManifestName(manifest_number_));
   }
   // Stamp the counters so that a crash right after this record replays to
   // a state that never reuses a file number or a sequence number.
   VersionEdit stamped = edit;
   stamped.next_file_number = next_file_number_;
   stamped.last_sequence = last_sequence_;
-  const std::string payload = stamped.Encode();
-  std::string record;
-  PutFixed32(&record, MaskCrc(Crc32c(payload)));
-  PutVarint32(&record, static_cast<uint32_t>(payload.size()));
-  record.append(payload);
-  PTSB_RETURN_IF_ERROR(manifest_file_->Append(record));
-  PTSB_RETURN_IF_ERROR(manifest_file_->Sync());
+  PTSB_RETURN_IF_ERROR(manifest_->Add(stamped.Encode()).status());
   manifest_edits_++;
   return Status::OK();
 }

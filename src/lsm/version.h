@@ -1,6 +1,8 @@
 // LSM tree metadata: the set of live SST files per level, persisted through
-// an append-only MANIFEST (with snapshot rotation) and a CURRENT pointer
-// file, as in LevelDB/RocksDB.
+// an append-only MANIFEST (a kv::LogWriter log of VersionEdit payloads,
+// one sync per record, with snapshot rotation) and a CURRENT pointer file,
+// as in LevelDB/RocksDB. Recovery continues in a fresh snapshot manifest,
+// never in the one it replayed.
 //
 // Level invariants:
 //   L0: files may overlap; ordered newest-first (descending file number).
@@ -9,11 +11,13 @@
 #define PTSB_LSM_VERSION_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "fs/filesystem.h"
+#include "kv/log.h"
 #include "lsm/format.h"
 #include "util/status.h"
 
@@ -47,7 +51,8 @@ class VersionSet {
  public:
   VersionSet(fs::SimpleFs* fs, std::string dir, int max_levels);
 
-  // Loads state from CURRENT/MANIFEST, or initializes a fresh store.
+  // Loads state from CURRENT/MANIFEST, or initializes a fresh store; either
+  // way, continues in a freshly written snapshot manifest.
   Status Recover();
 
   // Applies the edit and persists it to the manifest (rotating if large).
@@ -84,14 +89,13 @@ class VersionSet {
   std::vector<FileMeta> Overlapping(int level, std::string_view smallest,
                                     std::string_view largest) const;
 
-  static std::string SstFileName(const std::string& dir, uint64_t number);
-  static std::string WalFileName(const std::string& dir, uint64_t number);
-
   // Invariant checks for tests: L1+ sorted and disjoint, L0 newest-first.
   Status CheckInvariants() const;
 
  private:
-  Status WriteSnapshot();
+  // Writes the full state as one edit into a fresh manifest, points
+  // CURRENT at it, then deletes `obsolete` (the previous manifest), if any.
+  Status WriteSnapshot(const std::string& obsolete);
   void Apply(const VersionEdit& edit);
   std::string ManifestName(uint64_t number) const;
   std::string CurrentName() const;
@@ -104,7 +108,7 @@ class VersionSet {
   SequenceNumber last_sequence_ = 0;
   uint64_t log_number_ = 0;
   uint64_t manifest_number_ = 0;
-  fs::File* manifest_file_ = nullptr;
+  std::unique_ptr<kv::LogWriter> manifest_;
   uint64_t manifest_edits_ = 0;
 };
 

@@ -1,69 +1,37 @@
-// Write-ahead log. One record per write *batch* (group commit):
-//   fixed32 masked-crc(payload) | varint32 len | payload
-//   payload: (fixed64 tag | varint32 klen | key | varint32 vlen | value)+
-// A single-op Put/Delete is a one-entry batch, so the legacy one-entry
-// records parse identically. Record framing (crc + length) is paid once
-// per batch — the WAL byte overhead amortizes across batched entries.
-// Replay stops cleanly at the first truncated or corrupt record, which is
-// exactly what a post-crash tail looks like.
+// Write-ahead log payload codec. The WAL is a kv::LogWriter log with one
+// record per write *batch* (group commit); this file owns only the
+// payload:
+//   (fixed64 tag | varint32 klen | key | varint32 vlen | value)+
+// where tag packs the entry's sequence number and EntryType. A kDeleteRange
+// entry carries (begin, exclusive end) in (key, value).
 #ifndef PTSB_LSM_WAL_H_
 #define PTSB_LSM_WAL_H_
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "fs/file.h"
 #include "kv/write_batch.h"
 #include "lsm/format.h"
 #include "util/status.h"
 
 namespace ptsb::lsm {
 
-class WalWriter {
- public:
-  // Does not take ownership. sync_every_bytes == 0 -> never explicit sync
-  // (full filesystem pages still reach the device as they fill).
-  // Records are staged in a `buffer_bytes` memory buffer before hitting
-  // the filesystem (RocksDB's log writer buffering), so the device sees
-  // few large WAL writes. Buffered-but-unflushed records are lost on
-  // crash, exactly like the default (unsynced) RocksDB WAL.
-  WalWriter(fs::File* file, uint64_t sync_every_bytes,
-            uint64_t buffer_bytes = 64 << 10);
+// Encodes the whole batch as one payload; entry i gets sequence
+// first_seq + i.
+std::string EncodeWalBatch(const kv::WriteBatch& batch,
+                           SequenceNumber first_seq);
 
-  Status Add(std::string_view key, SequenceNumber seq, EntryType type,
-             std::string_view value);
-
-  // Appends the whole batch as ONE record; entry i gets sequence
-  // first_seq + i. This is the group-commit path.
-  Status AddBatch(const kv::WriteBatch& batch, SequenceNumber first_seq);
-
-  Status Sync();
-
-  uint64_t bytes_written() const { return bytes_written_; }
-
- private:
-  // Frames `payload` (crc + length), stages it, handles buffer flush and
-  // periodic sync. Updates bytes_written_ with the exact record size.
-  Status EmitRecord(std::string_view payload);
-  Status FlushBuffer();
-
-  fs::File* file_;
-  uint64_t sync_every_bytes_;
-  uint64_t buffer_bytes_;
-  std::string buffer_;
-  uint64_t bytes_written_ = 0;
-  uint64_t unsynced_ = 0;
+struct WalEntry {
+  std::string_view key;
+  SequenceNumber seq;
+  EntryType type;
+  std::string_view value;
 };
 
-// Replays a WAL file; invokes fn for every intact record in order. Returns
-// OK even if the tail is truncated/corrupt (that is the normal crash case);
-// returns Corruption only for structurally impossible states.
-Status ReplayWal(fs::File* file,
-                 const std::function<void(std::string_view key,
-                                          SequenceNumber seq, EntryType type,
-                                          std::string_view value)>& fn);
+// Parses a whole payload; Corruption if any entry is malformed.
+Status DecodeWalBatch(std::string_view payload,
+                      std::vector<WalEntry>* entries);
 
 }  // namespace ptsb::lsm
 

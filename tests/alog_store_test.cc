@@ -4,6 +4,7 @@
 // space bounds, and tombstone handling across collections.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -377,6 +378,64 @@ TEST_F(AlogStoreTest, SegmentCountStaysBoundedAcrossReopens) {
     prev_count = count;
     ASSERT_TRUE(store->Close().ok());
   }
+}
+
+// Fails every device write while armed (a dying drive).
+class FailAllWrites : public fs::FaultPolicy {
+ public:
+  Status BeforeDeviceWrite(const std::string&) override {
+    return Status::IoError("injected device-write fault");
+  }
+};
+
+// A GC-collected segment a snapshot still pins lingers as a zombie. If
+// its deletion fails when the last pin drops, the file stays on disk
+// until the next open, but no snapshot pins it any more: the pinned-bytes
+// gauge returns to zero, and the store closes and is destroyed normally
+// (Debug builds check the gauge on destruction).
+TEST_F(AlogStoreTest, FailedZombieDeleteStillReleasesThePin) {
+  auto options = TinyOptions();
+  options.gc_trigger = 0.3;
+  auto store = *AlogStore::Open(&fs_, options);
+  const std::string value(200, 'v');
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(store->Put("k" + std::to_string(i % 40), value).ok());
+  }
+  auto snap = *store->GetSnapshot();
+  for (int i = 0; i < 2000 && store->GetStats().snapshot_pinned_bytes == 0;
+       i++) {
+    ASSERT_TRUE(
+        store->Put("k" + std::to_string(i % 40), value + std::to_string(i))
+            .ok());
+  }
+  ASSERT_GT(store->GetStats().snapshot_pinned_bytes, 0u)
+      << "GC never collected a snapshot-pinned segment";
+
+  FailAllWrites dying;
+  fs_.SetFaultPolicy(&dying);
+  snap.reset();  // the zombie's deletion fails
+  fs_.SetFaultPolicy(nullptr);
+  EXPECT_EQ(store->GetStats().snapshots_open, 0u);
+  EXPECT_EQ(store->GetStats().snapshot_pinned_bytes, 0u);
+
+  std::map<std::string, std::string> expected;
+  auto it = store->NewIterator();
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    expected[std::string(it->key())] = std::string(it->value());
+  }
+  ASSERT_TRUE(it->status().ok());
+  it.reset();
+  ASSERT_TRUE(store->Close().ok());
+  store.reset();
+
+  auto reopened = *AlogStore::Open(&fs_, options);
+  for (const auto& [key, want] : expected) {
+    std::string got;
+    ASSERT_TRUE(reopened->Get(key, &got).ok()) << key;
+    EXPECT_EQ(got, want) << key;
+  }
+  EXPECT_EQ(reopened->LiveKeys(), expected.size());
+  ASSERT_TRUE(reopened->Close().ok());
 }
 
 TEST(AlogSpacePressureTest, GcRunsBeforeTheDeviceFillsEvenWithLazyTrigger) {

@@ -18,8 +18,16 @@
 //    per-key prefix consistency: every key independently reads from state
 //    K or state K+1, never from an older state and never a value no
 //    prefix ever held.
+//
+// Then, at every crash point, the recovered store must keep what it
+// acknowledges later: a synced batch survives a second crash, and after
+// a Flush another one survives a third. No engine may append to a log it
+// has just replayed (the WAL, the MANIFEST, the journal, a segment, the
+// cached .wlog): a torn tail buried mid-log would drop every later
+// record at the next replay.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -30,10 +38,12 @@
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/kvstore.h"
+#include "kv/log.h"
 #include "kv/registry.h"
 #include "kv/write_batch.h"
 #include "sim/clock.h"
 #include "ssd/ssd_device.h"
+#include "util/encoding.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -121,8 +131,10 @@ std::vector<EngineConfig> Configs() {
 }
 
 // The deterministic workload: ~24 batches of puts/deletes with a range
-// delete every few batches. Built once; the same sequence drives the
-// count pass, every crash pass, and the reference models.
+// delete every few batches, ~15 KB of values. Built once; the same
+// sequence drives the count pass, every crash pass, and the reference
+// models. The values are large enough that every engine's log crosses
+// filesystem pages, so some crash points tear a record mid-log.
 std::vector<kv::WriteBatch> BuildWorkload() {
   std::vector<kv::WriteBatch> batches;
   Rng rng(0xfa0170);
@@ -132,7 +144,7 @@ std::vector<kv::WriteBatch> BuildWorkload() {
     for (size_t j = 0; j < n; j++) {
       const uint64_t id = rng.Uniform(60);
       if (rng.Bernoulli(0.8)) {
-        batch.Put(kv::MakeKey(id), kv::MakeValue(id + b * 911, 48));
+        batch.Put(kv::MakeKey(id), kv::MakeValue(id + b * 911, 128));
       } else {
         batch.Delete(kv::MakeKey(id));
       }
@@ -229,17 +241,25 @@ size_t RunWorkload(kv::KVStore* store,
   return ok_batches;
 }
 
-// Whole-batch engines: the recovered state IS one of the two candidate
-// prefixes.
-void ExpectWholeBatchConsistent(const std::string& label, uint64_t fail_at,
-                                kv::KVStore* store, const Model& at_k,
-                                const Model& at_k1) {
+// The store's whole contents, by a full scan.
+Model ReadAll(const std::string& label, uint64_t fail_at,
+              kv::KVStore* store) {
   Model got;
   auto it = store->NewIterator();
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     got[std::string(it->key())] = std::string(it->value());
   }
-  ASSERT_TRUE(it->status().ok()) << label << " N=" << fail_at;
+  EXPECT_TRUE(it->status().ok())
+      << label << " N=" << fail_at << ": " << it->status().ToString();
+  return got;
+}
+
+// Whole-batch engines: the recovered state IS one of the two candidate
+// prefixes.
+void ExpectWholeBatchConsistent(const std::string& label, uint64_t fail_at,
+                                kv::KVStore* store, const Model& at_k,
+                                const Model& at_k1) {
+  const Model got = ReadAll(label, fail_at, store);
   std::string diff;
   for (const auto& [key, value] : at_k) {
     auto it2 = got.find(key);
@@ -296,55 +316,247 @@ void ExpectPerKeyConsistent(const std::string& label, uint64_t fail_at,
   ASSERT_TRUE(it->status().ok()) << label << " N=" << fail_at;
 }
 
+// After a recovery, synced and acknowledged writes must survive further
+// crashes: one batch, a crash; then a Flush (an LSM flush rotates the WAL
+// and logs a manifest edit, a B+Tree flush checkpoints and rotates the
+// journal), another batch, another crash. This catches a recovery that
+// appends to a log it just replayed: the first crash's torn tail would
+// end up mid-log, and the next replay would stop there and drop every
+// later record.
+void ExpectLaterWritesSurviveCrashes(const EngineConfig& config,
+                                     uint64_t fail_at, Harness* h) {
+  Model model = ReadAll(config.label, fail_at, h->store.get());
+  const auto commit_crash_and_check = [&](const kv::WriteBatch& batch,
+                                          const char* phase) {
+    const Status written = h->store->Write(batch);
+    ASSERT_TRUE(written.ok()) << config.label << " N=" << fail_at << " "
+                              << phase << ": " << written.ToString();
+    ApplyToModel(&model, batch);
+    h->fs.SimulateCrash();
+    h->store.release();  // NOLINT: intentional leak of a crashed store
+    OpenStore(config, h);
+    ASSERT_NE(h->store, nullptr) << config.label << " N=" << fail_at;
+    const Model got = ReadAll(config.label, fail_at, h->store.get());
+    EXPECT_TRUE(got == model)
+        << config.label << " crash at device write " << fail_at << ", "
+        << phase << ": an acknowledged synced write was lost (" << got.size()
+        << " keys, expected " << model.size() << ")";
+  };
+  kv::WriteBatch first;
+  for (uint64_t id = 0; id < 4; id++) {
+    first.Put(kv::MakeKey(id), kv::MakeValue(id + 7777, 48));
+  }
+  first.Delete(kv::MakeKey(20));
+  commit_crash_and_check(first, "batch then crash");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const Status flushed = h->store->Flush();
+  ASSERT_TRUE(flushed.ok()) << config.label << " N=" << fail_at << ": "
+                            << flushed.ToString();
+  kv::WriteBatch second;
+  for (uint64_t id = 30; id < 34; id++) {
+    second.Put(kv::MakeKey(id), kv::MakeValue(id + 8888, 48));
+  }
+  second.DeleteRange(kv::MakeKey(40), kv::MakeKey(44));
+  commit_crash_and_check(second, "flush, batch, then crash");
+}
+
+// Crashes `config` at every device write of `batches`, then checks the
+// recovered state and that later synced writes survive further crashes.
+void RunCrashBattery(const EngineConfig& config,
+                     const std::vector<kv::WriteBatch>& batches) {
+  const std::vector<Model> prefixes = PrefixModels(batches);
+  // Pass 0: count the device writes the full workload issues.
+  CountingFaultPolicy policy;
+  uint64_t total_writes = 0;
+  {
+    auto h = OpenStore(config);
+    ASSERT_NE(h->store, nullptr) << config.label;
+    h->fs.SetFaultPolicy(&policy);
+    policy.Arm(0);
+    ASSERT_EQ(RunWorkload(h->store.get(), batches), batches.size())
+        << config.label << ": workload must succeed without faults";
+    h->fs.SetFaultPolicy(nullptr);
+    total_writes = policy.count();
+    ASSERT_TRUE(h->store->Close().ok()) << config.label;
+  }
+  ASSERT_GT(total_writes, batches.size())
+      << config.label << ": sync-per-record must write per batch";
+
+  // Crash at every Nth device write.
+  for (uint64_t n = 1; n <= total_writes; n++) {
+    auto h = OpenStore(config);
+    ASSERT_NE(h->store, nullptr) << config.label;
+    h->fs.SetFaultPolicy(&policy);
+    policy.Arm(n);
+    const size_t k = RunWorkload(h->store.get(), batches);
+    // Crash: drop unsynced state, leak the store so destructors cannot
+    // write post-crash, clear the injection for recovery.
+    h->fs.SimulateCrash();
+    h->store.release();  // NOLINT: intentional leak of a crashed store
+    h->fs.SetFaultPolicy(nullptr);
+    OpenStore(config, h.get());
+    ASSERT_NE(h->store, nullptr) << config.label << " N=" << n;
+    const Model& at_k = prefixes[k];
+    const Model& at_k1 = prefixes[std::min(k + 1, batches.size())];
+    if (config.per_key_consistency) {
+      ExpectPerKeyConsistent(config.label, n, h->store.get(), at_k, at_k1);
+    } else {
+      ExpectWholeBatchConsistent(config.label, n, h->store.get(), at_k,
+                                 at_k1);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    ExpectLaterWritesSurviveCrashes(config, n, h.get());
+    if (::testing::Test::HasFatalFailure()) return;
+    const Status closed = h->store->Close();
+    ASSERT_TRUE(closed.ok())
+        << config.label << " N=" << n << ": " << closed.ToString();
+  }
+}
+
 TEST(FaultInjectionBattery, EveryCrashPointRecoversAPrefix) {
   const std::vector<kv::WriteBatch> batches = BuildWorkload();
-  const std::vector<Model> prefixes = PrefixModels(batches);
-
   for (const EngineConfig& config : Configs()) {
-    // Pass 0: count the device writes the full workload issues.
-    CountingFaultPolicy policy;
-    uint64_t total_writes = 0;
-    {
-      auto h = OpenStore(config);
-      ASSERT_NE(h->store, nullptr) << config.label;
-      h->fs.SetFaultPolicy(&policy);
-      policy.Arm(0);
-      ASSERT_EQ(RunWorkload(h->store.get(), batches), batches.size())
-          << config.label << ": workload must succeed without faults";
-      h->fs.SetFaultPolicy(nullptr);
-      total_writes = policy.count();
-      ASSERT_TRUE(h->store->Close().ok()) << config.label;
-    }
-    ASSERT_GT(total_writes, batches.size())
-        << config.label << ": sync-per-record must write per batch";
+    RunCrashBattery(config, batches);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
 
-    // Crash at every Nth device write.
-    for (uint64_t n = 1; n <= total_writes; n++) {
-      auto h = OpenStore(config);
-      ASSERT_NE(h->store, nullptr) << config.label;
-      h->fs.SetFaultPolicy(&policy);
-      policy.Arm(n);
-      const size_t k = RunWorkload(h->store.get(), batches);
-      // Crash: drop unsynced state, leak the store so destructors cannot
-      // write post-crash, clear the injection for recovery.
-      h->fs.SimulateCrash();
-      h->store.release();  // NOLINT: intentional leak of a crashed store
-      h->fs.SetFaultPolicy(nullptr);
-      OpenStore(config, h.get());
-      ASSERT_NE(h->store, nullptr) << config.label << " N=" << n;
-      const Model& at_k = prefixes[k];
-      const Model& at_k1 = prefixes[std::min(k + 1, batches.size())];
-      if (config.per_key_consistency) {
-        ExpectPerKeyConsistent(config.label, n, h->store.get(), at_k, at_k1);
-      } else {
-        ExpectWholeBatchConsistent(config.label, n, h->store.get(), at_k,
-                                   at_k1);
-      }
-      const Status closed = h->store->Close();
-      ASSERT_TRUE(closed.ok())
-          << config.label << " N=" << n << ": " << closed.ToString();
-      if (::testing::Test::HasFatalFailure()) return;
+// The lsm battery with 60 range deletes up front. Every flush's manifest
+// edit carries the full tombstone list, so edits are a few KiB, span
+// filesystem pages, and a crash can tear one mid-record: recovery must
+// then continue in a fresh manifest, or the next flush's edit lands
+// behind the torn record and is lost at the next replay (and with it the
+// flushed SST, swept as unreferenced).
+TEST(FaultInjectionBattery, LargeManifestEditsSurviveATornManifestTail) {
+  EngineConfig config = Configs()[0];  // lsm
+  ASSERT_EQ(config.engine, "lsm");
+  config.label = "lsm+range-deletes";
+  std::vector<kv::WriteBatch> batches;
+  for (uint64_t b = 0; b < 6; b++) {
+    kv::WriteBatch batch;
+    for (uint64_t j = 0; j < 10; j++) {
+      const uint64_t lo = 1000 + 2 * (b * 10 + j);  // beyond the put keys
+      batch.DeleteRange(kv::MakeKey(lo), kv::MakeKey(lo + 1));
     }
+    batches.push_back(std::move(batch));
+  }
+  for (kv::WriteBatch& batch : BuildWorkload()) {
+    batches.push_back(std::move(batch));
+  }
+  RunCrashBattery(config, batches);
+}
+
+// The payload offsets of the framed records in a log image
+// (fixed32 crc | varint32 len | payload).
+std::vector<uint64_t> PayloadOffsets(std::string_view log) {
+  std::vector<uint64_t> offsets;
+  std::string_view in = log;
+  uint32_t crc, len;
+  while (GetFixed32(&in, &crc) && GetVarint32(&in, &len) && in.size() >= len) {
+    offsets.push_back(log.size() - in.size());
+    in.remove_prefix(len);
+  }
+  return offsets;
+}
+
+std::string ReadWholeFile(fs::SimpleFs* fs, const std::string& name) {
+  auto file = fs->Open(name);
+  if (!file.ok()) return "";
+  std::string data((*file)->size(), '\0');
+  auto got = (*file)->ReadAt(0, data.size(), data.data());
+  data.resize(got.ok() ? *got : 0);
+  return data;
+}
+
+// Replaces `name` with a synced file holding `contents`.
+Status RewriteFile(fs::SimpleFs* fs, const std::string& name,
+                   std::string_view contents) {
+  PTSB_RETURN_IF_ERROR(fs->Delete(name));
+  PTSB_ASSIGN_OR_RETURN(fs::File * file, fs->Create(name));
+  PTSB_RETURN_IF_ERROR(file->Append(contents));
+  return file->Sync();
+}
+
+// A damaged record with an intact record after it is not a torn tail:
+// Open must fail with Corruption, on every attempt, and leave the log as
+// it was. A failed open that checkpointed, flushed or rotated its partly
+// replayed state would drop every record after the damage; repairing the
+// byte must bring all of them back.
+TEST(FaultInjectionBattery, MidLogDamageFailsEveryOpenAndKeepsTheLog) {
+  const auto newest = [](std::string dir, std::string ext) {
+    return [=](fs::SimpleFs* fs) {
+      const auto files = kv::ListNumberedFiles(*fs, dir, ext);
+      return files.empty() ? std::string() : files.back().second;
+    };
+  };
+  struct Case {
+    std::string label;  // an EngineConfig label
+    std::string log;    // which of its logs gets damaged
+    bool flush_after_each_batch;
+    std::function<std::string(fs::SimpleFs*)> log_name;
+  };
+  const std::vector<Case> cases = {
+      {"lsm", "WAL", false, newest("lsm", ".log")},
+      {"lsm", "MANIFEST", true,
+       [](fs::SimpleFs* fs) { return ReadWholeFile(fs, "lsm/CURRENT"); }},
+      {"btree", "journal", false,
+       [](fs::SimpleFs*) { return std::string("btree/tree.db.journal"); }},
+      {"alog", "segment", false, newest("alog", ".seg")},
+      {"cached/lsm", ".wlog", false, newest("cached", ".wlog")},
+  };
+  const std::vector<EngineConfig> configs = Configs();
+  for (const Case& c : cases) {
+    const std::string label = c.label + " " + c.log;
+    const EngineConfig* config = nullptr;
+    for (const EngineConfig& e : configs) {
+      if (e.label == c.label) config = &e;
+    }
+    ASSERT_NE(config, nullptr) << label;
+    auto h = OpenStore(*config);
+    ASSERT_NE(h->store, nullptr) << label;
+    Model model;
+    for (uint64_t b = 0; b < 5; b++) {
+      kv::WriteBatch batch;
+      batch.Put(kv::MakeKey(b), kv::MakeValue(b, 32));
+      batch.Put(kv::MakeKey(b + 10), kv::MakeValue(b + 10, 32));
+      ASSERT_TRUE(h->store->Write(batch).ok()) << label;
+      ApplyToModel(&model, batch);
+      if (c.flush_after_each_batch) {
+        ASSERT_TRUE(h->store->Flush().ok()) << label;
+      }
+    }
+    h->fs.SimulateCrash();
+    h->store.release();  // NOLINT: intentional leak of a crashed store
+
+    const std::string name = c.log_name(&h->fs);
+    ASSERT_FALSE(name.empty()) << label;
+    std::string log = ReadWholeFile(&h->fs, name);
+    const std::vector<uint64_t> offsets = PayloadOffsets(log);
+    ASSERT_GE(offsets.size(), 3u) << label << ": " << name;
+    const std::string original = log;
+    log[offsets[1]] ^= 0x5a;  // the second record's first payload byte
+    ASSERT_TRUE(RewriteFile(&h->fs, name, log).ok()) << label;
+
+    kv::EngineOptions options;
+    options.engine = config->engine;
+    options.fs = &h->fs;
+    options.params = config->params;
+    for (int attempt = 1; attempt <= 2; attempt++) {
+      auto opened = kv::OpenStore(options);
+      EXPECT_TRUE(opened.status().IsCorruption())
+          << label << " open #" << attempt << ": "
+          << opened.status().ToString();
+      EXPECT_TRUE(ReadWholeFile(&h->fs, name) == log)
+          << label << " open #" << attempt << " changed the damaged log";
+    }
+
+    ASSERT_TRUE(RewriteFile(&h->fs, name, original).ok()) << label;
+    OpenStore(*config, h.get());
+    ASSERT_NE(h->store, nullptr) << label;
+    EXPECT_TRUE(ReadAll(label, 0, h->store.get()) == model)
+        << label << ": the repaired log lost acknowledged writes";
+    ASSERT_TRUE(h->store->Close().ok()) << label;
   }
 }
 
@@ -392,7 +604,7 @@ TEST(FaultInjectionBattery, CrashUnderQosScheduledBackgroundIo) {
   EngineConfig config = Configs()[0];  // lsm
   ASSERT_EQ(config.engine, "lsm");
   config.label = "lsm+qos";
-  // Structural sizes small enough that the ~7 KB workload flushes and
+  // Structural sizes small enough that the ~15 KB workload flushes and
   // compacts repeatedly — otherwise no background-class I/O exists to
   // schedule.
   config.params["memtable_bytes"] = "1024";
@@ -474,7 +686,7 @@ TEST(FaultInjectionBattery, CrashMidSubcompactionSweepsPartialOutputs) {
   EngineConfig config = Configs()[0];  // lsm
   ASSERT_EQ(config.engine, "lsm");
   config.label = "lsm+subcompaction";
-  // Small enough that the ~7 KB workload compacts repeatedly, with every
+  // Small enough that the ~15 KB workload compacts repeatedly, with every
   // pick partitioned four ways across background lanes.
   config.params["memtable_bytes"] = "1024";
   config.params["l1_target_bytes"] = "4096";

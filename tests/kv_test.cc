@@ -1,11 +1,14 @@
 // Tests for the kv layer: key/value codecs, the WriteBatch container, the
-// KvStoreStats field table and workload generation.
+// KvStoreStats field table, workload generation and the log-record module.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "block/memory_device.h"
+#include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/kvstore.h"
+#include "kv/log.h"
 #include "kv/workload.h"
 #include "kv/write_batch.h"
 
@@ -37,6 +40,70 @@ TEST(WriteBatchTest, ByteSizeCountsKeysAndValues) {
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.Count(), 0u);
   EXPECT_EQ(batch.ByteSize(), 0u);
+}
+
+TEST(LogTest, BatchRecordsRoundTripWithOffsetsAndLayout) {
+  block::MemoryBlockDevice dev(4096, 256);
+  fs::SimpleFs fs(&dev, {});
+  fs::File* file = *fs.Create("log");
+  LogWriter writer(file, /*sync_every_bytes=*/0, /*buffer_bytes=*/0);
+  WriteBatch first;
+  first.Put("a", "one");
+  first.DeleteRange("b", "c");
+  WriteBatch second;
+  second.Delete("d");
+  second.Put("e", std::string(200, 'x'));
+  std::vector<std::vector<EntryLayout>> layouts(2);
+  std::vector<uint64_t> offsets;
+  for (const WriteBatch* b : {&first, &second}) {
+    const std::string payload = EncodeBatch(*b, &layouts[offsets.size()]);
+    offsets.push_back(*writer.Add(payload));
+  }
+  ASSERT_TRUE(writer.Sync().ok());
+  EXPECT_EQ(writer.bytes_written(), file->size());
+
+  size_t record = 0;
+  std::vector<DecodedEntry> entries;
+  ASSERT_TRUE(ReplayLog(file, [&](uint64_t offset,
+                                  std::string_view payload) -> Status {
+                const WriteBatch& batch = record == 0 ? first : second;
+                EXPECT_EQ(offset, offsets[record]);
+                PTSB_RETURN_IF_ERROR(DecodeBatch(payload, &entries));
+                EXPECT_EQ(entries.size(), batch.Count());
+                uint32_t entry_bytes = 0;
+                for (size_t i = 0; i < entries.size(); i++) {
+                  const EntryLayout& l = layouts[record][i];
+                  EXPECT_EQ(entries[i].kind, batch.entries()[i].kind);
+                  EXPECT_EQ(entries[i].key, batch.entries()[i].key);
+                  EXPECT_EQ(entries[i].value, batch.entries()[i].value);
+                  EXPECT_EQ(entries[i].value.data() - payload.data(),
+                            static_cast<ptrdiff_t>(l.value_offset));
+                  EXPECT_EQ(entries[i].entry_bytes, l.entry_bytes);
+                  entry_bytes += l.entry_bytes;
+                }
+                EXPECT_EQ(entry_bytes, payload.size());
+                record++;
+                return Status::OK();
+              }).ok());
+  EXPECT_EQ(record, 2u);
+}
+
+TEST(LogTest, ListNumberedFilesSortsNumericallyAndSkipsForeignNames) {
+  block::MemoryBlockDevice dev(4096, 256);
+  fs::SimpleFs fs(&dev, {});
+  for (const char* name :
+       {"d/1000000.seg", "d/000002.seg", "d/999999.seg", "d/notes.seg",
+        "d/12a.seg", "d/.seg", "d/sub/000001.seg", "d/000003.log",
+        "d/99999999999999999999.seg", "dd/000004.seg"}) {
+    ASSERT_TRUE(fs.Create(name).ok()) << name;
+  }
+  const auto files = ListNumberedFiles(fs, "d", ".seg");
+  ASSERT_EQ(files.size(), 3u);
+  EXPECT_EQ(files[0], std::make_pair(uint64_t{2}, std::string("d/000002.seg")));
+  EXPECT_EQ(files[1].first, 999999u);
+  EXPECT_EQ(files[2].first, 1000000u);
+  EXPECT_EQ(NumberedFileName("d", 2, ".seg"), "d/000002.seg");
+  EXPECT_EQ(NumberedFileName("d", 1000000, ".seg"), "d/1000000.seg");
 }
 
 TEST(KvStoreStatsTest, FieldTableDrivesSumEqualityAndFold) {

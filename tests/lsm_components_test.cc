@@ -2,12 +2,15 @@
 // builder/reader/iterator, WAL framing and replay, version set/manifest.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <string>
 
 #include "block/memory_device.h"
 #include "fs/file.h"
 #include "fs/filesystem.h"
+#include "kv/log.h"
+#include "kv/write_batch.h"
 #include "lsm/bloom.h"
 #include "lsm/compaction.h"
 #include "lsm/memtable.h"
@@ -304,91 +307,168 @@ TEST_F(SstTest, OpenRejectsGarbage) {
 class WalTest : public ::testing::Test {
  protected:
   WalTest() : dev_(4096, 2048), fs_(&dev_, {}) {}
+
+  // Appends a one-entry WAL record.
+  static Status AddOne(kv::LogWriter* writer, kv::WriteBatch::EntryKind kind,
+                       const std::string& key, SequenceNumber seq,
+                       const std::string& value) {
+    kv::WriteBatch batch;
+    batch.SetSingle(kind, key, value);
+    return writer->Add(EncodeWalBatch(batch, seq)).status();
+  }
+
+  struct Replayed {
+    std::string key;
+    SequenceNumber seq;
+    EntryType type;
+    std::string value;
+  };
+
+  // Replays `file` as a WAL, appending every entry to *got.
+  static Status Replay(fs::File* file, std::vector<Replayed>* got) {
+    std::vector<WalEntry> entries;
+    return kv::ReplayLog(
+        file, [&](uint64_t, std::string_view payload) -> Status {
+          PTSB_RETURN_IF_ERROR(DecodeWalBatch(payload, &entries));
+          for (const WalEntry& e : entries) {
+            got->push_back({std::string(e.key), e.seq, e.type,
+                            std::string(e.value)});
+          }
+          return Status::OK();
+        });
+  }
+
+  static int CountReplayed(fs::File* file) {
+    std::vector<Replayed> got;
+    EXPECT_TRUE(Replay(file, &got).ok());
+    return static_cast<int>(got.size());
+  }
+
   block::MemoryBlockDevice dev_;
   fs::SimpleFs fs_;
 };
 
 TEST_F(WalTest, WriteAndReplay) {
   fs::File* file = *fs_.Create("wal");
-  WalWriter writer(file, 0);
-  ASSERT_TRUE(writer.Add("a", 1, EntryType::kPut, "va").ok());
-  ASSERT_TRUE(writer.Add("b", 2, EntryType::kDelete, "").ok());
+  kv::LogWriter writer(file, 0, 64 << 10);
+  ASSERT_TRUE(AddOne(&writer, kv::WriteBatch::EntryKind::kPut, "a", 1, "va")
+                  .ok());
+  ASSERT_TRUE(AddOne(&writer, kv::WriteBatch::EntryKind::kDelete, "b", 2, "")
+                  .ok());
   ASSERT_TRUE(writer.Sync().ok());
 
-  std::vector<std::tuple<std::string, SequenceNumber, EntryType, std::string>>
-      got;
-  ASSERT_TRUE(ReplayWal(file, [&](std::string_view k, SequenceNumber s,
-                                  EntryType t, std::string_view v) {
-                got.emplace_back(std::string(k), s, t, std::string(v));
-              }).ok());
+  std::vector<Replayed> got;
+  ASSERT_TRUE(Replay(file, &got).ok());
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(std::get<0>(got[0]), "a");
-  EXPECT_EQ(std::get<1>(got[0]), 1u);
-  EXPECT_EQ(std::get<2>(got[1]), EntryType::kDelete);
+  EXPECT_EQ(got[0].key, "a");
+  EXPECT_EQ(got[0].seq, 1u);
+  EXPECT_EQ(got[0].value, "va");
+  EXPECT_EQ(got[1].type, EntryType::kDelete);
 }
 
 TEST_F(WalTest, ReplayStopsAtTornTail) {
   fs::File* file = *fs_.Create("wal");
   // Small writer buffer so records reach the filesystem promptly; the
   // filesystem's own page buffering still leaves a torn tail on crash.
-  WalWriter writer(file, 0, /*buffer_bytes=*/1);
+  kv::LogWriter writer(file, 0, /*buffer_bytes=*/1);
   for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(
-        writer.Add("k" + std::to_string(i), i + 1, EntryType::kPut,
-                   std::string(3000, 'v')).ok());
+    ASSERT_TRUE(AddOne(&writer, kv::WriteBatch::EntryKind::kPut,
+                       "k" + std::to_string(i), i + 1, std::string(3000, 'v'))
+                    .ok());
   }
   // No sync: simulate a crash that loses the buffered tail.
   fs_.SimulateCrash();
-  int replayed = 0;
-  ASSERT_TRUE(ReplayWal(file, [&](std::string_view, SequenceNumber,
-                                  EntryType, std::string_view) {
-                replayed++;
-              }).ok());
+  const int replayed = CountReplayed(file);
   EXPECT_LT(replayed, 10);  // the torn record and later ones are dropped
   EXPECT_GE(replayed, 1);   // durable full pages replay fine
 }
 
 TEST_F(WalTest, BufferedRecordsLostWithoutFlush) {
   fs::File* file = *fs_.Create("wal");
-  WalWriter writer(file, 0, /*buffer_bytes=*/64 << 10);
-  ASSERT_TRUE(writer.Add("k", 1, EntryType::kPut, "small").ok());
+  kv::LogWriter writer(file, 0, /*buffer_bytes=*/64 << 10);
+  ASSERT_TRUE(AddOne(&writer, kv::WriteBatch::EntryKind::kPut, "k", 1,
+                     "small").ok());
   // Entirely buffered: nothing on the filesystem yet (RocksDB's unsynced
   // WAL semantics).
-  int replayed = 0;
-  ASSERT_TRUE(ReplayWal(file, [&](std::string_view, SequenceNumber,
-                                  EntryType, std::string_view) {
-                replayed++;
-              }).ok());
-  EXPECT_EQ(replayed, 0);
+  EXPECT_EQ(CountReplayed(file), 0);
   // Sync makes it durable.
   ASSERT_TRUE(writer.Sync().ok());
-  ASSERT_TRUE(ReplayWal(file, [&](std::string_view, SequenceNumber,
-                                  EntryType, std::string_view) {
-                replayed++;
-              }).ok());
-  EXPECT_EQ(replayed, 1);
+  EXPECT_EQ(CountReplayed(file), 1);
 }
 
+// A bad record followed by an intact one is corruption in the middle of
+// the log, not a torn tail: replay delivers the records before it and
+// returns Corruption. A bad LAST record is a torn tail and replays OK.
+// Both payload codecs (the WAL's and kv's batch codec) frame the same way.
 TEST_F(WalTest, CorruptRecordStopsReplay) {
-  fs::File* file = *fs_.Create("wal");
-  WalWriter writer(file, 0);
-  for (int i = 0; i < 5; i++) {
-    ASSERT_TRUE(writer.Add("key" + std::to_string(i), i + 1, EntryType::kPut,
-                           std::string(100, 'v')).ok());
+  using Encode = std::function<std::string(const kv::WriteBatch&, int)>;
+  using Decode = std::function<Status(std::string_view, size_t*)>;
+  struct Codec {
+    std::string name;
+    Encode encode;
+    Decode decode;  // counts the payload's entries
+  };
+  const std::vector<Codec> codecs = {
+      {"wal",
+       [](const kv::WriteBatch& b, int i) { return EncodeWalBatch(b, i + 1); },
+       [](std::string_view payload, size_t* n) -> Status {
+         std::vector<WalEntry> entries;
+         PTSB_RETURN_IF_ERROR(DecodeWalBatch(payload, &entries));
+         *n = entries.size();
+         return Status::OK();
+       }},
+      {"batch",
+       [](const kv::WriteBatch& b, int) {
+         return kv::EncodeBatch(b, nullptr);
+       },
+       [](std::string_view payload, size_t* n) -> Status {
+         std::vector<kv::DecodedEntry> entries;
+         PTSB_RETURN_IF_ERROR(kv::DecodeBatch(payload, &entries));
+         *n = entries.size();
+         return Status::OK();
+       }},
+  };
+  for (const Codec& codec : codecs) {
+    // Byte 260 falls in the third record's payload; byte 500 in the last.
+    for (const size_t flip : {size_t{260}, size_t{500}}) {
+      SCOPED_TRACE(codec.name + " flip@" + std::to_string(flip));
+      const std::string name = "wal-" + codec.name + std::to_string(flip);
+      fs::File* file = *fs_.Create(name);
+      kv::LogWriter writer(file, 0, 64 << 10);
+      std::vector<uint64_t> record_end;
+      for (int i = 0; i < 5; i++) {
+        kv::WriteBatch batch;
+        batch.Put("key" + std::to_string(i), std::string(100, 'v'));
+        ASSERT_TRUE(writer.Add(codec.encode(batch, i)).ok());
+        record_end.push_back(writer.bytes_written());
+      }
+      ASSERT_TRUE(writer.Sync().ok());
+      ASSERT_LT(record_end[1], 260u);
+      ASSERT_GT(record_end[2], 260u);
+      ASSERT_GT(500u, record_end[3]);
+      ASSERT_LT(500u, record_end[4]);
+      std::string page(4096, '\0');
+      ASSERT_TRUE(file->ReadAt(0, 4096, page.data()).ok());
+      page[flip] ^= 0x01;
+      ASSERT_TRUE(file->Extend(4096).ok());
+      ASSERT_TRUE(file->WriteAt(0, page).ok());
+      size_t replayed = 0;
+      const Status s = kv::ReplayLog(
+          file, [&](uint64_t, std::string_view payload) -> Status {
+            size_t n = 0;
+            PTSB_RETURN_IF_ERROR(codec.decode(payload, &n));
+            replayed += n;
+            return Status::OK();
+          });
+      if (flip == 260) {
+        EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+        EXPECT_EQ(replayed, 2u);  // records 1-2 delivered
+      } else {
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        EXPECT_EQ(replayed, 4u);  // the torn last record is dropped
+      }
+    }
   }
-  ASSERT_TRUE(writer.Sync().ok());
-  // Corrupt the third record's payload area.
-  std::string page(4096, '\0');
-  ASSERT_TRUE(file->ReadAt(0, 4096, page.data()).ok());
-  page[260] ^= 0x01;
-  ASSERT_TRUE(file->Extend(4096).ok());
-  ASSERT_TRUE(file->WriteAt(0, page).ok());
-  int replayed = 0;
-  ASSERT_TRUE(ReplayWal(file, [&](std::string_view, SequenceNumber,
-                                  EntryType, std::string_view) {
-                replayed++;
-              }).ok());
-  EXPECT_LT(replayed, 5);
 }
 
 class VersionTest : public ::testing::Test {

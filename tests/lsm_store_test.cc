@@ -268,6 +268,33 @@ TEST_F(LsmStoreTest, CrashRecoveryKeepsDurablePrefix) {
   }
 }
 
+TEST_F(LsmStoreTest, OpenIgnoresForeignFileNames) {
+  // Only "<digits>.log" and "<digits>.sst" names are the store's own
+  // files; anything else in its directory must not abort recovery, and is
+  // neither replayed nor deleted.
+  {
+    auto store = *LsmStore::Open(&fs_, TinyOptions());
+    ASSERT_TRUE(store->Put("a", "1").ok());
+    ASSERT_TRUE(store->Close().ok());
+  }
+  for (const char* name : {"lsm/notes.log", "lsm/backup.sst", "lsm/12x.log"}) {
+    fs::File* file = *fs_.Create(name);
+    ASSERT_TRUE(file->Append("not a log").ok());
+    ASSERT_TRUE(file->Sync().ok());
+  }
+  auto store = LsmStore::Open(&fs_, TinyOptions());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::string v;
+  ASSERT_TRUE((*store)->Get("a", &v).ok());
+  EXPECT_EQ(v, "1");
+  ASSERT_TRUE((*store)->Put("b", "2").ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->Close().ok());
+  EXPECT_TRUE(fs_.Exists("lsm/notes.log"));
+  EXPECT_TRUE(fs_.Exists("lsm/backup.sst"));
+  EXPECT_TRUE(fs_.Exists("lsm/12x.log"));
+}
+
 TEST_F(LsmStoreTest, WalDisabledLosesMemtableOnCrashButStaysConsistent) {
   auto options = TinyOptions();
   options.wal_enabled = false;
