@@ -16,13 +16,12 @@
 // Single-threaded and deterministic: the sweep replays the exact same
 // op stream into every cell, so cells differ only in the timing model.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/report.h"
+#include "flags.h"
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/registry.h"
@@ -112,37 +111,20 @@ CellResult RunCell(const Flags& flags, int channels, int queue_depth) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; i++) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--batches=", 10) == 0) {
-      flags.batches = std::strtoull(arg + 10, nullptr, 10);
-    } else if (std::strncmp(arg, "--batch=", 8) == 0) {
-      flags.batch = std::strtoull(arg + 8, nullptr, 10);
-    } else if (std::strncmp(arg, "--value-bytes=", 14) == 0) {
-      flags.value_bytes = std::strtoull(arg + 14, nullptr, 10);
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      flags.shards = static_cast<int>(std::strtol(arg + 9, nullptr, 10));
-    } else if (std::strncmp(arg, "--key-space=", 12) == 0) {
-      flags.key_space = std::strtoull(arg + 12, nullptr, 10);
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      // CI-sized run: same sweep shape and self-checks, ~10x less work.
-      flags.batches = 96;
-      flags.batch = 16;
-      flags.value_bytes = 1024;
-      flags.key_space = 512;
-      flags.shards = 8;
-    } else {
-      std::printf(
-          "flags: --batches=N (default 512)\n"
-          "       --batch=N entries per WriteBatch (default 32)\n"
-          "       --value-bytes=N (default 4000)\n"
-          "       --shards=N sharded store width (default 8)\n"
-          "       --key-space=N distinct keys cycled through (default "
-          "4096)\n"
-          "       --smoke    CI-sized run, same self-checks\n");
-      return 2;
-    }
-  }
+  bench::FlagParser parser;
+  parser.Value("--batches", &flags.batches, "write batches per cell");
+  parser.Value("--batch", &flags.batch, "entries per WriteBatch");
+  parser.Value("--value-bytes", &flags.value_bytes, "value size in bytes");
+  parser.Value("--shards", &flags.shards, "sharded store width");
+  parser.Value("--key-space", &flags.key_space, "distinct keys cycled through");
+  parser.Switch("--smoke", "CI-sized run, same self-checks", [&flags] {
+    // Same sweep shape, ~10x less work.
+    flags.batches = 96;
+    flags.batch = 16;
+    flags.value_bytes = 1024;
+    flags.key_space = 512;
+  });
+  parser.Parse(argc, argv);
 
   const int channel_axis[] = {1, 2, 4, 8};
   const int depth_axis[] = {1, 2, 4, 8};

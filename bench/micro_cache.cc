@@ -27,8 +27,6 @@
 // Single-threaded and deterministic: every cell replays the same op
 // stream, so cells differ only in the caching layer.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -37,6 +35,7 @@
 
 #include "cached/cached_store.h"
 #include "core/report.h"
+#include "flags.h"
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/kvstore.h"
@@ -60,7 +59,6 @@ struct Flags {
   uint64_t write_buffer = 256 << 10;  // cached cells' write buffer
   uint64_t cache_small = 64 << 10;    // read-cache axis, small point
   uint64_t cache_large = 256 << 10;   // read-cache axis, large point
-  bool smoke = false;
 };
 
 // Structural params shared by the bare run and the cached run's inner
@@ -214,40 +212,24 @@ CellResult RunCell(const Flags& flags, const std::string& inner,
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; i++) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--keys=", 7) == 0) {
-      flags.keys = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--value-bytes=", 14) == 0) {
-      flags.value_bytes = std::strtoull(arg + 14, nullptr, 10);
-    } else if (std::strncmp(arg, "--churn=", 8) == 0) {
-      flags.churn = std::strtoull(arg + 8, nullptr, 10);
-    } else if (std::strncmp(arg, "--reads=", 8) == 0) {
-      flags.reads = std::strtoull(arg + 8, nullptr, 10);
-    } else if (std::strncmp(arg, "--write-buffer-bytes=", 21) == 0) {
-      flags.write_buffer = std::strtoull(arg + 21, nullptr, 10);
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      // CI-sized run: same sweep shape and self-checks, ~4x less work.
-      flags.smoke = true;
-      flags.keys = 1024;
-      flags.value_bytes = 256;
-      flags.churn = 4000;
-      flags.reads = 2500;
-      flags.write_buffer = 64 << 10;
-      flags.cache_small = 16 << 10;
-      flags.cache_large = 64 << 10;
-    } else {
-      std::printf(
-          "flags: --keys=N loaded keys (default 2048)\n"
-          "       --value-bytes=N (default 512)\n"
-          "       --churn=N skewed overwrites (default 12000)\n"
-          "       --reads=N skewed lookups (default 8000)\n"
-          "       --write-buffer-bytes=N cached cells' buffer "
-          "(default 262144)\n"
-          "       --smoke    CI-sized run, same self-checks\n");
-      return 2;
-    }
-  }
+  bench::FlagParser parser;
+  parser.Value("--keys", &flags.keys, "loaded keys");
+  parser.Value("--value-bytes", &flags.value_bytes, "value size in bytes");
+  parser.Value("--churn", &flags.churn, "skewed overwrites");
+  parser.Value("--reads", &flags.reads, "skewed lookups");
+  parser.Value("--write-buffer-bytes", &flags.write_buffer,
+               "cached cells' buffer");
+  parser.Switch("--smoke", "CI-sized run, same self-checks", [&flags] {
+    // Same sweep shape, ~4x less work.
+    flags.keys = 1024;
+    flags.value_bytes = 256;
+    flags.churn = 4000;
+    flags.reads = 2500;
+    flags.write_buffer = 64 << 10;
+    flags.cache_small = 16 << 10;
+    flags.cache_large = 64 << 10;
+  });
+  parser.Parse(argc, argv);
   kv::RegisterBuiltinEngines();
 
   std::printf(

@@ -20,8 +20,6 @@
 // cell retries a few rounds before declaring failure.
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +28,7 @@
 
 #include "block/memory_device.h"
 #include "core/report.h"
+#include "flags.h"
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/registry.h"
@@ -124,29 +123,17 @@ RunResult RunCell(const std::string& engine, const Flags& flags,
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; i++) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--keys=", 7) == 0) {
-      flags.keys = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--value-bytes=", 14) == 0) {
-      flags.value_bytes = std::strtoull(arg + 14, nullptr, 10);
-    } else if (std::strncmp(arg, "--rounds=", 9) == 0) {
-      flags.rounds = static_cast<int>(std::strtol(arg + 9, nullptr, 10));
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      // CI-sized run: same sweep shape and self-checks, ~5x less work.
-      flags.keys = 960;
-      flags.value_bytes = 512;
-    } else {
-      std::printf(
-          "flags: --keys=N total puts per run, split across writers "
-          "(default 2400)\n"
-          "       --value-bytes=N (default 2048)\n"
-          "       --rounds=N retry budget for the 4-writer cell "
-          "(default 5)\n"
-          "       --smoke    CI-sized run, same self-checks\n");
-      return 2;
-    }
-  }
+  bench::FlagParser parser;
+  parser.Value("--keys", &flags.keys,
+               "total puts per run, split across writers");
+  parser.Value("--value-bytes", &flags.value_bytes, "value size in bytes");
+  parser.Value("--rounds", &flags.rounds, "retry budget for the 4-writer cell");
+  parser.Switch("--smoke", "CI-sized run, same self-checks", [&flags] {
+    // Same sweep shape, ~5x less work.
+    flags.keys = 960;
+    flags.value_bytes = 512;
+  });
+  parser.Parse(argc, argv);
   kv::RegisterBuiltinEngines();
   flags.keys -= flags.keys % 4;  // divisible by every thread count
 

@@ -43,13 +43,12 @@
 // Single-threaded and deterministic.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/report.h"
+#include "flags.h"
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/registry.h"
@@ -67,7 +66,6 @@ namespace {
 struct Flags {
   uint64_t puts = 8000;       // user commits per cell
   size_t value_bytes = 1024;  // value payload
-  bool smoke = false;
 };
 
 struct CompactSetting {
@@ -185,24 +183,14 @@ CompactCell RunCell(const Flags& flags, const CompactSetting& s) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; i++) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--puts=", 7) == 0) {
-      flags.puts = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--value-bytes=", 14) == 0) {
-      flags.value_bytes = std::strtoull(arg + 14, nullptr, 10);
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      // CI-sized run: same cells and self-checks, ~4x less work.
-      flags.smoke = true;
-      flags.puts = 2000;
-    } else {
-      std::printf(
-          "flags: --puts=N user commits per cell (default 8000)\n"
-          "       --value-bytes=N (default 1024)\n"
-          "       --smoke    CI-sized run, same self-checks\n");
-      return 2;
-    }
-  }
+  bench::FlagParser parser;
+  parser.Value("--puts", &flags.puts, "user commits per cell");
+  parser.Value("--value-bytes", &flags.value_bytes, "value size in bytes");
+  parser.Switch("--smoke", "CI-sized run, same self-checks", [&flags] {
+    // Same cells, ~4x less work.
+    flags.puts = 2000;
+  });
+  parser.Parse(argc, argv);
 
   constexpr uint64_t kPaced = 1024;
   constexpr int64_t kSliceUs = 200;

@@ -1,12 +1,12 @@
-// FTL ablations (DESIGN.md Section 8) and the paper's Section 4.2
-// reference point: a pure uniform-random write workload over 60% of the
-// device has WA-D around 1.4.
+// FTL ablations and the paper's Section 4.2 reference point: a pure
+// uniform-random write workload over 60% of the device has WA-D around
+// 1.4.
 //
 // Sweeps: utilization x hardware OP; GC write-placement policy; host
 // open-block striping width; filesystem discard vs nodiscard.
 #include <cstdio>
 
-#include "bench_common.h"
+#include "core/report.h"
 #include "fs/file.h"
 #include "fs/filesystem.h"
 #include "ssd/precondition.h"
@@ -45,8 +45,7 @@ double RandomWriteWaD(double utilization, double op_frac, int stripe,
          static_cast<double>(s1.host_bytes_written - s0.host_bytes_written);
 }
 
-int Main(int argc, char**) {
-  (void)argc;
+int Main() {
   std::printf("=== micro_ftl: FTL ablations ===\n");
 
   std::printf("\nWA-D vs utilization (hardware OP = 12%%, stripe = 8):\n");
@@ -131,4 +130,4 @@ int Main(int argc, char**) {
 }  // namespace
 }  // namespace ptsb
 
-int main(int argc, char** argv) { return ptsb::Main(argc, argv); }
+int main() { return ptsb::Main(); }

@@ -31,14 +31,13 @@
 // Single-threaded and deterministic: every cell replays the same op
 // stream, so cells differ only in the timing model.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/report.h"
+#include "flags.h"
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/registry.h"
@@ -59,7 +58,6 @@ struct Flags {
   uint64_t reads = 8192;       // total point lookups per cell
   size_t group = 64;           // keys per MultiGet call
   uint64_t bg_puts = 6000;     // background-check write count
-  bool smoke = false;
 };
 
 struct ReadCell {
@@ -203,37 +201,21 @@ BgRun RunLsmWorkload(const Flags& flags, bool background_io) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; i++) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--keys=", 7) == 0) {
-      flags.keys = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--value-bytes=", 14) == 0) {
-      flags.value_bytes = std::strtoull(arg + 14, nullptr, 10);
-    } else if (std::strncmp(arg, "--reads=", 8) == 0) {
-      flags.reads = std::strtoull(arg + 8, nullptr, 10);
-    } else if (std::strncmp(arg, "--group=", 8) == 0) {
-      flags.group = std::strtoull(arg + 8, nullptr, 10);
-    } else if (std::strncmp(arg, "--bg-puts=", 10) == 0) {
-      flags.bg_puts = std::strtoull(arg + 10, nullptr, 10);
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      // CI-sized run: same sweep shape and self-checks, ~10x less work.
-      flags.smoke = true;
-      flags.keys = 1024;
-      flags.value_bytes = 1024;
-      flags.reads = 1024;
-      flags.group = 32;
-      flags.bg_puts = 1500;
-    } else {
-      std::printf(
-          "flags: --keys=N loaded keys (default 4096)\n"
-          "       --value-bytes=N (default 2048)\n"
-          "       --reads=N lookups per cell (default 8192)\n"
-          "       --group=N keys per MultiGet (default 64)\n"
-          "       --bg-puts=N background-check writes (default 6000)\n"
-          "       --smoke    CI-sized run, same self-checks\n");
-      return 2;
-    }
-  }
+  bench::FlagParser parser;
+  parser.Value("--keys", &flags.keys, "loaded keys");
+  parser.Value("--value-bytes", &flags.value_bytes, "value size in bytes");
+  parser.Value("--reads", &flags.reads, "lookups per cell");
+  parser.Value("--group", &flags.group, "keys per MultiGet");
+  parser.Value("--bg-puts", &flags.bg_puts, "background-check writes");
+  parser.Switch("--smoke", "CI-sized run, same self-checks", [&flags] {
+    // Same sweep shape, ~10x less work.
+    flags.keys = 1024;
+    flags.value_bytes = 1024;
+    flags.reads = 1024;
+    flags.group = 32;
+    flags.bg_puts = 1500;
+  });
+  parser.Parse(argc, argv);
 
   const int channel_axis[] = {1, 2, 4};
   const int depth_axis[] = {1, 2, 4, 8};

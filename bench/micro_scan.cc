@@ -33,8 +33,6 @@
 //   ./build/micro_scan --smoke        # CI-sized, same self-checks
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,6 +41,7 @@
 
 #include "block/memory_device.h"
 #include "core/report.h"
+#include "flags.h"
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/kvstore.h"
@@ -64,7 +63,6 @@ struct Flags {
   int writer_rounds = 6;      // churn rounds per writer thread
   uint64_t scan_keys = 3072;  // readahead-cell key count
   size_t scan_value_bytes = 2048;
-  bool smoke = false;
 };
 
 struct EngineConfig {
@@ -350,34 +348,20 @@ bool RunPinCell(const Flags& flags, const EngineConfig& config) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; i++) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--keys=", 7) == 0) {
-      flags.keys = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--scan-keys=", 12) == 0) {
-      flags.scan_keys = std::strtoull(arg + 12, nullptr, 10);
-    } else if (std::strncmp(arg, "--value-bytes=", 14) == 0) {
-      flags.value_bytes = std::strtoull(arg + 14, nullptr, 10);
-    } else if (std::strncmp(arg, "--rounds=", 9) == 0) {
-      flags.writer_rounds = static_cast<int>(std::strtol(arg + 9, nullptr, 10));
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      // CI-sized run: same cells and self-checks, much less churn.
-      flags.smoke = true;
-      flags.keys = 1024;
-      flags.value_bytes = 128;
-      flags.writer_rounds = 3;
-      flags.scan_keys = 1024;
-      flags.scan_value_bytes = 1024;
-    } else {
-      std::printf(
-          "flags: --keys=N isolation/pin-cell keys (default 2048)\n"
-          "       --scan-keys=N readahead-cell keys (default 3072)\n"
-          "       --value-bytes=N (default 256)\n"
-          "       --rounds=N churn rounds per writer (default 6)\n"
-          "       --smoke    CI-sized run, same self-checks\n");
-      return 2;
-    }
-  }
+  bench::FlagParser parser;
+  parser.Value("--keys", &flags.keys, "isolation/pin-cell keys");
+  parser.Value("--scan-keys", &flags.scan_keys, "readahead-cell keys");
+  parser.Value("--value-bytes", &flags.value_bytes, "value size in bytes");
+  parser.Value("--rounds", &flags.writer_rounds, "churn rounds per writer");
+  parser.Switch("--smoke", "CI-sized run, same self-checks", [&flags] {
+    // Same cells, much less churn.
+    flags.keys = 1024;
+    flags.value_bytes = 128;
+    flags.writer_rounds = 3;
+    flags.scan_keys = 1024;
+    flags.scan_value_bytes = 1024;
+  });
+  parser.Parse(argc, argv);
 
   // ---- Cell 1: snapshot isolation in every engine cell.
   std::printf("micro_scan cell 1: snapshot scan vs 4 concurrent writers "

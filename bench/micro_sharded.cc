@@ -21,13 +21,12 @@
 // measures the router's overhead, so the check reports SKIPPED.)
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "block/memory_device.h"
+#include "flags.h"
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/registry.h"
@@ -92,22 +91,11 @@ double RunConfig(const Flags& flags, const std::string& inner, int shards,
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; i++) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--entries=", 10) == 0) {
-      flags.entries = std::strtoull(arg + 10, nullptr, 10);
-    } else if (std::strncmp(arg, "--value-bytes=", 14) == 0) {
-      flags.value_bytes = std::strtoull(arg + 14, nullptr, 10);
-    } else if (std::strncmp(arg, "--batch=", 8) == 0) {
-      flags.batch = std::strtoull(arg + 8, nullptr, 10);
-    } else {
-      std::printf("flags: --entries=N (total puts per config, default "
-                  "60000)\n"
-                  "       --value-bytes=N (default 512)\n"
-                  "       --batch=N (entries per WriteBatch, default 16)\n");
-      return 2;
-    }
-  }
+  bench::FlagParser parser;
+  parser.Value("--entries", &flags.entries, "total puts per config");
+  parser.Value("--value-bytes", &flags.value_bytes, "value size in bytes");
+  parser.Value("--batch", &flags.batch, "entries per WriteBatch");
+  parser.Parse(argc, argv);
 
   const unsigned cpus = std::thread::hardware_concurrency();
   std::printf("micro_sharded: aggregate put throughput (WALL-clock Kops/s), "

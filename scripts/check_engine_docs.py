@@ -9,9 +9,11 @@ any doc has rotted):
    EncodeEngineParams emits (parsed from the `p["key"] = ...` lines in
    the store .cc), and every key must correspond to a field of the
    engine's option struct (same-name identifier in its options.h).
-2. docs/EXPERIMENTS.md: the bench table's first-column binary names must
-   be exactly the bench/*.cc source list (a bench without a row, or a
-   row without a bench, fails).
+2. docs/EXPERIMENTS.md: the bench table's first-column names must be
+   exactly the figure runner's ids (the `.id = "..."` rows of
+   bench/figures.cc, run as `figures --figure=ID`) plus every other
+   bench/*.cc binary (a figure or bench without a row, or a row without
+   one, fails).
 3. docs/SIMULATION.md: the parameter tables in its "SSD timing model"
    section must list exactly the numeric/bool fields of the structs in
    src/ssd/config.h (FlashGeometry, SsdTiming, SsdConfig).
@@ -38,6 +40,7 @@ EXPERIMENTS_DOC = Path("docs/EXPERIMENTS.md")
 SIMULATION_DOC = Path("docs/SIMULATION.md")
 SSD_CONFIG = Path("src/ssd/config.h")
 BENCH_DIR = Path("bench")
+FIGURES = BENCH_DIR / "figures.cc"
 README = Path("README.md")
 RUN_EXPERIMENT = Path("examples/run_experiment.cpp")
 
@@ -74,17 +77,24 @@ def header_fields(h_path: Path) -> set:
 
 
 def lint_experiments(failures: list) -> int:
-    """EXPERIMENTS.md rows <-> bench/*.cc binaries. Returns rows checked."""
+    """EXPERIMENTS.md rows <-> figure ids and other bench binaries.
+
+    Returns rows checked."""
     if not EXPERIMENTS_DOC.exists():
         failures.append(f"{EXPERIMENTS_DOC} is missing")
         return 0
     documented = table_keys(EXPERIMENTS_DOC.read_text())
-    binaries = {p.stem for p in BENCH_DIR.glob("*.cc")}
-    for name in sorted(documented - binaries):
+    figures = set(re.findall(r'\.id = "(\w+)"', FIGURES.read_text()))
+    benches = {p.stem for p in BENCH_DIR.glob("*.cc")} - {FIGURES.stem}
+    for name in sorted(documented - figures - benches):
         failures.append(
-            f"experiments: `{name}` documented in {EXPERIMENTS_DOC} but "
-            f"bench/{name}.cc does not exist")
-    for name in sorted(binaries - documented):
+            f"experiments: `{name}` documented in {EXPERIMENTS_DOC} but is "
+            f"neither a figure id in {FIGURES} nor a bench/*.cc binary")
+    for name in sorted(figures - documented):
+        failures.append(
+            f"experiments: figure `{name}` in {FIGURES} has no row in "
+            f"{EXPERIMENTS_DOC}")
+    for name in sorted(benches - documented):
         failures.append(
             f"experiments: bench/{name}.cc has no row in {EXPERIMENTS_DOC}")
     return len(documented)
@@ -199,7 +209,7 @@ def main() -> int:
     total = sum(len(table_keys(sections[e])) for e in ENGINES if e in sections)
     print(f"docs lint OK: {total} engine params checked against "
           f"{len(ENGINES)} option headers, {n_benches} bench rows against "
-          f"bench/, {n_sim} SSD timing params against {SSD_CONFIG}, "
+          f"figure ids and bench/, {n_sim} SSD timing params against {SSD_CONFIG}, "
           f"{n_flags} README flags against {RUN_EXPERIMENT}")
     return 0
 
