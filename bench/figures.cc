@@ -760,7 +760,10 @@ void RunFigure(const Figure& fig, const RunFlags& flags) {
     if (!result.ok()) {
       std::fprintf(stderr, "experiment %s failed: %s\n", c.name.c_str(),
                    result.status().ToString().c_str());
-      std::exit(1);
+      // A configuration the stack cannot build (e.g. a --scale the
+      // profile's flash geometry cannot back) is a usage error, like a
+      // bad flag (bench/flags.h).
+      std::exit(result.status().IsInvalidArgument() ? 2 : 1);
     }
     const core::MetricsSeries& series = result->series;
     if (fig.print_series) std::printf("%s\n", series.ToTable(c.name).c_str());

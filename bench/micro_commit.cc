@@ -1,11 +1,11 @@
 // micro_commit: WAL/journal record count as a function of concurrent
 // writer threads — the group-commit bench behind the cross-thread
 // kv::WriteGroup. N writers commit one-entry batches against ONE
-// unsharded engine; concurrent callers line up in the engine's write
-// group, a leader merges the waiting batches and persists them under a
-// single log record, so the record count grows SUB-linearly in the
-// writer count while the visible contents stay byte-identical to a
-// serial run of the same keys.
+// engine; concurrent callers line up in the engine's write group, a
+// leader merges the waiting batches and persists them under a single
+// log record, so the record count grows SUB-linearly in the writer
+// count while the visible contents stay byte-identical to a serial run
+// of the same keys.
 //
 //   ./build/micro_commit
 //   ./build/micro_commit --keys=4800 --value-bytes=4096

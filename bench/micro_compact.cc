@@ -2,8 +2,8 @@
 // compaction_parallelism) against the simulated SSD's channel count. The
 // LSM engine splits each picked compaction into K disjoint key subranges
 // and runs each in its own background submission lane (queue
-// background_queue + i); lane i lands on channel (background_queue + i) %
-// channels, so with enough channels the subranges' device time overlaps
+// kv::kBackgroundQueue + i); lane i lands on channel
+// (kv::kBackgroundQueue + i) % channels, so with enough channels the subranges' device time overlaps
 // and the drain settles earlier. With one channel the lanes fold back
 // onto one backend timeline and K buys nothing — the win is K x channels,
 // not K.
@@ -15,24 +15,20 @@
 //              cleanest view of K x channels overlap.
 //   paced      the usual per-commit pacing: compaction runs during the
 //              commit loop, where with K=4 on 4 channels lane 3 shares
-//              the foreground's channel — the QoS slice cells show what
-//              keeps commit tails bounded there.
+//              the foreground's channel (the p99 column shows the
+//              commit tail that costs).
 //
 // Self-checks (the bench exits non-zero instead of rotting):
 //   - store contents byte-identical in every cell (splitting a compaction
 //     must not change WHAT is written, only WHEN),
 //   - scheduled backend work conserved EXACTLY across same-K same-pacing
 //     cells (it is a pure function of the command byte stream; channels
-//     and QoS only move it in time) — across K it legitimately differs
+//     only move it in time) — across K it legitimately differs
 //     (subrange seam re-reads, extra output-file framing),
 //   - settle time strictly falls as K x channels grows, with
 //     settle(K=1)/settle(K=4) >= 1.5 on four channels,
 //   - K=4 on ONE channel settles no sooner than K=4 on four (the speedup
 //     is channel overlap, not an accounting artifact),
-//   - under --bg-slice-us, going K=1 -> K=4 moves foreground p99 by at
-//     most one preemption quantum, and collapses the unsliced paced K=4
-//     tail (lane 3 folds onto the foreground's channel; the slice is
-//     what keeps commits responsive there),
 //   - K=1 is today's serial compactor, reproduced exactly: a repeat run
 //     is nanosecond-identical.
 //
@@ -72,8 +68,7 @@ struct CompactSetting {
   const char* label;
   int parallelism;
   uint32_t channels;
-  uint64_t pacing;       // compaction_work_per_user_write (0 = deferred)
-  int64_t slice_us = 0;  // QoS preemption quantum (0 = FIFO)
+  uint64_t pacing;  // compaction_work_per_user_write (0 = deferred)
 };
 
 struct CompactCell {
@@ -88,8 +83,8 @@ struct CompactCell {
   uint32_t checksum = 0;
 };
 
-// One cell: the fixed LSM workload under one (K, channels, pacing,
-// slice) point.
+// One cell: the fixed LSM workload under one (K, channels, pacing)
+// point.
 CompactCell RunCell(const Flags& flags, const CompactSetting& s) {
   sim::SimClock clock;
   ssd::SsdConfig cfg;
@@ -98,7 +93,6 @@ CompactCell RunCell(const Flags& flags, const CompactSetting& s) {
   // No write cache: programs are synchronous with the channel backend,
   // so channel overlap (or the lack of it) shows directly in the clock.
   cfg.timing.cache_bytes = 0;
-  cfg.background_slice_ns = s.slice_us * 1000;
   ssd::SsdDevice ssd(cfg, &clock);
   fs::SimpleFs fs(&ssd, {});
 
@@ -112,11 +106,10 @@ CompactCell RunCell(const Flags& flags, const CompactSetting& s) {
   // span reads per input, which is what channel overlap compresses
   // (each subjob pays one fixed seek read per input — with single-span
   // files that fixed cost times K would swamp the win; real
-  // subcompactions split large inputs). Paced cells use the micro_qos
-  // tiny sizes instead: continuous small compactions whose booked
-  // bursts collide with foreground syncs, the contention a QoS slice
-  // exists to bound. The stall trigger is parked high in both so no
-  // commit ever joins the background horizon.
+  // subcompactions split large inputs). Paced cells use tiny sizes
+  // instead: continuous small compactions whose booked bursts collide
+  // with foreground syncs. The stall trigger is parked high in both so
+  // no commit ever joins the background horizon.
   const bool paced = s.pacing != 0;
   const uint64_t memtable = paced ? (32 << 10) : (256 << 10);
   const uint64_t l1_target = paced ? (256 << 10) : (1 << 20);
@@ -193,7 +186,6 @@ int main(int argc, char** argv) {
   parser.Parse(argc, argv);
 
   constexpr uint64_t kPaced = 1024;
-  constexpr int64_t kSliceUs = 200;
   const CompactSetting settings[] = {
       {"K=1 ch=1 deferred", 1, 1, 0},
       {"K=1 ch=4 deferred", 1, 4, 0},
@@ -201,45 +193,37 @@ int main(int argc, char** argv) {
       {"K=4 ch=4 deferred", 4, 4, 0},
       {"K=4 ch=1 deferred", 4, 1, 0},
       {"K=4 ch=4 paced", 4, 4, kPaced},
-      {"K=1 ch=4 paced+slice", 1, 4, kPaced, kSliceUs},
-      {"K=4 ch=4 paced+slice", 4, 4, kPaced, kSliceUs},
   };
   constexpr size_t kSerial1ch = 0;
   constexpr size_t kBaseline = 1;  // 1..3: the K x channels growth chain
   constexpr size_t kTarget = 3;    // K=4 on 4 channels
   constexpr size_t kNoChannels = 4;
-  constexpr size_t kPacedFifo = 5;
-  constexpr size_t kSliceK1 = 6;
-  constexpr size_t kSliceK4 = 7;
 
   std::printf(
       "micro_compact: %llu LSM commits (%zu B values), partitioned "
       "subcompactions by K x channels\n\n",
       static_cast<unsigned long long>(flags.puts), flags.value_bytes);
-  std::printf("%-22s %9s %9s %11s %11s %12s %8s\n", "setting", "p50(us)",
-              "p99(us)", "fg(ms)", "settle(ms)", "sched(ms)", "preempt");
+  std::printf("%-22s %9s %9s %11s %11s %12s\n", "setting", "p50(us)",
+              "p99(us)", "fg(ms)", "settle(ms)", "sched(ms)");
 
   std::vector<CompactCell> cells;
   std::string csv =
-      "setting,parallelism,channels,pacing,slice_us,p50_us,p99_us,"
-      "foreground_ms,settled_ms,settle_ms,scheduled_ms,preemptions\n";
+      "setting,parallelism,channels,pacing,p50_us,p99_us,"
+      "foreground_ms,settled_ms,settle_ms,scheduled_ms\n";
   for (const CompactSetting& s : settings) {
     const CompactCell r = RunCell(flags, s);
     cells.push_back(r);
-    std::printf("%-22s %9.1f %9.1f %11.2f %11.2f %12.2f %8llu\n", s.label,
+    std::printf("%-22s %9.1f %9.1f %11.2f %11.2f %12.2f\n", s.label,
                 r.p50_us, r.p99_us, static_cast<double>(r.foreground_ns) / 1e6,
                 static_cast<double>(r.settle_ns) / 1e6,
-                static_cast<double>(r.device.scheduled_ns) / 1e6,
-                static_cast<unsigned long long>(r.device.preemptions));
-    csv += StrPrintf("%s,%d,%u,%llu,%lld,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%llu\n",
+                static_cast<double>(r.device.scheduled_ns) / 1e6);
+    csv += StrPrintf("%s,%d,%u,%llu,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
                      s.label, s.parallelism, s.channels,
-                     static_cast<unsigned long long>(s.pacing),
-                     static_cast<long long>(s.slice_us), r.p50_us, r.p99_us,
-                     static_cast<double>(r.foreground_ns) / 1e6,
+                     static_cast<unsigned long long>(s.pacing), r.p50_us,
+                     r.p99_us, static_cast<double>(r.foreground_ns) / 1e6,
                      static_cast<double>(r.settled_ns) / 1e6,
                      static_cast<double>(r.settle_ns) / 1e6,
-                     static_cast<double>(r.device.scheduled_ns) / 1e6,
-                     static_cast<unsigned long long>(r.device.preemptions));
+                     static_cast<double>(r.device.scheduled_ns) / 1e6);
   }
   const std::string csv_path =
       core::WriteResultsFile("micro_compact.csv", csv);
@@ -255,21 +239,20 @@ int main(int argc, char** argv) {
     }
   }
   // 2. Scheduled backend work is a pure function of the command byte
-  // stream: conserved exactly across channel counts and QoS settings
-  // for a fixed (K, pacing). (Across K it differs legitimately — each
+  // stream: conserved exactly across channel counts for a fixed
+  // (K, pacing). (Across K it differs legitimately — each
   // subrange's first span re-reads past the seam, and more output files
   // mean more index/footer framing — so cross-K equality is NOT
   // asserted.)
   const size_t same_stream[][2] = {{kSerial1ch, kBaseline},
-                                   {kTarget, kNoChannels},
-                                   {kPacedFifo, kSliceK4}};
+                                   {kTarget, kNoChannels}};
   for (const auto& pair : same_stream) {
     if (cells[pair[1]].device.scheduled_ns !=
         cells[pair[0]].device.scheduled_ns) {
       std::printf(
           "FAIL: \"%s\" did not conserve scheduled backend work vs "
-          "\"%s\" (%lld ns vs %lld ns) — channels and QoS may move "
-          "work, never create or destroy it\n",
+          "\"%s\" (%lld ns vs %lld ns) — channels may move work, "
+          "never create or destroy it\n",
           settings[pair[1]].label, settings[pair[0]].label,
           static_cast<long long>(cells[pair[1]].device.scheduled_ns),
           static_cast<long long>(cells[pair[0]].device.scheduled_ns));
@@ -307,30 +290,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(cells[kTarget].settle_ns) / 1e6);
     return 1;
   }
-  // 6. The foreground tail under the QoS slice. With 4 paced lanes on 4
-  // channels, lane 3 folds onto the foreground's channel; unsliced FIFO
-  // makes every commit there wait out whole booked subcompaction spans.
-  // The slice must (a) collapse that tail and (b) bound the K=1 -> K=4
-  // regression by one preemption quantum — the scheduler's worst case.
-  if (cells[kSliceK4].p99_us >= cells[kPacedFifo].p99_us) {
-    std::printf("FAIL: slice did not collapse the paced K=4 FIFO tail "
-                "(%.1f us sliced vs %.1f us FIFO)\n",
-                cells[kSliceK4].p99_us, cells[kPacedFifo].p99_us);
-    return 1;
-  }
-  if (cells[kSliceK4].p99_us >
-      cells[kSliceK1].p99_us + static_cast<double>(kSliceUs)) {
-    std::printf("FAIL: under a %lld us slice, K=4 moved foreground p99 "
-                "by more than one quantum: %.1f us vs %.1f us at K=1\n",
-                static_cast<long long>(kSliceUs), cells[kSliceK4].p99_us,
-                cells[kSliceK1].p99_us);
-    return 1;
-  }
-  if (cells[kSliceK4].device.preemptions == 0) {
-    std::printf("FAIL: sliced K=4 cell recorded no preemptions\n");
-    return 1;
-  }
-  // 7. K=1 is today's serial compactor, reproduced exactly: a repeat run
+  // 6. K=1 is today's serial compactor, reproduced exactly: a repeat run
   // is nanosecond-identical.
   const CompactCell again = RunCell(flags, settings[kBaseline]);
   if (again.foreground_ns != cells[kBaseline].foreground_ns ||
@@ -347,11 +307,9 @@ int main(int argc, char** argv) {
       "OK: contents identical in all %zu cells and scheduled work "
       "conserved per (K, pacing); settle %.2f -> %.2f ms as K x channels "
       "grows (%.2fx at K=4 on 4 channels, target 1.5x); K=4 on one "
-      "channel drains in %.2f ms (no channel overlap, no win); sliced "
-      "paced K=4 fg p99 %.1f us vs %.1f us at K=1\n",
+      "channel drains in %.2f ms (no channel overlap, no win)\n",
       cells.size(), static_cast<double>(cells[kBaseline].settle_ns) / 1e6,
       static_cast<double>(cells[kTarget].settle_ns) / 1e6, speedup,
-      static_cast<double>(cells[kNoChannels].settle_ns) / 1e6,
-      cells[kSliceK4].p99_us, cells[kSliceK1].p99_us);
+      static_cast<double>(cells[kNoChannels].settle_ns) / 1e6);
   return 0;
 }

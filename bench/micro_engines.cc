@@ -86,15 +86,6 @@ void RunWriteBatchBench(benchmark::State& state, const std::string& engine,
       ops > 0 ? static_cast<double>(stats.gc_bytes_written) /
                     static_cast<double>(ops)
               : 0;
-  // Host-buffering layer counters: zero for the bare engines, live for
-  // the "cached" wrapper (BM_CachedWrite) — coalesced_bytes_per_op is
-  // the write traffic the buffer absorbed before the inner engine.
-  state.counters["coalesced_bytes_per_op"] =
-      ops > 0 ? static_cast<double>(stats.buffer_coalesced_bytes) /
-                    static_cast<double>(ops)
-              : 0;
-  state.counters["flush_batches"] =
-      static_cast<double>(stats.flush_batches);
 }
 
 void BM_LsmWrite(benchmark::State& state) {
@@ -113,44 +104,6 @@ void BM_AlogWrite(benchmark::State& state) {
   RunWriteBatchBench(state, "alog", AlogBenchParams());
 }
 BENCHMARK(BM_AlogWrite)->Arg(1)->Arg(8)->Arg(64);
-
-void BM_CachedWrite(benchmark::State& state) {
-  // The cached wrapper over the LSM: wal_bytes_per_op is the wrapper's
-  // own durability log, coalesced_bytes_per_op the rewrites its write
-  // buffer absorbed before the inner engine saw them.
-  std::map<std::string, std::string> params = LsmBenchParams();
-  params["inner_engine"] = "lsm";
-  params["write_buffer_bytes"] = std::to_string(1 << 20);
-  params["read_cache_bytes"] = std::to_string(1 << 20);
-  params["read_cache_policy"] = "2q";
-  RunWriteBatchBench(state, "cached", std::move(params));
-}
-BENCHMARK(BM_CachedWrite)->Arg(1)->Arg(8)->Arg(64);
-
-void BM_CachedGet(benchmark::State& state) {
-  std::map<std::string, std::string> params = LsmBenchParams();
-  params["inner_engine"] = "lsm";
-  params["write_buffer_bytes"] = std::to_string(1 << 20);
-  params["read_cache_bytes"] = std::to_string(4 << 20);
-  params["read_cache_policy"] = "2q";
-  EngineFixture f("cached", std::move(params));
-  const std::string value = kv::MakeValue(1, 512);
-  for (uint64_t k = 0; k < 5000; k++) {
-    PTSB_CHECK_OK(f.store->Put(kv::MakeKey(k), value));
-  }
-  PTSB_CHECK_OK(f.store->Flush());
-  Rng rng(8);
-  std::string out;
-  for (auto _ : state) {
-    PTSB_CHECK_OK(f.store->Get(kv::MakeKey(rng.Uniform(5000)), &out));
-  }
-  const auto stats = f.store->GetStats();
-  const double probes =
-      static_cast<double>(stats.cache_hits + stats.cache_misses);
-  state.counters["cache_hit_ratio"] =
-      probes > 0 ? static_cast<double>(stats.cache_hits) / probes : 0;
-}
-BENCHMARK(BM_CachedGet);
 
 void BM_LsmPut(benchmark::State& state) {
   EngineFixture f("lsm", LsmBenchParams());

@@ -1,33 +1,21 @@
-// micro_scan: the scan-side counterpart of micro_read. Three experiments,
-// all self-checking:
+// micro_scan: snapshot reads under write load. Two experiments, both
+// self-checking:
 //
-// 1. Snapshot isolation under write load — for EVERY engine cell (the
-//    three bare engines, sharded over each, cached over each): take a
-//    snapshot, compute its scan checksum, then let 4 concurrent writer
-//    threads overwrite and range-delete the keyspace while the main
-//    thread keeps re-scanning through the snapshot. Every scan — during
-//    the churn and after the writers join — must return the exact
-//    snapshot-time checksum. This is the paper's "reads don't block
-//    writes" contract made falsifiable: the cursor observes a frozen
-//    sequence, not whatever compaction/flush/GC left behind.
+// 1. Snapshot isolation under write load — for every engine (lsm, btree,
+//    alog): take a snapshot, compute its scan checksum, then let 4 concurrent
+//    writer threads overwrite and range-delete the keyspace while the main
+//    thread keeps re-scanning through the snapshot. Every scan — during the
+//    churn and after the writers join — must return the exact snapshot-time
+//    checksum. This is the paper's "reads don't block writes" contract made
+//    falsifiable: the cursor observes a frozen sequence, not whatever
+//    compaction/flush/GC left behind.
 //
-// 2. Iterator readahead sweep — a quiesced store scanned twice through a
-//    snapshot cursor: once at read_queue_depth=1 (the sequential
-//    baseline: every leaf/block/segment read completes before the next
-//    is issued) and once at read_queue_depth=4 with
-//    ReadOptions::readahead=8 on a 4-channel device. The prefetched
-//    reads are submitted on distinct foreground-read lanes at the same
-//    virtual instant, so the SSD overlaps them across channels —
-//    completion is the max, not the sum. Self-check: identical scan
-//    checksums, and the fanned scan is strictly faster in simulated
-//    device time for every engine config.
-//
-// 3. Snapshot pin accounting — a snapshot taken before heavy churn pins
+// 2. Snapshot pin accounting — a snapshot taken before heavy churn pins
 //    resources the engine would otherwise reclaim (obsolete SSTs past
-//    compaction, zombie alog segments past GC, the cached wrapper's
-//    buffered entries). GetStats().snapshot_pinned_bytes must be > 0
-//    while the snapshot lives and return to exactly 0 after the last
-//    reference drops — pins are accounted, not leaked.
+//    compaction, zombie alog segments past GC).
+//    GetStats().snapshot_pinned_bytes must be > 0 while the snapshot
+//    lives and return to exactly 0 after the last reference drops — pins
+//    are accounted, not leaked.
 //
 //   ./build/micro_scan
 //   ./build/micro_scan --smoke        # CI-sized, same self-checks
@@ -40,17 +28,13 @@
 #include <vector>
 
 #include "block/memory_device.h"
-#include "core/report.h"
 #include "flags.h"
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/kvstore.h"
 #include "kv/registry.h"
 #include "kv/write_batch.h"
-#include "sim/clock.h"
-#include "ssd/ssd_device.h"
 #include "util/crc32.h"
-#include "util/human.h"
 #include "util/logging.h"
 
 using namespace ptsb;
@@ -61,8 +45,6 @@ struct Flags {
   uint64_t keys = 2048;       // loaded key count (isolation cell)
   size_t value_bytes = 256;   // isolation-cell value payload
   int writer_rounds = 6;      // churn rounds per writer thread
-  uint64_t scan_keys = 3072;  // readahead-cell key count
-  size_t scan_value_bytes = 2048;
 };
 
 struct EngineConfig {
@@ -91,34 +73,19 @@ std::map<std::string, std::string> SmallParams(const std::string& engine) {
   return {};
 }
 
-// Every engine cell: bare engines, sharded over each, cached over each.
+// Every engine cell: lsm, btree, alog.
 std::vector<EngineConfig> AllEngineConfigs() {
   kv::RegisterBuiltinEngines();
   std::vector<EngineConfig> configs;
   for (const std::string name : {"lsm", "btree", "alog"}) {
     configs.push_back({name, name, SmallParams(name)});
   }
-  for (const std::string inner : {"lsm", "btree", "alog"}) {
-    std::map<std::string, std::string> params = SmallParams(inner);
-    params["shards"] = "3";
-    params["inner_engine"] = inner;
-    configs.push_back({"sharded/" + inner, "sharded", std::move(params)});
-  }
-  for (const std::string inner : {"lsm", "btree", "alog"}) {
-    std::map<std::string, std::string> params = SmallParams(inner);
-    params["inner_engine"] = inner;
-    params["write_buffer_bytes"] = std::to_string(32 << 10);
-    params["read_cache_bytes"] = std::to_string(64 << 10);
-    configs.push_back({"cached/" + inner, "cached", std::move(params)});
-  }
   return configs;
 }
 
-uint32_t ChecksumSnapshotScan(kv::KVStore* store, const kv::Snapshot* snap,
-                              int readahead = 0) {
+uint32_t ChecksumSnapshotScan(kv::KVStore* store, const kv::Snapshot* snap) {
   kv::ReadOptions opts;
   opts.snapshot = snap;
-  opts.readahead = readahead;
   std::unique_ptr<kv::KVStore::Iterator> it = store->NewIterator(opts);
   uint32_t sum = 0;
   uint64_t n = 0;
@@ -219,59 +186,7 @@ bool RunIsolationCell(const Flags& flags, const EngineConfig& config) {
   return true;
 }
 
-// ---- Cell 2: readahead sweep (simulated device time, quiesced store).
-
-struct ScanCell {
-  double device_ms = 0;
-  uint32_t checksum = 0;
-};
-
-ScanCell RunReadaheadCell(const Flags& flags, const EngineConfig& config,
-                          int read_qd, int readahead) {
-  sim::SimClock clock;
-  ssd::SsdConfig cfg;
-  cfg.geometry.logical_bytes = 512ull << 20;
-  cfg.channels = 4;
-  cfg.timing.cache_bytes = 0;
-  ssd::SsdDevice ssd(cfg, &clock);
-  fs::SimpleFs fs(&ssd, {});
-
-  kv::EngineOptions options;
-  options.engine = config.engine;
-  options.fs = &fs;
-  options.clock = &clock;
-  options.params = config.params;
-  options.params["read_queue_depth"] = std::to_string(read_qd);
-  auto opened = kv::OpenStore(options);
-  PTSB_CHECK_OK(opened.status());
-  auto store = *std::move(opened);
-
-  kv::WriteBatch batch;
-  for (uint64_t id = 0; id < flags.scan_keys; id++) {
-    batch.Put(kv::MakeKey(id), kv::MakeValue(id * 13 + 5, flags.scan_value_bytes));
-    if (batch.Count() >= 64) {
-      PTSB_CHECK_OK(store->Write(batch));
-      batch.Clear();
-    }
-  }
-  if (!batch.empty()) PTSB_CHECK_OK(store->Write(batch));
-  PTSB_CHECK_OK(store->Flush());
-  PTSB_CHECK_OK(store->SettleBackgroundWork());
-
-  auto got = store->GetSnapshot();
-  PTSB_CHECK_OK(got.status());
-  std::shared_ptr<const kv::Snapshot> snap = *std::move(got);
-
-  ScanCell r;
-  const int64_t t0 = clock.NowNanos();
-  r.checksum = ChecksumSnapshotScan(store.get(), snap.get(), readahead);
-  r.device_ms = static_cast<double>(clock.NowNanos() - t0) / 1e6;
-  snap.reset();
-  PTSB_CHECK_OK(store->Close());
-  return r;
-}
-
-// ---- Cell 3: snapshot pin accounting.
+// ---- Cell 2: snapshot pin accounting.
 
 bool RunPinCell(const Flags& flags, const EngineConfig& config) {
   block::MemoryBlockDevice dev(4096, 1 << 15);
@@ -350,7 +265,6 @@ int main(int argc, char** argv) {
   Flags flags;
   bench::FlagParser parser;
   parser.Value("--keys", &flags.keys, "isolation/pin-cell keys");
-  parser.Value("--scan-keys", &flags.scan_keys, "readahead-cell keys");
   parser.Value("--value-bytes", &flags.value_bytes, "value size in bytes");
   parser.Value("--rounds", &flags.writer_rounds, "churn rounds per writer");
   parser.Switch("--smoke", "CI-sized run, same self-checks", [&flags] {
@@ -358,8 +272,6 @@ int main(int argc, char** argv) {
     flags.keys = 1024;
     flags.value_bytes = 128;
     flags.writer_rounds = 3;
-    flags.scan_keys = 1024;
-    flags.scan_value_bytes = 1024;
   });
   parser.Parse(argc, argv);
 
@@ -379,54 +291,15 @@ int main(int argc, char** argv) {
   }
   if (!ok) return 1;
 
-  // ---- Cell 2: readahead sweep. The snapshot cursor at
-  // read_queue_depth=4 + readahead=8 must strictly beat the qd-1
-  // baseline on the 4-channel device, with identical contents.
-  std::printf("\nmicro_scan cell 2: full snapshot scan, simulated device "
-              "time (ms), qd1 vs qd4+readahead on 4 channels "
-              "(%llu keys x %zu B)\n",
-              static_cast<unsigned long long>(flags.scan_keys),
-              flags.scan_value_bytes);
-  std::string csv = "engine,read_queue_depth,readahead,device_ms\n";
-  for (const EngineConfig& config :
-       std::vector<EngineConfig>{AllEngineConfigs()[0],   // lsm
-                                 AllEngineConfigs()[1],   // btree
-                                 AllEngineConfigs()[2],   // alog
-                                 AllEngineConfigs()[5],   // sharded/alog
-                                 AllEngineConfigs()[6]}) {  // cached/lsm
-    const ScanCell base = RunReadaheadCell(flags, config, 1, 1);
-    const ScanCell fanned = RunReadaheadCell(flags, config, 4, 8);
-    std::printf("  %-12s %8.1f -> %8.1f  (%.2fx)\n", config.label.c_str(),
-                base.device_ms, fanned.device_ms,
-                fanned.device_ms > 0 ? base.device_ms / fanned.device_ms : 0.0);
-    csv += StrPrintf("%s,1,1,%.3f\n", config.label.c_str(), base.device_ms);
-    csv += StrPrintf("%s,4,8,%.3f\n", config.label.c_str(), fanned.device_ms);
-    if (fanned.checksum != base.checksum) {
-      std::printf("FAIL: %s readahead scan returned different contents\n",
-                  config.label.c_str());
-      return 1;
-    }
-    if (fanned.device_ms >= base.device_ms) {
-      std::printf("FAIL: %s readahead at qd=4 x 4 channels (%.1f ms) did "
-                  "not beat the sequential cursor (%.1f ms)\n",
-                  config.label.c_str(), fanned.device_ms, base.device_ms);
-      return 1;
-    }
-  }
-
-  // ---- Cell 3: pin accounting on the engines that defer reclamation.
-  std::printf("\nmicro_scan cell 3: snapshot pin accounting\n");
+  // ---- Cell 2: pin accounting on the engines that defer reclamation.
+  std::printf("\nmicro_scan cell 2: snapshot pin accounting\n");
   for (const EngineConfig& config :
        std::vector<EngineConfig>{AllEngineConfigs()[0],     // lsm
-                                 AllEngineConfigs()[2],     // alog
-                                 AllEngineConfigs()[6]}) {  // cached/lsm
+                                 AllEngineConfigs()[2]}) {  // alog
     if (!RunPinCell(flags, config)) return 1;
   }
 
-  const std::string csv_path = core::WriteResultsFile("micro_scan.csv", csv);
-  if (!csv_path.empty()) std::printf("written to %s\n", csv_path.c_str());
   std::printf("\nOK: snapshots isolate against 4-writer churn in every "
-              "engine cell; readahead strictly beats the sequential cursor "
-              "on 4 channels; pinned bytes return to zero on release\n");
+              "engine cell; pinned bytes return to zero on release\n");
   return 0;
 }

@@ -1,14 +1,12 @@
 // Quickstart: build the full simulated stack (SSD -> filesystem -> engine),
-// open every engine through the registry (kv::OpenStore) — the three
-// storage engines plus the sharded concurrent front end — write data with
-// batched group commit, stream a range with an iterator, and peek at the
-// metrics the paper is about (WA-A at the block layer, WA-D from SMART).
+// open each of the three storage engines through the registry (kv::OpenStore),
+// write data with batched group commit, stream a range with an iterator, and
+// peek at the metrics the paper is about (WA-A at the block layer, WA-D from
+// SMART).
 //
 //   ./build/quickstart
 #include <cstdio>
 #include <memory>
-#include <thread>
-#include <vector>
 
 #include "block/iostat.h"
 #include "fs/filesystem.h"
@@ -130,50 +128,6 @@ int main() {
     auto store = *kv::OpenStore(options);
     Demo("append-only log engine (Bitcask-like)", store.get(), &iostat,
          &ssd);
-    PTSB_CHECK_OK(store->Close());
-  }
-  iostat.ResetCounters();
-  {
-    // The concurrent front end: the same KVStore surface, but writes to
-    // different shards (here 4 LSM instances) proceed in parallel. The
-    // single-threaded Demo still works unchanged...
-    kv::EngineOptions options;
-    options.engine = "sharded";
-    options.fs = &fs;
-    options.clock = &clock;
-    options.params["shards"] = "4";
-    options.params["inner_engine"] = "lsm";
-    options.params["memtable_bytes"] = std::to_string(2 << 20);
-    options.params["l1_target_bytes"] = std::to_string(8 << 20);
-    options.params["sst_target_bytes"] = std::to_string(2 << 20);
-    auto store = *kv::OpenStore(options);
-    Demo("sharded front end (4x lsm)", store.get(), &iostat, &ssd);
-
-    // ...and so do 4 writer threads with disjoint key ranges (see
-    // run_experiment --threads for the full concurrent workload driver).
-    std::vector<std::thread> writers;
-    for (int t = 0; t < 4; t++) {
-      writers.emplace_back([&store, t] {
-        kv::WriteBatch batch;
-        for (uint64_t i = 0; i < 2'000; i++) {
-          const uint64_t id = 100'000 + static_cast<uint64_t>(t) * 2'000 + i;
-          batch.Put(kv::MakeKey(id), kv::MakeValue(id, 512));
-          if (batch.Count() == 64) {
-            PTSB_CHECK_OK(store->Write(batch));
-            batch.Clear();
-          }
-        }
-        if (!batch.empty()) PTSB_CHECK_OK(store->Write(batch));
-      });
-    }
-    for (auto& w : writers) w.join();
-    std::string value;
-    PTSB_CHECK_OK(store->Get(kv::MakeKey(100'000), &value));
-    PTSB_CHECK(kv::VerifyValue(value)) << "concurrent write integrity";
-    std::printf("4 concurrent writers added 8000 keys (stats now count "
-                "%llu puts)\n\n",
-                static_cast<unsigned long long>(
-                    store->GetStats().user_puts));
     PTSB_CHECK_OK(store->Close());
   }
   std::printf("simulated time elapsed: %.2f s\n", clock.NowSeconds());

@@ -11,7 +11,6 @@
 #include "core/experiment.h"
 #include "core/report.h"
 #include "kv/registry.h"
-#include "util/human.h"
 #include "util/logging.h"
 
 using namespace ptsb;
@@ -41,44 +40,19 @@ namespace {
       "  --delete-frac=F             deletes among write ops (0.0)\n"
       "  --scan-frac=F               scans among read ops (0.0)\n"
       "  --batch-size=N              puts per write batch (1)\n"
-      "  --threads=N                 update-phase worker threads (1; pair\n"
-      "                              with --engine=sharded)\n"
-      "  --channels=N                SSD flash channels (1; >1 lets async\n"
-      "                              submissions overlap in virtual time)\n"
-      "  --queue-depth=N             async sub-batch commits in flight for\n"
-      "                              --engine=sharded (1 = synchronous)\n"
-      "  --pipeline-writes=0|1       issue update-phase writes through\n"
-      "                              WriteAsync completion callbacks (0)\n"
-      "  --pipeline-depth=N          in-flight pipelined commits per\n"
-      "                              worker (4; needs --pipeline-writes)\n"
-      "  --read-queue-depth=N        in-flight MultiGet point lookups per\n"
-      "                              engine (1 = sequential gets)\n"
-      "  --read-batch-size=N         gets grouped into one MultiGet (1)\n"
+      "  --threads=N                 update-phase worker threads (1)\n"
+      "  --channels=N                SSD flash channels (1; >1 lets\n"
+      "                              background lanes overlap in virtual\n"
+      "                              time)\n"
       "  --scan-while-writing=0|1    run scan ops over snapshots\n"
       "                              (GetSnapshot + ReadOptions), so they\n"
       "                              compose with --threads > 1 (0)\n"
-      "  --scan-readahead=N          iterator readahead per scan: prefetch\n"
-      "                              N leaves/blocks/values across read\n"
-      "                              lanes (1 = none; implies snapshots)\n"
       "  --background-io=0|1         run compaction/checkpoint/GC on a\n"
       "                              background queue off the commit path\n"
       "  --compaction-parallelism=K  split LSM compactions (and alog GC\n"
       "                              reads / btree checkpoint writes) into\n"
       "                              K subranges on K background lanes\n"
       "                              (1; needs --background-io=1)\n"
-      "  --bg-slice-us=N             QoS: preempt background backend work\n"
-      "                              every N us, so a foreground command\n"
-      "                              waits at most one quantum (0 = off)\n"
-      "  --bg-rate-mbps=R            QoS: token-bucket admission limit on\n"
-      "                              background write bytes (0 = off)\n"
-      "  --class-weights=A:B:C       QoS: fgread:fgwrite:bg service\n"
-      "                              weights at preemption points\n"
-      "                              (empty = strict fg priority)\n"
-      "  --cache-bytes=N             read-cache capacity for\n"
-      "                              --engine=cached (0 = engine default)\n"
-      "  --cache-policy=lru|2q       read-cache policy for --engine=cached\n"
-      "  --write-buffer-bytes=N      write-buffer capacity for\n"
-      "                              --engine=cached (0 = engine default)\n"
       "  --zipf=THETA                zipfian updates (default: uniform)\n"
       "  --minutes=M                 paper-equivalent duration (210)\n"
       "  --window=M                  averaging window minutes (10)\n"
@@ -134,66 +108,15 @@ int main(int argc, char** argv) {
     } else if (a.starts_with("--channels=")) {
       config.channels = static_cast<int>(ArgF(argv[i], "--channels="));
       if (config.channels < 1) Usage();
-    } else if (a.starts_with("--queue-depth=")) {
-      config.queue_depth =
-          static_cast<int>(ArgF(argv[i], "--queue-depth="));
-      if (config.queue_depth < 1) Usage();
-    } else if (a.starts_with("--queue_depth=")) {  // accepted alias
-      config.queue_depth =
-          static_cast<int>(ArgF(argv[i], "--queue_depth="));
-      if (config.queue_depth < 1) Usage();
-    } else if (a.starts_with("--pipeline-writes=")) {
-      config.pipeline_writes = ArgF(argv[i], "--pipeline-writes=") != 0;
-    } else if (a.starts_with("--pipeline_writes=")) {  // accepted alias
-      config.pipeline_writes = ArgF(argv[i], "--pipeline_writes=") != 0;
-    } else if (a.starts_with("--pipeline-depth=")) {
-      config.pipeline_depth =
-          static_cast<int>(ArgF(argv[i], "--pipeline-depth="));
-      if (config.pipeline_depth < 1) Usage();
-    } else if (a.starts_with("--pipeline_depth=")) {  // accepted alias
-      config.pipeline_depth =
-          static_cast<int>(ArgF(argv[i], "--pipeline_depth="));
-      if (config.pipeline_depth < 1) Usage();
-    } else if (a.starts_with("--read-queue-depth=")) {
-      config.read_queue_depth =
-          static_cast<int>(ArgF(argv[i], "--read-queue-depth="));
-      if (config.read_queue_depth < 1) Usage();
-    } else if (a.starts_with("--read-batch-size=")) {
-      config.read_batch_size =
-          static_cast<size_t>(ArgF(argv[i], "--read-batch-size="));
-      if (config.read_batch_size < 1) Usage();
     } else if (a.starts_with("--scan-while-writing=")) {
       config.scan_while_writing =
           ArgF(argv[i], "--scan-while-writing=") != 0;
-    } else if (a.starts_with("--scan-readahead=")) {
-      config.scan_readahead =
-          static_cast<int>(ArgF(argv[i], "--scan-readahead="));
-      if (config.scan_readahead < 1) Usage();
     } else if (a.starts_with("--background-io=")) {
       config.background_io = ArgF(argv[i], "--background-io=") != 0;
     } else if (a.starts_with("--compaction-parallelism=")) {
       config.compaction_parallelism =
           static_cast<int>(ArgF(argv[i], "--compaction-parallelism="));
       if (config.compaction_parallelism < 1) Usage();
-    } else if (a.starts_with("--bg-slice-us=")) {
-      config.background_slice_us =
-          static_cast<int64_t>(ArgF(argv[i], "--bg-slice-us="));
-      if (config.background_slice_us < 0) Usage();
-    } else if (a.starts_with("--bg-rate-mbps=")) {
-      config.background_rate_mbps = ArgF(argv[i], "--bg-rate-mbps=");
-      if (config.background_rate_mbps < 0) Usage();
-    } else if (a.starts_with("--class-weights=")) {
-      config.class_weights = a.substr(std::strlen("--class-weights="));
-      if (config.class_weights.empty()) Usage();
-    } else if (a.starts_with("--cache-bytes=")) {
-      config.cache_bytes =
-          static_cast<uint64_t>(ArgF(argv[i], "--cache-bytes="));
-    } else if (a.starts_with("--cache-policy=")) {
-      config.cache_policy = a.substr(15);
-      if (config.cache_policy.empty()) Usage();
-    } else if (a.starts_with("--write-buffer-bytes=")) {
-      config.write_buffer_bytes =
-          static_cast<uint64_t>(ArgF(argv[i], "--write-buffer-bytes="));
     } else if (a.starts_with("--zipf=")) {
       config.distribution = kv::Distribution::kZipfian;
       config.zipf_theta = ArgF(argv[i], "--zipf=");
@@ -211,11 +134,10 @@ int main(int argc, char** argv) {
   }
 
   // The driver (core::RunExperiment) scales the built-in engines' option
-  // defaults itself — including the inner engine behind "sharded" — and
-  // applies --engine-param overrides on top.
+  // defaults itself and applies --engine-param overrides on top.
   std::printf("engine=%s profile=%s state=%s dataset=%.2f of device "
               "(%llu keys), partition=%.2f, scale=1/%llu, threads=%zu, "
-              "channels=%d, queue-depth=%d\n\n",
+              "channels=%d\n\n",
               config.engine.c_str(),
               ssd::ProfileName(config.profile).c_str(),
               ssd::InitialStateName(config.initial_state),
@@ -223,11 +145,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(config.NumKeys()),
               config.partition_frac,
               static_cast<unsigned long long>(config.scale),
-              config.num_threads, config.channels, config.queue_depth);
+              config.num_threads, config.channels);
 
   auto result = core::RunExperiment(config, [](const std::string& line) {
     std::printf("%s\n", line.c_str());
   });
+  if (result.status().IsInvalidArgument()) {
+    // A configuration the stack cannot build (e.g. a scale the profile's
+    // flash geometry cannot back): a usage error, like a bad flag.
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return 2;
+  }
   PTSB_CHECK_OK(result.status());
 
   if (result->ran_out_of_space) {
@@ -251,18 +179,6 @@ int main(int argc, char** argv) {
       result->lba_fraction_untouched * 100, result->load_minutes,
       result->op_p50_us, result->op_p99_us, result->op_max_us);
   const kv::KvStoreStats& es = result->engine_stats;
-  if (es.cache_hits + es.cache_misses + es.buffer_coalesced_bytes > 0) {
-    const uint64_t probes = es.cache_hits + es.cache_misses;
-    std::printf("cache layer: hits=%llu misses=%llu (%.1f%% hit)  "
-                "coalesced=%s  flush batches=%llu\n",
-                static_cast<unsigned long long>(es.cache_hits),
-                static_cast<unsigned long long>(es.cache_misses),
-                probes > 0 ? 100.0 * static_cast<double>(es.cache_hits) /
-                                 static_cast<double>(probes)
-                           : 0.0,
-                HumanBytes(es.buffer_coalesced_bytes).c_str(),
-                static_cast<unsigned long long>(es.flush_batches));
-  }
   if (es.bloom_negatives + es.bloom_false_positives > 0) {
     // Probes the filters rejected (saved a data-block read) vs admitted
     // in vain (table lacked the key: a wasted block read).
@@ -306,19 +222,6 @@ int main(int argc, char** argv) {
                 "(simulated)\n",
                 static_cast<double>(fg) / 1e9,
                 static_cast<double>(bg) / 1e9);
-  }
-  if (config.background_slice_us > 0 || config.background_rate_mbps > 0) {
-    std::printf("qos: preemptions=%llu bg_throttled=%.3fs wait(",
-                static_cast<unsigned long long>(result->device.preemptions),
-                static_cast<double>(result->device.bg_throttled_ns) / 1e9);
-    for (int k = 0; k < sim::kNumIoClasses; k++) {
-      std::printf("%s%s=%.3fs", k > 0 ? " " : "",
-                  sim::IoClassName(static_cast<sim::IoClass>(k)),
-                  static_cast<double>(
-                      result->device.class_wait_ns[static_cast<size_t>(k)]) /
-                      1e9);
-    }
-    std::printf(")\n");
   }
   const std::string csv_path =
       core::WriteResultsFile("run_experiment.csv", result->series.ToCsv());

@@ -31,8 +31,6 @@ ENGINES = {
     "lsm": ("src/lsm/lsm_store.cc", "src/lsm/options.h"),
     "btree": ("src/btree/btree_store.cc", "src/btree/options.h"),
     "alog": ("src/alog/alog_store.cc", "src/alog/options.h"),
-    "sharded": ("src/sharded/sharded_store.cc", "src/sharded/options.h"),
-    "cached": ("src/cached/cached_store.cc", "src/cached/options.h"),
 }
 
 DOC = Path("docs/ENGINES.md")
@@ -140,9 +138,8 @@ def lint_simulation(failures: list) -> int:
 
 def lint_readme_flags(failures: list) -> int:
     """README `run_experiment` flag table <-> flags run_experiment.cpp
-    parses. Underscore spellings in the code are compatibility aliases
-    (e.g. --queue_depth) and are not required in the table. Returns
-    flags checked."""
+    parses. Underscore spellings in the code would be compatibility
+    aliases and are not required in the table. Returns flags checked."""
     if not README.exists():
         failures.append(f"{README} is missing")
         return 0

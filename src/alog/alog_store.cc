@@ -1,7 +1,6 @@
 #include "alog/alog_store.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 
 #include "util/human.h"
@@ -305,74 +304,6 @@ Status AlogStore::IndexGet(const Index& index, std::string_view key,
   return Status::OK();
 }
 
-std::vector<Status> AlogStore::MultiGet(std::span<const std::string_view> keys,
-                                        std::vector<std::string>* values) {
-  PTSB_CHECK(!closed_);
-  const int depth = options_.read_queue_depth;
-  if (options_.clock == nullptr || depth <= 1) {
-    return KVStore::MultiGet(keys, values);  // sequential Gets
-  }
-  // The whole fan-out runs under commit exclusion: it walks the index and
-  // reads segment files an in-flight group commit could be retargeting.
-  return write_group_.RunExclusive(
-      [&] { return MultiGetFanOut(keys, values); });
-}
-
-std::vector<Status> AlogStore::MultiGetFanOut(
-    std::span<const std::string_view> keys,
-    std::vector<std::string>* values) {
-  const int depth = options_.read_queue_depth;
-  values->assign(keys.size(), std::string());
-  std::vector<Status> statuses(keys.size());
-  // Fan-out: the index lookups are pure CPU; each hit's value read is
-  // submitted to its segment file across read lanes, at most `depth` in
-  // flight (waiting the oldest bounds the queue, exactly like the
-  // sharded store's write dispatch). Misses and tombstones never touch
-  // the device.
-  struct Pending {
-    size_t idx = 0;
-    fs::File* file = nullptr;
-    block::IoTicket ticket;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(keys.size());
-  size_t waited = 0;
-  uint32_t next_slot = 0;
-  auto wait_oldest = [&] {
-    Pending& p = pending[waited];
-    statuses[p.idx] = p.file->Wait(p.ticket);
-    if (statuses[p.idx].ok()) {
-      stats_.user_bytes_read += (*values)[p.idx].size();
-    }
-    waited++;
-  };
-  for (size_t i = 0; i < keys.size(); i++) {
-    ChargeCpu(options_.cpu_get_ns);
-    stats_.user_gets++;
-    const auto it = index_.find(keys[i]);
-    if (it == index_.end() || it->second.tombstone) {
-      statuses[i] = Status::NotFound("no such key");
-      continue;
-    }
-    const Location& loc = it->second;
-    (*values)[i].resize(loc.value_bytes);
-    Pending p;
-    p.idx = i;
-    p.file = segments_.at(loc.segment).file;
-    const uint32_t queue =
-        options_.io_queue + (next_slot++ % static_cast<uint32_t>(depth));
-    p.ticket = p.file->SubmitReadAt(loc.value_offset, loc.value_bytes,
-                                    (*values)[i].data(), queue,
-                                    sim::IoClass::kForegroundRead);
-    pending.push_back(p);
-    if (pending.size() - waited >= static_cast<size_t>(depth)) {
-      wait_oldest();
-    }
-  }
-  while (waited < pending.size()) wait_oldest();
-  return statuses;
-}
-
 Status AlogStore::MaybeGc() {
   if (replaying_) return Status::OK();
   // Full-segment collections, run inline with the triggering write (the
@@ -667,27 +598,22 @@ Status AlogStore::SnapshotGetInternal(const kv::Snapshot& snap,
 // Live view: the cursor holds an iterator into the store's index, so any
 // write invalidates it (appends retarget the index, GC deletes segment
 // files) — the same contract as the other engines, checked in debug
-// builds. Moves take no lock, and readahead is ignored: the contract
-// already requires a quiesced writer.
+// builds. Moves take no lock: the contract already requires a quiesced
+// writer.
 //
 // Snapshot view: the index is owned by the snapshot (immutable), so
 // concurrent writes never move it — no write-epoch check. Each movement
 // runs under the commit-exclusion lock (segment reads share the File
 // substrate with commits), but the cursor stays valid across writes made
-// between movements. With readahead > 1, the next span of value reads is
-// submitted across foreground-read lanes before any is waited, so their
-// virtual device time overlaps.
+// between movements.
 class AlogStore::Cursor : public kv::KVStore::Iterator {
  public:
   // A null `snap` selects the live view.
-  Cursor(AlogStore* store, const SnapshotImpl* snap, int readahead)
+  Cursor(AlogStore* store, const SnapshotImpl* snap)
       : store_(store),
         index_(snap != nullptr ? &snap->index_ : &store->index_),
         live_(snap == nullptr),
         epoch_(store->write_epoch_),
-        span_(!live_ && readahead > 1 ? readahead : 1),
-        depth_(std::min<int>(span_,
-                             std::max(1, store->options_.read_queue_depth))),
         pos_(index_->end()) {}
 
   void SeekToFirst() override { Move([&] { Position(index_->begin()); }); }
@@ -743,63 +669,18 @@ class AlogStore::Cursor : public kv::KVStore::Iterator {
     if (!status_.ok()) return;
     while (it != index_->end() && it->second.tombstone) ++it;
     if (it == index_->end()) return;  // clean end-of-data
-    if (!ready_.empty() && ready_.front().first == it) {
-      value_ = std::move(ready_.front().second);
-      ready_.pop_front();
-    } else {
-      ready_.clear();  // a Seek jumped off the prefetched run
-      if (!LoadSpan(it)) return;
-    }
+    if (!ReadValue(it)) return;
     pos_ = it;
     store_->stats_.user_bytes_read += it->first.size() + value_.size();
     valid_ = true;
   }
 
-  // Reads the value at `first` into value_; with readahead, also submits
-  // the following span of value reads across lanes before waiting any,
-  // caching the extras in ready_ for upcoming Next() calls.
-  bool LoadSpan(ConstIter first) {
-    if (span_ <= 1 || depth_ <= 1 || store_->options_.clock == nullptr) {
-      return ReadValue(first, &value_);
-    }
-    std::vector<ConstIter> batch;
-    batch.reserve(static_cast<size_t>(span_));
-    for (ConstIter it = first;
-         it != index_->end() &&
-         batch.size() < static_cast<size_t>(span_);
-         ++it) {
-      if (!it->second.tombstone) batch.push_back(it);
-    }
-    std::vector<std::string> bufs(batch.size());
-    std::vector<std::pair<fs::File*, block::IoTicket>> inflight(batch.size());
-    for (size_t i = 0; i < batch.size(); i++) {
-      const Location& loc = batch[i]->second;
-      bufs[i].resize(loc.value_bytes);
-      fs::File* file = store_->SegmentFile(loc.segment);
-      inflight[i] = {
-          file,
-          file->SubmitReadAt(
-              loc.value_offset, loc.value_bytes, bufs[i].data(),
-              store_->options_.io_queue +
-                  static_cast<uint32_t>(i % static_cast<size_t>(depth_)))};
-    }
-    for (size_t i = 0; i < batch.size(); i++) {
-      const Status s = inflight[i].first->Wait(inflight[i].second);
-      if (!s.ok() && status_.ok()) status_ = s;
-    }
-    if (!status_.ok()) return false;
-    value_ = std::move(bufs[0]);
-    for (size_t i = 1; i < batch.size(); i++) {
-      ready_.emplace_back(batch[i], std::move(bufs[i]));
-    }
-    return true;
-  }
-
-  bool ReadValue(ConstIter it, std::string* out) {
+  // Reads the value at `it` into value_.
+  bool ReadValue(ConstIter it) {
     const Location& loc = it->second;
-    out->resize(loc.value_bytes);
+    value_.resize(loc.value_bytes);
     auto got = store_->SegmentFile(loc.segment)
-                   ->ReadAt(loc.value_offset, loc.value_bytes, out->data());
+                   ->ReadAt(loc.value_offset, loc.value_bytes, value_.data());
     if (!got.ok()) {
       status_ = got.status();
       return false;
@@ -815,19 +696,16 @@ class AlogStore::Cursor : public kv::KVStore::Iterator {
   const Index* const index_;
   const bool live_;
   const uint64_t epoch_;  // store_->write_epoch_ at creation (live view)
-  const int span_;        // values per prefetch batch
-  const int depth_;       // submission lanes used per batch
   ConstIter pos_;
   std::string value_;
-  std::deque<std::pair<ConstIter, std::string>> ready_;
   bool valid_ = false;
   Status status_;
 };
 
 std::unique_ptr<kv::KVStore::Iterator> AlogStore::NewIteratorInternal(
-    const kv::Snapshot* snap, int readahead) {
-  return std::make_unique<Cursor>(
-      this, static_cast<const SnapshotImpl*>(snap), readahead);
+    const kv::Snapshot* snap) {
+  return std::make_unique<Cursor>(this,
+                                  static_cast<const SnapshotImpl*>(snap));
 }
 
 Status AlogStore::Flush() {
@@ -911,14 +789,10 @@ AlogOptions AlogOptionsFromEngineOptions(const kv::EngineOptions& eo) {
   o.cpu_get_ns = kv::ParamInt64(eo, "cpu_get_ns", o.cpu_get_ns);
   o.max_write_group_bytes = kv::ParamUint64(eo, "max_write_group_bytes",
                                             o.max_write_group_bytes);
-  o.read_queue_depth =
-      kv::ParamInt(eo, "read_queue_depth", o.read_queue_depth);
   o.background_io = kv::ParamBool(eo, "background_io", o.background_io);
   o.compaction_parallelism =
       kv::ParamInt(eo, "compaction_parallelism", o.compaction_parallelism);
   o.clock = eo.clock;
-  o.io_queue = eo.io_queue;
-  o.background_queue = eo.background_queue;
   return o;
 }
 
@@ -945,7 +819,6 @@ std::map<std::string, std::string> EncodeEngineParams(const AlogOptions& o) {
   p["cpu_put_ns"] = std::to_string(o.cpu_put_ns);
   p["cpu_get_ns"] = std::to_string(o.cpu_get_ns);
   p["max_write_group_bytes"] = std::to_string(o.max_write_group_bytes);
-  p["read_queue_depth"] = std::to_string(o.read_queue_depth);
   p["background_io"] = o.background_io ? "1" : "0";
   p["compaction_parallelism"] = std::to_string(o.compaction_parallelism);
   return p;

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -41,12 +40,6 @@ class AlogStore : public kv::GroupCommitStore {
                                                    std::string dir = "alog");
   ~AlogStore() override;
 
-  // The index lookups run on the CPU; each hit's segment read is
-  // submitted via fs::File::SubmitReadAt across read lanes at
-  // options().read_queue_depth, so independent segment reads overlap in
-  // virtual device time.
-  std::vector<Status> MultiGet(std::span<const std::string_view> keys,
-                               std::vector<std::string>* values) override;
   // Freezes the current index (a full copy — the index IS the engine's
   // version state) and pins every current segment: GC may still collect
   // a pinned segment, but its file deletion is deferred until the last
@@ -107,15 +100,9 @@ class AlogStore : public kv::GroupCommitStore {
   // invalidated by any write) or of a snapshot's frozen copy (immune to
   // concurrent writes: segments are append-only and the snapshot's pins
   // defer GC file deletion), reading values lazily from the segments. On
-  // a snapshot, readahead > 1 batches that many upcoming value reads per
-  // span across foreground-read submission lanes (capped at
-  // read_queue_depth), so the segment reads overlap in virtual device
-  // time; the live cursor ignores readahead.
+  // a snapshot.
   std::unique_ptr<kv::KVStore::Iterator> NewIteratorInternal(
-      const kv::Snapshot* snap, int readahead) override;
-  // MultiGet's read fan-out, run under the group's commit-exclusion lock.
-  std::vector<Status> MultiGetFanOut(std::span<const std::string_view> keys,
-                                     std::vector<std::string>* values);
+      const kv::Snapshot* snap) override;
 
   // Appends the batch as ONE record (group commit), rolling to a new
   // segment first if the active one is full, and points the index at the

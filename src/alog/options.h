@@ -40,15 +40,8 @@ struct AlogOptions {
   // regardless). See kv::WriteGroup.
   uint64_t max_write_group_bytes = 1ull << 20;
 
-  // Max in-flight MultiGet point lookups: each key's segment read is
-  // submitted via fs::File::SubmitReadAt in its own foreground-read
-  // lane, so up to this many independent segment reads overlap in
-  // virtual device time across SSD channels. 1 (or no clock) =
-  // sequential Gets.
-  int read_queue_depth = 1;
-
   // Run segment GC on the engine's background submission lane (queue
-  // `background_queue`, I/O class kBackground) instead of the user's
+  // `kv::kBackgroundQueue`, I/O class kBackground) instead of the user's
   // timeline: commits no longer absorb GC device time; Flush, Close and
   // SettleBackgroundWork wait it out explicitly. Off by default (the
   // paper's baseline).
@@ -56,7 +49,7 @@ struct AlogOptions {
 
   // Partitioned background GC: with background_io and a clock, a
   // collection's per-value segment reads are fanned across this many
-  // background submission lanes (queue background_queue + i) via a
+  // background submission lanes (queue kv::kBackgroundQueue + i) via a
   // kv::BackgroundPool, so the reads overlap across SSD channels. The
   // rewrite record, sync and victim deletion stay on lane 0 (ordering
   // is unchanged). 1 = today's single-lane behavior. The name matches
@@ -66,10 +59,6 @@ struct AlogOptions {
   // Optional virtual clock for CPU accounting (device time is charged by
   // the device itself).
   sim::SimClock* clock = nullptr;
-  // Submission queue for WriteAsync commits (see kv::EngineOptions).
-  uint32_t io_queue = 0;
-  // Submission queue for the background lane (see kv::EngineOptions).
-  uint32_t background_queue = 1;
 };
 
 }  // namespace ptsb::alog

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "sim/io_class.h"
 #include "util/status.h"
 
 namespace ptsb::sim {
@@ -13,17 +12,6 @@ class SimClock;
 }  // namespace ptsb::sim
 
 namespace ptsb::block {
-
-// Handle for one async submission (see BlockDevice::SubmitWrite). The
-// command's side effects (data, counters, FTL state) are applied at
-// submit; `complete_ns` is the virtual time at which it finishes.
-// Wait(ticket) joins that time into the shared clock and returns the
-// command's status. complete_ns == 0 means "completed at submit" (no
-// virtual clock attached).
-struct IoTicket {
-  Status status;
-  int64_t complete_ns = 0;
-};
 
 class BlockDevice {
  public:
@@ -49,33 +37,6 @@ class BlockDevice {
 
   // Device cache flush command.
   virtual Status Flush() = 0;
-
-  // ---- Async submission ------------------------------------------------
-  //
-  // SubmitWrite/SubmitRead run the command inside a virtual-time
-  // submission lane (sim::SimClock::BeginAsync) tagged with `queue` and
-  // `io_class`: the command's latency accumulates into the returned
-  // ticket instead of advancing the shared clock, and the simulated SSD
-  // serializes it on channel `queue % channels` only (reads on the
-  // channel's read pipeline, writes on its program backend) and accounts
-  // its busy time/bytes under `io_class`. Wait(ticket) joins the
-  // completion time into the clock (a monotonic max), so commands
-  // submitted on distinct queues from the same instant overlap in
-  // virtual time. The synchronous calls above are equivalent to
-  // submit-then-wait on queue 0. On an untimed device (no clock) Submit
-  // degrades to the synchronous call. Non-virtual: implemented over the
-  // virtual Read/Write, so decorators (iostat, trace, partition) keep
-  // counting.
-  IoTicket SubmitWrite(uint64_t lba, uint64_t count, const uint8_t* src,
-                       uint32_t queue = 0,
-                       sim::IoClass io_class = sim::IoClass::kForegroundWrite);
-  IoTicket SubmitRead(uint64_t lba, uint64_t count, uint8_t* dst,
-                      uint32_t queue = 0,
-                      sim::IoClass io_class = sim::IoClass::kForegroundRead);
-
-  // Joins the ticket's completion time into the clock and returns the
-  // submission's status. Idempotent (AdvanceTo is a monotonic max).
-  Status Wait(const IoTicket& ticket);
 };
 
 }  // namespace ptsb::block

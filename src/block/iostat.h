@@ -96,9 +96,9 @@ class IoStatCollector : public BlockDevice {
  private:
   BlockDevice* base_;
   // Counter updates happen concurrently once the filesystem stops
-  // serializing data I/O (concurrent write groups / shards reach the
-  // block layer in parallel); the base device's own lock does not cover
-  // this decorator's counters.
+  // serializing data I/O (concurrent write groups reach the block layer
+  // in parallel); the base device's own lock does not cover this
+  // decorator's counters.
   mutable std::mutex mu_;
   IoCounters counters_;
 };

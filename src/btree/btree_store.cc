@@ -1,7 +1,6 @@
 #include "btree/btree_store.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "util/crc32.h"
@@ -873,25 +872,19 @@ Status BTreeStore::SnapshotGetInternal(const kv::Snapshot& snapshot,
   return Status::OK();
 }
 
-// Disk-walking cursor over a pinned checkpoint. It owns every node it
-// loads (stack of internal nodes + current leaf), so it is immune to
-// live-tree splits and evictions — no write-epoch check. Each movement
-// runs under the commit-exclusion lock (the File substrate has a
-// single-user contract), but the cursor stays valid across writes made
-// between movements. With readahead > 1, sibling-leaf reads are batched
-// across foreground-read submission lanes so their device time overlaps.
-// Unlike the other engines' one-cursor-two-views design, it stays a class
-// of its own: Cursor links nodes into the shared leaf cache and evicts
-// between leaves, while this one owns private copies, so a shared body
-// would branch on the mode at every step.
+// Disk-walking cursor over a pinned checkpoint. It owns every node it loads
+// (stack of internal nodes + current leaf), so it is immune to live-tree
+// splits and evictions — no write-epoch check. Each movement runs under the
+// commit-exclusion lock (the File substrate has a single-user contract), but
+// the cursor stays valid across writes made between movements. Unlike the
+// other engines' one-cursor-two-views design, it stays a class of its own:
+// Cursor links nodes into the shared leaf cache and evicts between leaves,
+// while this one owns private copies, so a shared body would branch on the
+// mode at every step.
 class BTreeStore::SnapCursor : public kv::KVStore::Iterator {
  public:
-  SnapCursor(BTreeStore* store, const SnapshotImpl* snap, int readahead)
-      : store_(store),
-        snap_(snap),
-        span_(readahead > 1 ? readahead : 1),
-        depth_(std::min<int>(span_,
-                             std::max(1, store->options_.read_queue_depth))) {}
+  SnapCursor(BTreeStore* store, const SnapshotImpl* snap)
+      : store_(store), snap_(snap) {}
 
   void SeekToFirst() override { Seek(""); }
 
@@ -921,7 +914,6 @@ class BTreeStore::SnapCursor : public kv::KVStore::Iterator {
     status_ = Status::OK();
     valid_ = false;
     stack_.clear();
-    ready_.clear();
     leaf_.reset();
     item_ = 0;
     auto got = store_->ReadNode(snap_->root_);
@@ -975,15 +967,6 @@ class BTreeStore::SnapCursor : public kv::KVStore::Iterator {
     leaf_.reset();
     item_ = 0;
     while (status_.ok()) {
-      // Drain prefetched leaves first.
-      while (!ready_.empty()) {
-        std::unique_ptr<Node> n = std::move(ready_.front());
-        ready_.pop_front();
-        if (n->items.empty()) continue;  // deletes can leave empty leaves
-        leaf_ = std::move(n);
-        SetCurrent();
-        return;
-      }
       if (stack_.empty()) return;  // exhausted
       Frame& top = stack_.back();
       top.idx++;
@@ -992,7 +975,7 @@ class BTreeStore::SnapCursor : public kv::KVStore::Iterator {
         continue;
       }
       // Descend leftmost under the next sibling down to the level whose
-      // children are leaves (depth is uniform), then batch a leaf run.
+      // children are leaves (depth is uniform), then read the leaf.
       while (static_cast<int>(stack_.size()) - 1 < leaf_parent_level_) {
         Frame& f = stack_.back();
         auto got = store_->ReadNode(f.node->children[f.idx].addr);
@@ -1002,66 +985,24 @@ class BTreeStore::SnapCursor : public kv::KVStore::Iterator {
         }
         stack_.push_back({std::move(*got), 0});
       }
-      LoadLeafRun(&stack_.back());
+      const Frame& parent = stack_.back();
+      auto got = store_->ReadNode(parent.node->children[parent.idx].addr);
+      if (!got.ok()) {
+        status_ = got.status();
+        return;
+      }
+      if ((*got)->items.empty()) continue;  // deletes can leave empty leaves
+      leaf_ = std::move(*got);
+      SetCurrent();
+      return;
     }
-  }
-
-  // Reads children [frame->idx, frame->idx + span_) of a leaf-parent
-  // frame into ready_. With a clock and depth_ > 1 the reads are
-  // submitted before any is waited, striped over lanes io_queue + j, so
-  // their virtual device time is the max, not the sum.
-  void LoadLeafRun(Frame* frame) {
-    const auto& kids = frame->node->children;
-    const size_t first = frame->idx;
-    const size_t count =
-        std::min<size_t>(static_cast<size_t>(span_), kids.size() - first);
-    if (count <= 1 || depth_ <= 1 || store_->options_.clock == nullptr) {
-      for (size_t i = 0; i < count; i++) {
-        auto got = store_->ReadNode(kids[first + i].addr);
-        if (!got.ok()) {
-          status_ = got.status();
-          return;
-        }
-        ready_.push_back(std::move(*got));
-      }
-    } else {
-      std::vector<std::string> bufs(count);
-      std::vector<block::IoTicket> tickets(count);
-      for (size_t i = 0; i < count; i++) {
-        const BlockAddr& a = kids[first + i].addr;
-        bufs[i].resize(a.bytes);
-        tickets[i] = store_->file_->SubmitReadAt(
-            a.offset, a.bytes, bufs[i].data(),
-            store_->options_.io_queue +
-                static_cast<uint32_t>(i % static_cast<size_t>(depth_)));
-      }
-      for (size_t i = 0; i < count; i++) {
-        const Status s = store_->file_->Wait(tickets[i]);
-        if (!s.ok() && status_.ok()) status_ = s;
-      }
-      if (!status_.ok()) return;
-      for (size_t i = 0; i < count; i++) {
-        store_->stats_.page_read_bytes += bufs[i].size();
-        auto node = Node::Deserialize(bufs[i]);
-        if (!node.ok()) {
-          status_ = node.status();
-          return;
-        }
-        (*node)->addr = kids[first + i].addr;
-        ready_.push_back(std::move(*node));
-      }
-    }
-    frame->idx = first + count - 1;  // last child now explored
   }
 
   BTreeStore* store_;
   const SnapshotImpl* snap_;
-  const int span_;   // leaves per prefetch batch
-  const int depth_;  // submission lanes used per batch
   std::vector<Frame> stack_;
   // Index of the stack level whose children are leaves (-1: root leaf).
   int leaf_parent_level_ = -1;
-  std::deque<std::unique_ptr<Node>> ready_;  // prefetched sibling leaves
   std::unique_ptr<Node> leaf_;
   size_t item_ = 0;
   bool valid_ = false;
@@ -1069,12 +1010,10 @@ class BTreeStore::SnapCursor : public kv::KVStore::Iterator {
 };
 
 std::unique_ptr<kv::KVStore::Iterator> BTreeStore::NewIteratorInternal(
-    const kv::Snapshot* snap, int readahead) {
-  // Readahead is a disk-cursor concern; the live cursor reads through
-  // the leaf cache.
+    const kv::Snapshot* snap) {
   if (snap == nullptr) return std::make_unique<Cursor>(this);
-  return std::make_unique<SnapCursor>(
-      this, static_cast<const SnapshotImpl*>(snap), readahead);
+  return std::make_unique<SnapCursor>(this,
+                                      static_cast<const SnapshotImpl*>(snap));
 }
 
 Status BTreeStore::Flush() {
@@ -1185,14 +1124,10 @@ BTreeOptions BTreeOptionsFromEngineOptions(const kv::EngineOptions& eo) {
   o.cpu_get_ns = kv::ParamInt64(eo, "cpu_get_ns", o.cpu_get_ns);
   o.max_write_group_bytes = kv::ParamUint64(eo, "max_write_group_bytes",
                                             o.max_write_group_bytes);
-  o.read_queue_depth =
-      kv::ParamInt(eo, "read_queue_depth", o.read_queue_depth);
   o.background_io = kv::ParamBool(eo, "background_io", o.background_io);
   o.compaction_parallelism =
       kv::ParamInt(eo, "compaction_parallelism", o.compaction_parallelism);
   o.clock = eo.clock;
-  o.io_queue = eo.io_queue;
-  o.background_queue = eo.background_queue;
   return o;
 }
 
@@ -1225,7 +1160,6 @@ std::map<std::string, std::string> EncodeEngineParams(const BTreeOptions& o) {
   p["cpu_put_ns"] = std::to_string(o.cpu_put_ns);
   p["cpu_get_ns"] = std::to_string(o.cpu_get_ns);
   p["max_write_group_bytes"] = std::to_string(o.max_write_group_bytes);
-  p["read_queue_depth"] = std::to_string(o.read_queue_depth);
   p["background_io"] = o.background_io ? "1" : "0";
   p["compaction_parallelism"] = std::to_string(o.compaction_parallelism);
   return p;

@@ -81,13 +81,11 @@ class BTreeStore : public kv::GroupCommitStore {
                              std::string* value) override;
   // Live: a Cursor, the leaf-walking cursor in key order through the leaf
   // cache, invalidated by any write (splits and evictions move items
-  // between pages); it ignores readahead. With a snapshot: a SnapCursor,
-  // a disk-walking cursor over the pinned checkpoint's tree, immune to
-  // concurrent writes (it never touches the live cache); readahead > 1
-  // batches that many sibling-leaf reads per span across foreground-read
-  // submission lanes (capped at read_queue_depth).
+  // between pages). With a snapshot: a SnapCursor, a disk-walking cursor
+  // over the pinned checkpoint's tree, immune to concurrent writes (it
+  // never touches the live cache).
   std::unique_ptr<kv::KVStore::Iterator> NewIteratorInternal(
-      const kv::Snapshot* snap, int readahead) override;
+      const kv::Snapshot* snap) override;
 
   // Applies one batch entry to its leaf (insert/overwrite/erase + split).
   Status ApplyEntry(const kv::WriteBatch::Entry& entry);

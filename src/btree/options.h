@@ -47,14 +47,8 @@ struct BTreeOptions {
   // regardless). See kv::WriteGroup.
   uint64_t max_write_group_bytes = 1ull << 20;
 
-  // Max in-flight MultiGet point lookups: each runs in its own
-  // foreground-read submission lane, so up to this many independent leaf
-  // reads overlap in virtual device time across SSD channels. 1 (or no
-  // clock) = sequential Gets.
-  int read_queue_depth = 1;
-
   // Run paced checkpoints on the engine's background submission lane
-  // (queue `background_queue`, I/O class kBackground) instead of the
+  // (queue `kv::kBackgroundQueue`, I/O class kBackground) instead of the
   // user's timeline: commits no longer absorb checkpoint device time.
   // The explicit Flush/Close checkpoints still run (and are waited out)
   // on the foreground — the user asked for durability there. Off by
@@ -63,7 +57,7 @@ struct BTreeOptions {
 
   // Partitioned paced checkpoints: with background_io and a clock, a
   // checkpoint's dirty-node block writes are fanned across this many
-  // background submission lanes (queue background_queue + i) via a
+  // background submission lanes (queue kv::kBackgroundQueue + i) via a
   // kv::BackgroundPool, so the writes overlap across SSD channels. The
   // free-list blob, header and journal rotation stay ordered on lane 0
   // (crash-safety order unchanged). 1 = today's single-lane behavior.
@@ -72,10 +66,6 @@ struct BTreeOptions {
   int compaction_parallelism = 1;
 
   sim::SimClock* clock = nullptr;
-  // Submission queue for WriteAsync commits (see kv::EngineOptions).
-  uint32_t io_queue = 0;
-  // Submission queue for the background lane (see kv::EngineOptions).
-  uint32_t background_queue = 1;
 };
 
 }  // namespace ptsb::btree

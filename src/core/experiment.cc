@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -66,33 +65,16 @@ struct Stack {
   std::unique_ptr<kv::KVStore> store;
 };
 
-// Parses the --class-weights spec "fgread:fgwrite:bg" (three
-// non-negative integers) into the SsdConfig weight array.
-Status ParseClassWeights(const std::string& spec,
-                         std::array<int, sim::kNumIoClasses>* out) {
-  int parsed[sim::kNumIoClasses] = {0, 0, 0};
-  char trailing = 0;
-  if (std::sscanf(spec.c_str(), "%d:%d:%d%c", &parsed[0], &parsed[1],
-                  &parsed[2], &trailing) != 3 ||
-      parsed[0] < 0 || parsed[1] < 0 || parsed[2] < 0) {
-    return Status::InvalidArgument("class_weights must be \"fgr:fgw:bg\" (got " +
-                                   spec + ")");
-  }
-  for (int c = 0; c < sim::kNumIoClasses; c++) {
-    (*out)[static_cast<size_t>(c)] = parsed[c];
-  }
-  return Status::OK();
-}
-
 Status BuildStack(const ExperimentConfig& config, Stack* stack) {
   auto ssd_config = ssd::MakeProfile(config.profile, config.device_bytes,
                                      config.scale);
   ssd_config.channels = std::max(1, config.channels);
-  ssd_config.background_slice_ns = config.background_slice_us * 1000;
-  ssd_config.background_rate_mbps = config.background_rate_mbps;
-  if (!config.class_weights.empty()) {
-    PTSB_RETURN_IF_ERROR(
-        ParseClassWeights(config.class_weights, &ssd_config.class_weights));
+  // The profile's geometry shrinks with the scale; report a scale it
+  // cannot support instead of tripping the FTL's CHECK.
+  if (const Status s = ssd::ValidateGeometry(ssd_config.geometry); !s.ok()) {
+    return Status::InvalidArgument(
+        "profile " + ssd::ProfileName(config.profile) + " at scale " +
+        std::to_string(config.scale) + ": " + s.message());
   }
   stack->ssd = std::make_unique<ssd::SsdDevice>(ssd_config, &stack->clock);
   stack->iostat = std::make_unique<block::IoStatCollector>(stack->ssd.get());
@@ -120,52 +102,20 @@ Status BuildStack(const ExperimentConfig& config, Stack* stack) {
 
   // Registry-driven engine construction: scaled defaults for the built-in
   // engines, then the caller's overrides, then kv::OpenStore by name.
-  // "sharded" scales whatever inner engine its params select (the shards
-  // are full instances of that engine, so they take the same defaults).
   kv::EngineOptions engine_options;
   engine_options.engine = config.engine;
   engine_options.fs = stack->fs.get();
   engine_options.clock = &stack->clock;
-  std::string defaults_engine = config.engine;
-  if (config.engine == "sharded" || config.engine == "cached") {
-    const auto it = config.engine_params.find("inner_engine");
-    defaults_engine = it != config.engine_params.end() ? it->second : "lsm";
-  }
-  if (defaults_engine == "lsm") {
+  if (config.engine == "lsm") {
     engine_options.params = lsm::EncodeEngineParams(ScaledLsmOptions(config));
-  } else if (defaults_engine == "btree") {
+  } else if (config.engine == "btree") {
     engine_options.params =
         btree::EncodeEngineParams(ScaledBTreeOptions(config));
-  } else if (defaults_engine == "alog") {
+  } else if (config.engine == "alog") {
     engine_options.params = alog::ScaledEngineParams(config.scale);
   }
-  if (config.engine == "sharded") {
-    // The driver-level queue_depth knob is the sharded engine's param of
-    // the same name; an explicit engine_params entry wins below.
-    engine_options.params["queue_depth"] =
-        std::to_string(std::max(1, config.queue_depth));
-  }
-  if (config.engine == "cached") {
-    // Driver-level host-buffering knobs map onto the cached engine's
-    // params of the same meaning; 0 / empty keeps the engine defaults
-    // and explicit engine_params entries win below.
-    if (config.write_buffer_bytes > 0) {
-      engine_options.params["write_buffer_bytes"] =
-          std::to_string(config.write_buffer_bytes);
-    }
-    if (config.cache_bytes > 0) {
-      engine_options.params["read_cache_bytes"] =
-          std::to_string(config.cache_bytes);
-    }
-    if (!config.cache_policy.empty()) {
-      engine_options.params["read_cache_policy"] = config.cache_policy;
-    }
-  }
-  // Every engine understands the read fan-out depth and the background
-  // I/O toggle (sharded passes background_io through to its inner
-  // engines); explicit engine_params entries win below.
-  engine_options.params["read_queue_depth"] =
-      std::to_string(std::max(1, config.read_queue_depth));
+  // Every engine understands the background I/O toggle and the
+  // background lane count; explicit engine_params entries win below.
   engine_options.params["background_io"] = config.background_io ? "1" : "0";
   engine_options.params["compaction_parallelism"] =
       std::to_string(std::max(1, config.compaction_parallelism));
@@ -183,35 +133,25 @@ Status BuildStack(const ExperimentConfig& config, Stack* stack) {
     return Status::InvalidArgument(
         "num_threads=" + std::to_string(config.num_threads) +
         " requires an engine with concurrent-writer support; \"" +
-        config.engine +
-        "\" is single-threaded (use engine \"sharded\" with inner_engine=" +
-        config.engine + ")");
+        config.engine + "\" is single-threaded");
   }
   return Status::OK();
 }
 
-// Reusable scratch for the MultiGet read path (read_batch_size > 1),
-// hoisted out of the per-op loop like the WriteBatch is.
-struct ReadBatchScratch {
-  std::vector<std::string> keys;
-  std::vector<std::string_view> views;
-  std::vector<std::string> values;
-};
-
-// Fills `batch` with the entries of the write op `op` (put, batch put or
-// delete) — the one encoder behind both ExecuteOp and the pipelined
-// writer, so both draw the same key and value streams — and sets
-// *ops_done to the logical entry count.
-void FillWriteBatch(kv::WorkloadGenerator* gen, const kv::WorkloadSpec& spec,
-                    const kv::Op& op, kv::WriteBatch* batch,
-                    uint64_t* ops_done) {
+// Applies one generated op to the store. `ops_done` counts logical
+// entries (a batch counts its size). NotFound on point reads is success;
+// NoSpace is returned for the caller to treat as data (paper Fig. 6).
+Status ExecuteOp(kv::KVStore* store, kv::WorkloadGenerator* gen,
+                 const kv::WorkloadSpec& spec, const kv::Op& op,
+                 kv::WriteBatch* batch, std::string* read_value,
+                 uint64_t* ops_done) {
   *ops_done = 1;
   switch (op.type) {
     case kv::Op::Type::kPut:
       batch->SetSingle(kv::WriteBatch::EntryKind::kPut,
                        gen->KeyFor(op.key_id),
                        kv::MakeValue(op.value_seed, spec.value_bytes));
-      break;
+      return store->Write(*batch);
     case kv::Op::Type::kBatchPut:
       batch->Clear();
       batch->Put(gen->KeyFor(op.key_id),
@@ -221,65 +161,25 @@ void FillWriteBatch(kv::WorkloadGenerator* gen, const kv::WorkloadSpec& spec,
                    kv::MakeValue(gen->NextValueSeed(), spec.value_bytes));
       }
       *ops_done = batch->Count();
-      break;
+      return store->Write(*batch);
     case kv::Op::Type::kDelete:
       batch->SetSingle(kv::WriteBatch::EntryKind::kDelete,
                        gen->KeyFor(op.key_id), "");
-      break;
-    default:
-      break;
-  }
-}
-
-// Applies one generated op to the store. `ops_done` counts logical
-// entries (a batch counts its size). NotFound on point reads is success;
-// NoSpace is returned for the caller to treat as data (paper Fig. 6).
-Status ExecuteOp(kv::KVStore* store, kv::WorkloadGenerator* gen,
-                 const kv::WorkloadSpec& spec, const kv::Op& op,
-                 kv::WriteBatch* batch, std::string* read_value,
-                 ReadBatchScratch* reads, uint64_t* ops_done) {
-  *ops_done = 1;
-  switch (op.type) {
-    case kv::Op::Type::kPut:
-    case kv::Op::Type::kBatchPut:
-    case kv::Op::Type::kDelete:
-      FillWriteBatch(gen, spec, op, batch, ops_done);
       return store->Write(*batch);
     case kv::Op::Type::kGet: {
-      if (spec.read_batch_size > 1) {
-        // Read-side batching: one MultiGet submission covering
-        // read_batch_size lookups; the engine fans them out at its
-        // read_queue_depth. NotFound per key is data, like for Get.
-        reads->keys.clear();
-        reads->keys.push_back(gen->KeyFor(op.key_id));
-        for (size_t j = 1; j < spec.read_batch_size; j++) {
-          reads->keys.push_back(gen->KeyFor(gen->NextKeyId()));
-        }
-        reads->views.assign(reads->keys.begin(), reads->keys.end());
-        const std::vector<Status> statuses =
-            store->MultiGet(reads->views, &reads->values);
-        *ops_done = statuses.size();
-        for (const Status& s : statuses) {
-          if (!s.ok() && !s.IsNotFound()) return s;
-        }
-        return Status::OK();
-      }
       const Status s = store->Get(gen->KeyFor(op.key_id), read_value);
       return s.IsNotFound() ? Status::OK() : s;
     }
     case kv::Op::Type::kScan: {
-      // Snapshot scans (scan_snapshot, or any readahead request — every
-      // engine but lsm honors readahead only on snapshot cursors) freeze
-      // a sequence first, so the cursor tolerates concurrent writers and
-      // can prefetch through read submission lanes.
+      // Snapshot scans (scan_snapshot) freeze a sequence first, so the
+      // cursor tolerates concurrent writers.
       std::shared_ptr<const kv::Snapshot> snap;
       kv::ReadOptions opts;
-      if (spec.scan_snapshot || spec.scan_readahead > 1) {
+      if (spec.scan_snapshot) {
         auto got = store->GetSnapshot();
         if (!got.ok()) return got.status();
         snap = *std::move(got);
         opts.snapshot = snap.get();
-        opts.readahead = spec.scan_readahead;
       }
       std::unique_ptr<kv::KVStore::Iterator> it = store->NewIterator(opts);
       size_t seen = 0;
@@ -292,93 +192,6 @@ Status ExecuteOp(kv::KVStore* store, kv::WorkloadGenerator* gen,
   }
   return Status::OK();
 }
-
-// True for ops the pipelined writer mode (pipeline_writes) can issue
-// through WriteAsync; reads and scans stay synchronous.
-bool IsWriteOp(const kv::Op& op) {
-  return op.type == kv::Op::Type::kPut ||
-         op.type == kv::Op::Type::kBatchPut ||
-         op.type == kv::Op::Type::kDelete;
-}
-
-// Bounded window of in-flight asynchronous commits for the pipelined
-// writer mode (ExperimentConfig::pipeline_writes). Submit() issues the
-// batch through WriteAsync and registers an OnComplete callback that
-// performs the op/latency/error accounting; once `depth` commits are in
-// flight the oldest handle is retired — its Wait() joins the commit's
-// virtual completion time into the shared clock, which fires the
-// callback. WriteAsync applies the commit inside its lane at
-// submission, so the batch is reusable (and the completion time known)
-// the moment Submit returns; only the clock join is deferred, which is
-// what lets consecutive commits' device time overlap in virtual time.
-class WritePipeline {
- public:
-  // Either histogram may be null; per-entry latencies are recorded into
-  // both (the per-window one resets each window, the run one never does).
-  WritePipeline(kv::KVStore* store, size_t depth, Histogram* latency,
-                Histogram* run_latency)
-      : store_(store), depth_(std::max<size_t>(1, depth)),
-        latency_(latency), run_latency_(run_latency) {}
-  ~WritePipeline() { Drain(); }
-
-  // Issues one commit covering `ops` logical entries. `submit_ns` is the
-  // virtual time the op was generated at: per-entry latency spans submit
-  // to the commit's own completion, not its retirement from the window.
-  void Submit(const kv::WriteBatch& batch, uint64_t ops, int64_t submit_ns) {
-    kv::WriteHandle h = store_->WriteAsync(batch);
-    const int64_t complete_ns =
-        h.complete_ns() > 0 ? h.complete_ns() : submit_ns;
-    const uint64_t per_entry_ns =
-        static_cast<uint64_t>(std::max<int64_t>(0, complete_ns - submit_ns)) /
-        std::max<uint64_t>(1, ops);
-    h.OnComplete([this, ops, per_entry_ns](const Status& s) {
-      if (s.IsNoSpace()) {
-        out_of_space_ = true;
-        return;
-      }
-      if (!s.ok()) {
-        if (error_.ok()) error_ = s;
-        return;
-      }
-      ops_done_ += ops;
-      if (latency_ != nullptr) latency_->Record(per_entry_ns);
-      if (run_latency_ != nullptr) run_latency_->Record(per_entry_ns);
-    });
-    in_flight_.push_back(std::move(h));
-    while (in_flight_.size() > depth_) Retire();
-  }
-
-  // Retires every in-flight commit (window boundaries and loop end), so
-  // the ops/latency/error accounting is settled before it is read.
-  void Drain() {
-    while (!in_flight_.empty()) Retire();
-  }
-
-  // Logical entries completed since the last call; Drain() first.
-  uint64_t TakeOpsDone() {
-    const uint64_t n = ops_done_;
-    ops_done_ = 0;
-    return n;
-  }
-
-  bool out_of_space() const { return out_of_space_; }
-  const Status& error() const { return error_; }
-
- private:
-  void Retire() {
-    in_flight_.front().Wait();  // joins the clock + fires the callback
-    in_flight_.pop_front();
-  }
-
-  kv::KVStore* store_;
-  size_t depth_;
-  Histogram* latency_;
-  Histogram* run_latency_;
-  std::deque<kv::WriteHandle> in_flight_;
-  uint64_t ops_done_ = 0;  // completed but not yet taken
-  bool out_of_space_ = false;
-  Status error_;  // first non-NoSpace commit failure
-};
 
 // Baselines the window math subtracts from the current counters. The
 // "cum" members anchor cumulative metrics at the update-phase start; the
@@ -467,9 +280,8 @@ void PushWindow(const WindowSample& w, ExperimentResult* result) {
 // timeline, into which each command's submission lane joins by max —
 // concurrent workers' I/O overlaps in virtual time (up to per-channel
 // serialization), like independent NVMe queues. On error the first
-// status is returned; on
-// NoSpace the phase ends and result->ran_out_of_space is set (data, not
-// error — paper Fig. 6).
+// status is returned; on NoSpace the phase ends and
+// result->ran_out_of_space is set (data, not error — paper Fig. 6).
 Status RunUpdatePhaseConcurrent(const ExperimentConfig& config,
                                 const kv::WorkloadSpec& base_spec,
                                 Stack* stack, double t0_min,
@@ -502,28 +314,13 @@ Status RunUpdatePhaseConcurrent(const ExperimentConfig& config,
     kv::WorkloadGenerator gen(spec.ForThread(tid));
     kv::WriteBatch batch;
     std::string read_value;
-    ReadBatchScratch reads;
-    // Pipelined writer mode: each worker keeps its own bounded window of
-    // in-flight WriteAsync commits (completion accounting runs in the
-    // OnComplete callbacks, so the ops land in total_ops at drain time —
-    // before the aggregate window is computed after the join).
-    WritePipeline pipeline(
-        stack->store.get(),
-        static_cast<size_t>(std::max(1, config.pipeline_depth)),
-        &local_latency[tid], nullptr);
     while (!stop.load(std::memory_order_relaxed) &&
            stack->clock.NowMinutes() - t0_min < duration_sim_min) {
       const int64_t op_start_ns = stack->clock.NowNanos();
       const kv::Op op = gen.Next();
       uint64_t ops_done = 1;
-      if (config.pipeline_writes && IsWriteOp(op)) {
-        FillWriteBatch(&gen, spec, op, &batch, &ops_done);
-        pipeline.Submit(batch, ops_done, op_start_ns);
-        if (pipeline.out_of_space() || !pipeline.error().ok()) break;
-        continue;  // accounting happens when the commit retires
-      }
       const Status s = ExecuteOp(stack->store.get(), &gen, spec, op,
-                                 &batch, &read_value, &reads, &ops_done);
+                                 &batch, &read_value, &ops_done);
       if (s.IsNoSpace()) {
         out_of_space.store(true, std::memory_order_relaxed);
         stop.store(true, std::memory_order_relaxed);
@@ -541,19 +338,6 @@ Status RunUpdatePhaseConcurrent(const ExperimentConfig& config,
       local_latency[tid].Record(
           static_cast<uint64_t>(stack->clock.NowNanos() - op_start_ns) /
           std::max<uint64_t>(1, ops_done));
-    }
-    pipeline.Drain();
-    total_ops.fetch_add(pipeline.TakeOpsDone(), std::memory_order_relaxed);
-    if (pipeline.out_of_space()) {
-      out_of_space.store(true, std::memory_order_relaxed);
-      stop.store(true, std::memory_order_relaxed);
-    }
-    if (!pipeline.error().ok()) {
-      {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error.ok()) first_error = pipeline.error();
-      }
-      stop.store(true, std::memory_order_relaxed);
     }
   };
   std::vector<std::thread> threads;
@@ -592,10 +376,8 @@ StatusOr<ExperimentResult> RunExperiment(
   spec.delete_fraction = config.delete_fraction;
   spec.scan_fraction = config.scan_fraction;
   spec.batch_size = std::max<size_t>(1, config.batch_size);
-  spec.read_batch_size = std::max<size_t>(1, config.read_batch_size);
   spec.scan_count = config.scan_count;
   spec.scan_snapshot = config.scan_while_writing;
-  spec.scan_readahead = std::max(1, config.scan_readahead);
   spec.num_threads = std::max<size_t>(1, config.num_threads);
   spec.distribution = config.distribution;
   spec.zipf_theta = config.zipf_theta;
@@ -685,59 +467,31 @@ StatusOr<ExperimentResult> RunExperiment(
     Histogram op_latency;  // per-window, in virtual nanoseconds
     std::string read_value;
     kv::WriteBatch batch;
-    ReadBatchScratch reads;
-    // Pipelined writer mode: write ops go through a bounded window of
-    // WriteAsync commits instead of blocking one at a time. Mutations
-    // are applied at submit, so the reads and scans interleaved below
-    // still see every prior write without draining first; the window is
-    // drained at each sampling boundary so update_ops and the latency
-    // histograms are settled before SampleWindow reads them.
-    WritePipeline pipeline(
-        stack.store.get(),
-        static_cast<size_t>(std::max(1, config.pipeline_depth)),
-        &op_latency, &run_latency);
     while (stack.clock.NowMinutes() - t0_min < duration_sim_min &&
            !result.ran_out_of_space) {
       const int64_t op_start_ns = stack.clock.NowNanos();
       const kv::Op op = gen.Next();
       uint64_t ops_done = 1;
-      if (config.pipeline_writes && IsWriteOp(op)) {
-        FillWriteBatch(&gen, spec, op, &batch, &ops_done);
-        pipeline.Submit(batch, ops_done, op_start_ns);
-        if (pipeline.out_of_space()) {
-          result.ran_out_of_space = true;
-          break;
-        }
-        PTSB_RETURN_IF_ERROR(pipeline.error());
-      } else {
-        const Status s = ExecuteOp(stack.store.get(), &gen, spec, op,
-                                   &batch, &read_value, &reads, &ops_done);
-        if (s.IsNoSpace()) {
-          result.ran_out_of_space = true;
-          break;
-        }
-        PTSB_RETURN_IF_ERROR(s);
-        result.update_ops += ops_done;
-        // Per-entry latency: a batch is one submission covering ops_done
-        // entries, so divide its elapsed time to keep the histogram in
-        // the same per-op units as kv_kops.
-        const uint64_t per_entry_ns =
-            static_cast<uint64_t>(stack.clock.NowNanos() - op_start_ns) /
-            std::max<uint64_t>(1, ops_done);
-        op_latency.Record(per_entry_ns);
-        run_latency.Record(per_entry_ns);
+      const Status s = ExecuteOp(stack.store.get(), &gen, spec, op, &batch,
+                                 &read_value, &ops_done);
+      if (s.IsNoSpace()) {
+        result.ran_out_of_space = true;
+        break;
       }
+      PTSB_RETURN_IF_ERROR(s);
+      result.update_ops += ops_done;
+      // Per-entry latency: a batch is one submission covering ops_done
+      // entries, so divide its elapsed time to keep the histogram in the
+      // same per-op units as kv_kops.
+      const uint64_t per_entry_ns =
+          static_cast<uint64_t>(stack.clock.NowNanos() - op_start_ns) /
+          std::max<uint64_t>(1, ops_done);
+      op_latency.Record(per_entry_ns);
+      run_latency.Record(per_entry_ns);
 
       // Window boundary?
       const double now_min = stack.clock.NowMinutes();
       if (now_min - window_start >= window_sim_min) {
-        pipeline.Drain();
-        result.update_ops += pipeline.TakeOpsDone();
-        if (pipeline.out_of_space()) {
-          result.ran_out_of_space = true;
-          break;
-        }
-        PTSB_RETURN_IF_ERROR(pipeline.error());
         const double window_sec = (now_min - window_start) * 60.0;
         WindowBaselines base{io0,
                              smart0,
@@ -768,11 +522,6 @@ StatusOr<ExperimentResult> RunExperiment(
         stalls_window_start = stack.store->GetStats().stall_count;
       }
     }
-    // Retire the commits still in flight when the duration ran out.
-    pipeline.Drain();
-    result.update_ops += pipeline.TakeOpsDone();
-    if (pipeline.out_of_space()) result.ran_out_of_space = true;
-    PTSB_RETURN_IF_ERROR(pipeline.error());
   }
 
   result.steady = result.series.SteadyState();

@@ -73,43 +73,15 @@ struct ExperimentConfig {
   size_t num_threads = 1;
   // Device-internal parallelism (Roh et al., PAPERS.md): number of
   // independent flash channels in the simulated SSD. A submission queue
-  // q serializes on channel q % channels only; synchronous callers use
-  // channel 0, so 1 reproduces the single-server device exactly.
+  // q serializes on channel q % channels only; foreground commands use
+  // queue 0 and background lanes queues 1.., so 1 reproduces the
+  // single-server device exactly.
   int channels = 1;
-  // Async submission depth for the "sharded" engine (its queue_depth
-  // param, unless engine_params overrides it): > 1 commits cross-shard
-  // sub-batches through KVStore::WriteAsync with this many in flight, so
-  // their device time overlaps across channels in VIRTUAL time. Ignored
-  // by engines without async dispatch.
-  int queue_depth = 1;
-  // Pipelined writer mode: the update phase issues writes through
-  // KVStore::WriteAsync and observes their completions via
-  // WriteHandle::OnComplete callbacks instead of blocking on each
-  // commit, keeping up to pipeline_depth commits in flight per worker.
-  // Mutations are applied at submit (the engine's group-commit path runs
-  // then); only the completion wait is deferred, so reads issued between
-  // submissions still see every prior write. Works with any engine and
-  // any num_threads; per-op latency is measured submit-to-completion in
-  // virtual time.
-  bool pipeline_writes = false;
-  int pipeline_depth = 4;
-  // Read-side submission depth (every engine's read_queue_depth param,
-  // unless engine_params overrides it): > 1 lets MultiGet fan point
-  // lookups out across read submission lanes, so independent reads
-  // overlap across channels. Pair with read_batch_size > 1, which groups
-  // that many gets into one MultiGet op.
-  int read_queue_depth = 1;
-  size_t read_batch_size = 1;
   // Run every scan op over a snapshot (KVStore::GetSnapshot +
   // ReadOptions::snapshot): the cursor freezes a commit sequence and
   // survives concurrent writers, so scan_fraction > 0 composes with
   // num_threads > 1 instead of being downgraded to point reads.
   bool scan_while_writing = false;
-  // Iterator readahead for scan ops (ReadOptions::readahead): > 1
-  // prefetches that many leaves/blocks/values per span across read
-  // submission lanes at the engine's read_queue_depth, overlapping a
-  // scan's I/O across SSD channels. Implies the snapshot scan path.
-  int scan_readahead = 1;
   // Run engine maintenance (LSM compaction, B+Tree checkpoints, alog GC)
   // on a dedicated background submission lane/queue (the engines'
   // background_io param): user commits no longer absorb background
@@ -124,39 +96,17 @@ struct ExperimentConfig {
   // submission lane, so background I/O overlaps across SSD channels.
   // Needs background_io; 1 keeps today's single-lane behavior.
   int compaction_parallelism = 1;
-  // Inter-class QoS scheduling in the simulated SSD (threads through to
-  // SsdConfig; see docs/SIMULATION.md "Inter-class scheduling"). All off
-  // (0 / empty) by default, which reproduces FIFO per-channel
-  // scheduling exactly.
-  // Preemption quantum for background backend work, in MICROSECONDS
-  // (--bg-slice-us): a foreground command waits at most one quantum
-  // behind a background span. 0 = background runs to completion.
-  int64_t background_slice_us = 0;
-  // Token-bucket admission limit for background host-write bytes, MB/s
-  // (--bg-rate-mbps). 0 = unlimited.
-  double background_rate_mbps = 0;
-  // Service weights "fgread:fgwrite:bg" (--class-weights), e.g. "4:4:1"
-  // lets background interleave 1/4 of a foreground command's cost at
-  // each preemption point. Empty = strict foreground priority.
-  std::string class_weights;
-  // Host-buffering knobs for the "cached" wrapper engine (its
-  // read_cache_bytes / read_cache_policy / write_buffer_bytes params,
-  // unless engine_params overrides them). 0 / empty leaves the engine's
-  // own defaults in place; disabling the read cache outright is spelled
-  // engine_params["read_cache_bytes"] = "0". Ignored by other engines.
-  uint64_t cache_bytes = 0;
-  std::string cache_policy;
-  uint64_t write_buffer_bytes = 0;
   kv::Distribution distribution = kv::Distribution::kUniform;
   double zipf_theta = 0.99;  // used when distribution is zipfian
   double duration_minutes = 210;  // paper-equivalent minutes
   double window_minutes = 10;
 
   // Engine selection: a kv::EngineRegistry name plus option overrides.
-  // For the built-in "lsm"/"btree" engines the driver first fills the
-  // scaled defaults (ScaledLsmOptions / ScaledBTreeOptions below), then
-  // applies engine_params on top, so any registered engine — including
-  // out-of-tree ones — is configured the same way.
+  // For the built-in engines the driver first fills the scaled defaults
+  // (ScaledLsmOptions / ScaledBTreeOptions below, alog's
+  // ScaledEngineParams), then applies engine_params on top, so any
+  // registered engine — including out-of-tree ones — is configured the
+  // same way.
   std::string engine = "lsm";
   std::map<std::string, std::string> engine_params;
 
@@ -215,8 +165,7 @@ struct ExperimentResult {
   std::vector<std::array<double, sim::kNumIoClasses>>
       channel_class_utilization;
   // The per-channel device counters summed across channels: the
-  // per-class busy split (foreground vs background device time) and the
-  // QoS scheduler counters (all zero unless a QoS knob is set).
+  // per-class busy split (foreground vs background device time).
   ssd::SsdDevice::ChannelStats device;
 
   // Operation-latency percentiles over the whole update phase

@@ -47,46 +47,27 @@ Status WriteFilePages(SimpleFs* fs, const Inode& inode, uint64_t first_page,
   return Status::OK();
 }
 
+// Runs a write body in a foreground-write submission lane on queue 0 and
+// joins the lane's completion into the clock: submit-then-wait, so the
+// writes of concurrent threads overlap in virtual time up to per-channel
+// serialization instead of summing.
+template <typename Op>
+Status SubmitAndWait(sim::SimClock* clock, const Op& op) {
+  const sim::LaneResult r =
+      sim::RunInLane(clock, 0, sim::IoClass::kForegroundWrite, op);
+  if (clock != nullptr && r.complete_ns > 0) clock->AdvanceTo(r.complete_ns);
+  return r.status;
+}
+
 }  // namespace
 
-block::IoTicket File::SubmitAppend(std::string_view data, uint32_t queue,
-                                   sim::IoClass io_class) {
-  const sim::LaneResult r =
-      sim::RunInLane(fs_->device_->clock(), queue, io_class,
-                     [&] { return AppendImpl(data); });
-  return block::IoTicket{r.status, r.complete_ns};
-}
-
-block::IoTicket File::SubmitWriteAt(uint64_t offset, std::string_view data,
-                                    uint32_t queue, sim::IoClass io_class) {
-  const sim::LaneResult r =
-      sim::RunInLane(fs_->device_->clock(), queue, io_class,
-                     [&] { return WriteAtImpl(offset, data); });
-  return block::IoTicket{r.status, r.complete_ns};
-}
-
-block::IoTicket File::SubmitReadAt(uint64_t offset, uint64_t n, char* dst,
-                                   uint32_t queue, sim::IoClass io_class) {
-  const sim::LaneResult r =
-      sim::RunInLane(fs_->device_->clock(), queue, io_class, [&] {
-        auto got = ReadAt(offset, n, dst);
-        if (!got.ok()) return got.status();
-        if (*got != n) return Status::IoError("short read in SubmitReadAt");
-        return Status::OK();
-      });
-  return block::IoTicket{r.status, r.complete_ns};
-}
-
-Status File::Wait(const block::IoTicket& ticket) {
-  return fs_->device_->Wait(ticket);
-}
-
 Status File::Append(std::string_view data) {
-  return Wait(SubmitAppend(data));
+  return SubmitAndWait(fs_->device_->clock(), [&] { return AppendImpl(data); });
 }
 
 Status File::WriteAt(uint64_t offset, std::string_view data) {
-  return Wait(SubmitWriteAt(offset, data));
+  return SubmitAndWait(fs_->device_->clock(),
+                       [&] { return WriteAtImpl(offset, data); });
 }
 
 Status File::AppendImpl(std::string_view data) {

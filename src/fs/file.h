@@ -2,8 +2,7 @@
 // other threads operate on OTHER files: per-file state (tail buffer,
 // sizes, extents) is touched only by this file's user, and the shared
 // substrate (allocator, device) is serialized by the filesystem's I/O
-// mutex — the locking split kv::ShardedStore's per-shard engines rely on.
-// A single File shared by two unsynchronized threads is a bug: appends
+// mutex. A single File shared by two unsynchronized threads is a bug: appends
 // would interleave unpredictably.
 #ifndef PTSB_FS_FILE_H_
 #define PTSB_FS_FILE_H_
@@ -12,8 +11,6 @@
 #include <string>
 #include <string_view>
 
-#include "block/block_device.h"
-#include "sim/io_class.h"
 #include "util/status.h"
 
 namespace ptsb::fs {
@@ -25,36 +22,10 @@ class File {
  public:
   // Appends bytes at the end of the file (buffered; full pages are written
   // through to the device, the partial tail stays in memory until Sync).
-  // Equivalent to Wait(SubmitAppend(data)).
+  // The device commands run in a foreground-write submission lane whose
+  // completion is joined into the clock (submit-then-wait), so appends
+  // from concurrent threads overlap in virtual time.
   Status Append(std::string_view data);
-
-  // ---- Async submission. SubmitAppend/SubmitWriteAt apply the write
-  // immediately (data is visible to subsequent reads) but run its device
-  // commands in a virtual-time submission lane tagged with `queue` and
-  // `io_class`: the latency lands in the returned ticket instead of the
-  // shared clock, and the simulated SSD serializes the commands on
-  // channel `queue % channels` only, accounting busy time under the
-  // class. Wait(ticket) joins the completion time into the clock
-  // (monotonic max), so submissions on distinct queues issued from the
-  // same instant overlap in virtual time. On an untimed device the calls
-  // degrade to their synchronous equivalents. The per-file single-user
-  // contract is unchanged: submissions on ONE file must come from its
-  // one user.
-  block::IoTicket SubmitAppend(
-      std::string_view data, uint32_t queue = 0,
-      sim::IoClass io_class = sim::IoClass::kForegroundWrite);
-  block::IoTicket SubmitWriteAt(
-      uint64_t offset, std::string_view data, uint32_t queue = 0,
-      sim::IoClass io_class = sim::IoClass::kForegroundWrite);
-  // Reads EXACTLY [offset, offset+n) into dst inside a submission lane
-  // (the read-side counterpart of SubmitAppend; see kv MultiGet fan-out).
-  // Unlike ReadAt, a short read — the range extending past EOF — is an
-  // error in the ticket, since the caller cannot learn a byte count from
-  // an IoTicket.
-  block::IoTicket SubmitReadAt(
-      uint64_t offset, uint64_t n, char* dst, uint32_t queue = 0,
-      sim::IoClass io_class = sim::IoClass::kForegroundRead);
-  Status Wait(const block::IoTicket& ticket);
 
   // Reads [offset, offset+n) into dst. Reads through the device but serves
   // the buffered tail from memory, like the page cache would. Returns the
@@ -63,8 +34,7 @@ class File {
 
   // Overwrites existing bytes. The range must be page-aligned on both ends
   // (direct-I/O style), and must lie within the allocated space (use
-  // Extend first). Used by the B+Tree block manager. Equivalent to
-  // Wait(SubmitWriteAt(offset, data)).
+  // Extend first). Used by the B+Tree block manager. Timed like Append.
   Status WriteAt(uint64_t offset, std::string_view data);
 
   // Ensures at least `bytes` of allocated capacity; sets size to at least
@@ -91,8 +61,8 @@ class File {
   friend class SimpleFs;
   File(SimpleFs* fs, Inode* inode) : fs_(fs), inode_(inode) {}
 
-  // Synchronous bodies; the public entry points wrap them in submission
-  // lanes (submit-then-wait).
+  // Synchronous bodies; the public entry points wrap them in a submission
+  // lane (submit-then-wait).
   Status AppendImpl(std::string_view data);
   Status WriteAtImpl(uint64_t offset, std::string_view data);
 

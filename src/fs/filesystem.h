@@ -17,23 +17,21 @@
 //  - Thread safety, modeled on the kernel's locking split. ONE filesystem
 //    mutex: `mu_` serializes the namespace (directory + inode table) AND
 //    the shared allocation state (extent allocator, metadata-region
-//    cursor) — the inode/block-bitmap lock. Device commands take no
-//    filesystem lock at all: each BlockDevice serializes its own command
-//    processing internally (the bio/FTL serialization point lives in the
-//    device, where it belongs), so two files' data I/O never contends on
-//    a filesystem-wide mutex — only allocations and namespace mutations
-//    do. Per-file state (tail buffer, sizes, extent list) takes no lock
-//    either: like a kernel page cache keyed by inode, it is safe as long
-//    as each File has one user at a time, which is exactly the
-//    serialization kv::ShardedStore (per shard) and kv::WriteGroup (per
-//    store) provide. Concurrent writers therefore overlap all their CPU
-//    work — key comparisons, checksums, index updates, tail-page memcpys
-//    — and their device commands queue only inside the device model. A
-//    single File shared by two unsynchronized threads is still a bug
-//    (appends would interleave unpredictably), and whole-fs inspection
-//    (SimulateCrash, CheckConsistency, GetStats over in-flight files)
-//    expects writers quiesced. Lock order: mu_ before any device-internal
-//    mutex.
+//    cursor) — the inode/block-bitmap lock. Device commands take no filesystem
+//    lock at all: each BlockDevice serializes its own command processing
+//    internally (the bio/FTL serialization point lives in the device, where it
+//    belongs), so two files' data I/O never contends on a filesystem-wide
+//    mutex — only allocations and namespace mutations do. Per-file state (tail
+//    buffer, sizes, extent list) takes no lock either: like a kernel page
+//    cache keyed by inode, it is safe as long as each File has one user at a
+//    time, which is exactly the serialization kv::WriteGroup (per store)
+//    provides. Concurrent writers therefore overlap all their CPU work — key
+//    comparisons, checksums, index updates, tail-page memcpys — and their
+//    device commands queue only inside the device model. A single File shared
+//    by two unsynchronized threads is still a bug (appends would interleave
+//    unpredictably), and whole-fs inspection (SimulateCrash, CheckConsistency,
+//    GetStats over in-flight files) expects writers quiesced. Lock order: mu_
+//    before any device-internal mutex.
 #ifndef PTSB_FS_FILESYSTEM_H_
 #define PTSB_FS_FILESYSTEM_H_
 

@@ -7,9 +7,8 @@
 
 namespace ptsb::kv {
 
-BackgroundPool::BackgroundPool(sim::SimClock* clock, uint32_t base_queue,
-                               int lanes)
-    : clock_(clock), base_queue_(base_queue) {
+BackgroundPool::BackgroundPool(sim::SimClock* clock, int lanes)
+    : clock_(clock) {
   PTSB_CHECK(lanes >= 1);
   horizons_.assign(static_cast<size_t>(lanes), 0);
 }
@@ -19,10 +18,10 @@ BackgroundResult BackgroundPool::Run(int lane,
   const size_t i = static_cast<size_t>(lane) % horizons_.size();
   BackgroundResult r;
   if (clock_ == nullptr ||
-      !clock_->BeginAsync(base_queue_ + static_cast<uint32_t>(i),
+      !clock_->BeginAsync(kBackgroundQueue + static_cast<uint32_t>(i),
                           sim::IoClass::kBackground)) {
-    // Untimed, or inside an enclosing lane (e.g. a WriteAsync commit):
-    // the work runs on the current timeline, nothing moves off it.
+    // Untimed, or inside an enclosing lane: the work runs on the
+    // current timeline, nothing moves off it.
     r.status = work();
     return r;
   }

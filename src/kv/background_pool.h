@@ -1,10 +1,10 @@
-// A small pool of background submission lanes: an engine's background
-// workers (compaction, checkpoint, GC, buffer flush threads). One engine
-// owns one pool; lane i submits on queue `base_queue + i`, so the
-// simulated SSD maps concurrent background work to distinct flash
-// channels ((base_queue + i) % channels) and overlapped spans cost max,
-// not sum, of their device time — partitioned subcompactions, fanned-out
-// GC value reads and checkpoint block writes all ride on this.
+// A small pool of background submission lanes: an engine's background workers
+// (compaction, checkpoint and GC threads). One engine owns one pool; lane i
+// submits on queue `kBackgroundQueue + i`, so the simulated SSD maps
+// concurrent background work to distinct flash channels
+// ((kBackgroundQueue + i) % channels) and overlapped spans cost max, not sum,
+// of their device time — partitioned subcompactions, fanned-out GC value
+// reads and checkpoint block writes all ride on this.
 //
 // Each lane is serialized behind its own previous work via a per-lane
 // horizon; the foreground clock does not advance while work runs, so
@@ -40,15 +40,19 @@ struct BackgroundResult {
   int64_t busy_ns = 0;  // virtual time the background lane spent on it
 };
 
+// Queue of lane 0. Foreground commands run on queue 0, so with two or
+// more channels background work lands on channels of its own.
+inline constexpr uint32_t kBackgroundQueue = 1;
+
 class BackgroundPool {
  public:
   // `lanes` must be >= 1. The pool does not own the clock.
-  BackgroundPool(sim::SimClock* clock, uint32_t base_queue, int lanes);
+  BackgroundPool(sim::SimClock* clock, int lanes);
 
   int lanes() const { return static_cast<int>(horizons_.size()); }
 
   // Runs `work` on lane `lane % lanes()`: a background-class submission
-  // lane on queue base_queue + lane, starting no earlier than the
+  // lane on queue kBackgroundQueue + lane, starting no earlier than the
   // lane's previous work finished. busy_ns is the virtual time the lane
   // spent (0 when the work ran synchronously on the current timeline).
   BackgroundResult Run(int lane, const std::function<Status()>& work);
@@ -67,7 +71,6 @@ class BackgroundPool {
 
  private:
   sim::SimClock* clock_;
-  uint32_t base_queue_;
   std::vector<int64_t> horizons_;
 };
 

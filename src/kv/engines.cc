@@ -7,10 +7,8 @@
 
 #include "alog/alog_store.h"
 #include "btree/btree_store.h"
-#include "cached/cached_store.h"
 #include "kv/registry.h"
 #include "lsm/lsm_store.h"
-#include "sharded/sharded_store.h"
 
 namespace ptsb::kv {
 
@@ -20,8 +18,6 @@ void RegisterBuiltinEngines() {
     lsm::RegisterLsmEngine();
     btree::RegisterBTreeEngine();
     alog::RegisterAlogEngine();
-    sharded::RegisterShardedEngine();
-    cached::RegisterCachedEngine();
   });
 }
 

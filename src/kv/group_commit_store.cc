@@ -6,29 +6,13 @@
 
 namespace ptsb::kv {
 
-namespace {
-
-// Runs `read` in a foreground-read lane on `queue` and wraps the result
-// in a ReadHandle; with no clock (or inside an enclosing lane) the read
-// runs on the current timeline.
-ReadHandle AsyncRead(sim::SimClock* clock, uint32_t queue,
-                     const std::function<Status()>& read) {
-  sim::LaneResult r =
-      sim::RunInLane(clock, queue, sim::IoClass::kForegroundRead, read);
-  return ReadHandle(std::move(r.status), r.complete_ns, clock);
-}
-
-}  // namespace
-
 GroupCommitStore::GroupCommitStore(const Wiring& w)
     : write_group_(w.max_write_group_bytes),
-      pool_(w.background_io ? w.clock : nullptr, w.background_queue,
+      pool_(w.background_io ? w.clock : nullptr,
             w.background_io && w.clock != nullptr
                 ? std::max(1, w.compaction_parallelism)
                 : 1),
       clock_(w.clock),
-      io_queue_(w.io_queue),
-      read_queue_depth_(w.read_queue_depth),
       cpu_put_ns_(w.cpu_put_ns) {}
 
 Status GroupCommitStore::Write(const WriteBatch& batch) {
@@ -59,13 +43,6 @@ Status GroupCommitStore::Write(const WriteBatch& batch) {
       });
 }
 
-WriteHandle GroupCommitStore::WriteAsync(const WriteBatch& batch) {
-  sim::LaneResult r =
-      sim::RunInLane(clock_, io_queue_, sim::IoClass::kForegroundWrite,
-                     [&] { return Write(batch); });
-  return WriteHandle(std::move(r.status), r.complete_ns, clock_);
-}
-
 Status GroupCommitStore::Get(std::string_view key, std::string* value) {
   PTSB_CHECK(!closed_);
   // Exclude in-flight group commits: a leader may be moving the state
@@ -82,43 +59,6 @@ Status GroupCommitStore::Get(const ReadOptions& opts, std::string_view key,
       [&] { return SnapshotGetInternal(snap, key, value); });
 }
 
-std::vector<Status> GroupCommitStore::MultiGet(
-    std::span<const std::string_view> keys,
-    std::vector<std::string>* values) {
-  PTSB_CHECK(!closed_);
-  const int depth = read_queue_depth_;
-  if (clock_ == nullptr || depth <= 1) return KVStore::MultiGet(keys, values);
-  values->assign(keys.size(), std::string());
-  std::vector<Status> statuses(keys.size());
-  // Bounded fan-out: keep at most `depth` lookups in flight. Waiting the
-  // oldest joins its completion into the clock, so later submissions
-  // start no earlier than its finish. The in-flight window spans `depth`
-  // consecutive indices, so the mod-depth queue ids are distinct within
-  // it and lookups stripe across channels.
-  std::vector<ReadHandle> handles;
-  handles.reserve(keys.size());
-  size_t waited = 0;
-  for (size_t i = 0; i < keys.size(); i++) {
-    const uint32_t queue =
-        io_queue_ + static_cast<uint32_t>(i % static_cast<size_t>(depth));
-    handles.push_back(AsyncRead(
-        clock_, queue, [&, i] { return Get(keys[i], &(*values)[i]); }));
-    if (handles.size() - waited >= static_cast<size_t>(depth)) {
-      statuses[waited] = handles[waited].Wait();
-      waited++;
-    }
-  }
-  for (; waited < handles.size(); waited++) {
-    statuses[waited] = handles[waited].Wait();
-  }
-  return statuses;
-}
-
-ReadHandle GroupCommitStore::ReadAsync(std::string_view key,
-                                       std::string* value) {
-  return AsyncRead(clock_, io_queue_, [&] { return Get(key, value); });
-}
-
 std::unique_ptr<KVStore::Iterator> GroupCommitStore::NewIterator(
     const ReadOptions& opts) {
   PTSB_CHECK(!closed_);
@@ -130,7 +70,7 @@ std::unique_ptr<KVStore::Iterator> GroupCommitStore::NewIterator(
   // (epoch-checked in debug builds).
   return write_group_.RunExclusive([&] {
     stats_.user_scans++;
-    return NewIteratorInternal(snap, opts.readahead);
+    return NewIteratorInternal(snap);
   });
 }
 

@@ -1,31 +1,27 @@
-// GroupCommitStore: the shared base of the storage engines that commit
-// through a kv::WriteGroup (lsm, btree, alog and the cached wrapper). It
-// owns what those engines have in common — the write group and its
-// commit-exclusion lock, the KvStoreStats, the write epoch, the closed
-// flag, the clock/queue wiring and the engine's one kv::BackgroundPool —
-// and implements the shared surface once: Write (with the user-write
-// accounting WA-A divides by), WriteAsync, both Gets, ReadAsync, the
-// default MultiGet fan-out, NewIterator and GetStats. An engine supplies
+// GroupCommitStore: the shared base of the storage engines, which all
+// commit through a kv::WriteGroup (lsm, btree, alog). It owns what those
+// engines have in common — the write group and its commit-exclusion
+// lock, the KvStoreStats, the write epoch, the closed flag, the clock
+// wiring and the engine's one kv::BackgroundPool — and implements the
+// shared surface once: Write (with the user-write accounting WA-A
+// divides by), both Gets, NewIterator and GetStats. An engine supplies
 // only its mechanism, through the protected hooks.
 //
-// Concurrency contract. Write and WriteAsync may be called from any number
-// of threads: callers line up in the write group and a leader commits
-// their batches as ONE WriteInternal call (one log record). Every point
-// read — Get, snapshot Get, MultiGet, ReadAsync — runs under the group's
-// commit-exclusion lock, so no reader observes a half-applied group.
-// Iterators and lifecycle calls (Flush/Close/SettleBackgroundWork) still
-// expect a quiesced store; the engines' write-epoch checks enforce it for
-// iterators in debug builds.
+// Concurrency contract. Write may be called from any number of threads:
+// callers line up in the write group and a leader commits their batches as ONE
+// WriteInternal call (one log record). Every point read — Get and snapshot Get
+// — runs under the group's commit-exclusion lock, so no reader observes a
+// half-applied group. Iterators and lifecycle calls
+// (Flush/Close/SettleBackgroundWork) still expect a quiesced store; the
+// engines' write-epoch checks enforce it for iterators in debug builds.
 #ifndef PTSB_KV_GROUP_COMMIT_STORE_H_
 #define PTSB_KV_GROUP_COMMIT_STORE_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "kv/background_pool.h"
 #include "kv/kvstore.h"
@@ -40,11 +36,6 @@ class GroupCommitStore : public KVStore {
   // The parts of an engine's options the shared entry points need.
   struct Wiring {
     sim::SimClock* clock = nullptr;
-    // WriteAsync/ReadAsync lane, and the first MultiGet fan-out queue.
-    uint32_t io_queue = 0;
-    // Background lane i submits on background_queue + i.
-    uint32_t background_queue = 1;
-    int read_queue_depth = 1;
     // CPU charge per written entry, paid by the group's leader.
     int64_t cpu_put_ns = 0;
     uint64_t max_write_group_bytes = WriteGroup::kDefaultMaxGroupBytes;
@@ -59,9 +50,6 @@ class GroupCommitStore : public KVStore {
   template <typename Options>
   static Wiring WiringOf(const Options& o) {
     return Wiring{o.clock,
-                  o.io_queue,
-                  o.background_queue,
-                  o.read_queue_depth,
                   o.cpu_put_ns,
                   o.max_write_group_bytes,
                   o.background_io,
@@ -71,23 +59,11 @@ class GroupCommitStore : public KVStore {
   explicit GroupCommitStore(const Wiring& w);
 
   Status Write(const WriteBatch& batch) override;
-  // Runs the commit in a foreground-write lane on io_queue, so
-  // back-to-back WriteAsync calls on distinct queues overlap in virtual
-  // time.
-  WriteHandle WriteAsync(const WriteBatch& batch) override;
   Status Get(std::string_view key, std::string* value) override;
   // Checks the snapshot came from this store, then runs
   // SnapshotGetInternal under commit exclusion.
   Status Get(const ReadOptions& opts, std::string_view key,
              std::string* value) override;
-  // Fans the Gets out across foreground-read lanes on queues
-  // io_queue + (i mod read_queue_depth), at most read_queue_depth in
-  // flight, so independent lookups overlap in virtual device time. With
-  // no clock or a depth <= 1 the Gets run one after another.
-  std::vector<Status> MultiGet(std::span<const std::string_view> keys,
-                               std::vector<std::string>* values) override;
-  // Runs the lookup in a foreground-read lane on io_queue.
-  ReadHandle ReadAsync(std::string_view key, std::string* value) override;
   // Checks a snapshot came from this store, then counts the scan and
   // opens the engine's cursor (NewIteratorInternal) under commit
   // exclusion.
@@ -131,10 +107,9 @@ class GroupCommitStore : public KVStore {
                                      std::string* value) = 0;
   // NewIterator's body, run under commit exclusion: the engine's one
   // cursor over the live store (`snap` null) or over `snap`, which is the
-  // engine's own snapshot type. Engines that cannot prefetch ignore
-  // `readahead`.
-  virtual std::unique_ptr<Iterator> NewIteratorInternal(const Snapshot* snap,
-                                                        int readahead) = 0;
+  // engine's own snapshot type.
+  virtual std::unique_ptr<Iterator> NewIteratorInternal(
+      const Snapshot* snap) = 0;
 
   void ChargeCpu(int64_t ns) const;
   // Runs `work` on background lane `lane` (inline when background_io is
@@ -166,8 +141,6 @@ class GroupCommitStore : public KVStore {
 
  private:
   sim::SimClock* const clock_;
-  const uint32_t io_queue_;
-  const int read_queue_depth_;
   const int64_t cpu_put_ns_;
 };
 

@@ -1,11 +1,11 @@
 // The one log-record module. Every engine log — the LSM WAL and MANIFEST,
-// the B+Tree journal, the alog segments and the cached wrapper's .wlog —
-// is a sequence of framed records:
+// the B+Tree journal and the alog segments — is a sequence of framed
+// records:
 //   fixed32 masked-crc(payload) | varint32 len | payload
 // LogWriter frames, stages and syncs records; ReplayLog walks them back.
 // Engines own only their payload codecs. The batch codec below is shared
-// by the journal, the segments and the .wlog; the WAL and the MANIFEST
-// encode their own payloads.
+// by the journal and the segments; the WAL and the MANIFEST encode their
+// own payloads.
 //
 // Replay tells a torn tail from corruption. A record that is cut short,
 // or whose checksum fails with no intact record at its declared end, is
@@ -101,8 +101,8 @@ struct DecodedEntry {
 Status DecodeBatch(std::string_view payload,
                    std::vector<DecodedEntry>* entries);
 
-// ---- Numbered files: "<dir>/<number, %06llu>.<ext>" — WALs, SSTs,
-// segments and .wlog files.
+// ---- Numbered files: "<dir>/<number, %06llu>.<ext>" — WALs, SSTs and
+// segments.
 std::string NumberedFileName(const std::string& dir, uint64_t number,
                              std::string_view ext);
 

@@ -35,18 +35,6 @@ struct EngineOptions {
   std::string engine = "lsm";
   fs::SimpleFs* fs = nullptr;       // required
   sim::SimClock* clock = nullptr;   // optional virtual clock
-  // Submission queue id this store tags its async commits with; the
-  // simulated SSD maps it to a flash channel (queue % channels), so
-  // stores on distinct queues overlap in virtual time. The sharded front
-  // end assigns queue i to shard i. Not a param-map key: like `clock`,
-  // it is wiring, not a tunable of the engine's on-disk behavior.
-  uint32_t io_queue = 0;
-  // Submission queue for the engine's BACKGROUND lane (compaction /
-  // checkpoint / GC when the `background_io` param is on), kept distinct
-  // from io_queue so maintenance lands on its own flash channel when the
-  // device has one. The sharded front end assigns queue shards + i to
-  // shard i's background work. Wiring, like io_queue.
-  uint32_t background_queue = 1;
   std::string root;                 // engine root dir/file ("" = default)
   std::map<std::string, std::string> params;
 };

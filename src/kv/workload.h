@@ -35,25 +35,16 @@ struct WorkloadSpec {
   // Puts are emitted as kBatchPut when batch_size > 1; the driver groups
   // this many entries into one KVStore::Write (group commit).
   size_t batch_size = 1;
-  // Point reads are executed as KVStore::MultiGet over this many keys
-  // when > 1 (the read-side analog of batch_size: one submission, the
-  // engine fans the lookups out at its read_queue_depth). 1 = plain Get.
-  size_t read_batch_size = 1;
   // Entries consumed per scan op.
   size_t scan_count = 100;
   // Run each scan over a snapshot (KVStore::GetSnapshot + ReadOptions):
   // the cursor observes a frozen sequence and survives concurrent
   // writers — required for scan ops under num_threads > 1.
   bool scan_snapshot = false;
-  // Iterator readahead for scan ops (ReadOptions::readahead): > 1
-  // prefetches that many leaves/blocks/values across read submission
-  // lanes. Takes the snapshot path (engines only honor readahead there).
-  int scan_readahead = 1;
   // Worker threads replaying the update phase. Each worker runs its own
   // WorkloadGenerator seeded with ForThread(t).seed, so the T op streams
   // are disjoint and the whole run is deterministic given (seed, T).
-  // Engines are single-threaded; only "sharded" (and future concurrent
-  // engines) benefit from > 1.
+  // Every built-in engine accepts concurrent writers (kv::WriteGroup).
   size_t num_threads = 1;
   Distribution distribution = Distribution::kUniform;
   double zipf_theta = 0.99;

@@ -65,7 +65,7 @@ class WriteGroup {
   Status Commit(const WriteBatch& batch, const CommitFn& fn);
 
   // Runs `fn` while no group commit is in flight. The engines' read paths
-  // (Get / MultiGet / ReadAsync / iterator construction) run under this so
+  // (Get / snapshot Get / iterator construction) run under this so
   // concurrent readers never observe a half-applied group.
   template <typename Fn>
   auto RunExclusive(Fn&& fn) {

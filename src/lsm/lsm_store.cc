@@ -704,24 +704,13 @@ Status LsmStore::GetInternal(std::string_view key, std::string* value) {
 // snapshot must outlive the cursor.
 class LsmStore::MergingIterator : public kv::KVStore::Iterator {
  public:
-  MergingIterator(LsmStore* store, const SnapshotImpl* snap, int readahead)
+  MergingIterator(LsmStore* store, const SnapshotImpl* snap)
       : store_(store),
         snap_(snap),
         epoch_(store->write_epoch_),
         bound_(snap != nullptr ? snap->seq_ : ~SequenceNumber{0}),
         tombstones_(snap != nullptr ? snap->tombstones_
                                     : store->tombstones_) {
-    // readahead > 1: prefetch that many data blocks per span, split
-    // across foreground-read lanes at the engine's read_queue_depth so
-    // one span's chunks overlap across SSD channels.
-    uint64_t ra_bytes = 0;
-    int depth = 1;
-    if (readahead > 1) {
-      ra_bytes = static_cast<uint64_t>(readahead) *
-                 store_->options_.block_bytes;
-      depth = std::min(readahead,
-                       std::max(1, store_->options_.read_queue_depth));
-    }
     Source mem_source;
     const Memtable* mt = snap != nullptr ? snap->memtable_.get()
                                          : store_->memtable_.get();
@@ -734,9 +723,7 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
         return false;
       }
       Source s;
-      s.sst = std::make_unique<SstReader::Iterator>(
-          *reader, ra_bytes, depth > 1 ? store_->options_.clock : nullptr,
-          store_->options_.io_queue, depth);
+      s.sst = std::make_unique<SstReader::Iterator>(*reader);
       s.largest = f.largest;
       sources_.push_back(std::move(s));
       return true;
@@ -916,9 +903,9 @@ class LsmStore::MergingIterator : public kv::KVStore::Iterator {
 };
 
 std::unique_ptr<kv::KVStore::Iterator> LsmStore::NewIteratorInternal(
-    const kv::Snapshot* snap, int readahead) {
+    const kv::Snapshot* snap) {
   return std::make_unique<MergingIterator>(
-      this, static_cast<const SnapshotImpl*>(snap), readahead);
+      this, static_cast<const SnapshotImpl*>(snap));
 }
 
 Status LsmStore::Flush() {
@@ -986,12 +973,8 @@ LsmOptions LsmOptionsFromEngineOptions(const kv::EngineOptions& eo) {
   o.cpu_get_ns = kv::ParamInt64(eo, "cpu_get_ns", o.cpu_get_ns);
   o.max_write_group_bytes = kv::ParamUint64(eo, "max_write_group_bytes",
                                             o.max_write_group_bytes);
-  o.read_queue_depth =
-      kv::ParamInt(eo, "read_queue_depth", o.read_queue_depth);
   o.background_io = kv::ParamBool(eo, "background_io", o.background_io);
   o.clock = eo.clock;
-  o.io_queue = eo.io_queue;
-  o.background_queue = eo.background_queue;
   return o;
 }
 
@@ -1033,7 +1016,6 @@ std::map<std::string, std::string> EncodeEngineParams(const LsmOptions& o) {
   p["cpu_put_ns"] = std::to_string(o.cpu_put_ns);
   p["cpu_get_ns"] = std::to_string(o.cpu_get_ns);
   p["max_write_group_bytes"] = std::to_string(o.max_write_group_bytes);
-  p["read_queue_depth"] = std::to_string(o.read_queue_depth);
   p["background_io"] = o.background_io ? "1" : "0";
   return p;
 }

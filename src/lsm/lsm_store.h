@@ -76,10 +76,9 @@ class LsmStore : public kv::GroupCommitStore {
   // invalidated by any write. With a snapshot: over its pinned sources
   // (shared memtable, pinned SSTs) at its sequence bound, taking the
   // commit-exclusion lock around every move and skipping the write-epoch
-  // check. In both modes readahead > 1 prefetches that many data blocks
-  // per span, split across foreground-read lanes at read_queue_depth.
+  // check.
   std::unique_ptr<kv::KVStore::Iterator> NewIteratorInternal(
-      const kv::Snapshot* snap, int readahead) override;
+      const kv::Snapshot* snap) override;
   // Creates a fresh WAL as wal_ and returns its file number.
   StatusOr<uint64_t> StartWal();
   Status FlushMemtable();

@@ -59,7 +59,7 @@ struct LsmOptions {
 
   // Partitioned subcompactions: a picked compaction is split into up to
   // this many disjoint key subranges, each merged by its own job on its
-  // own background submission lane (queue background_queue + i), so
+  // own background submission lane (queue kv::kBackgroundQueue + i), so
   // reads and writes from different subranges overlap across SSD
   // channels. All subranges install as ONE atomic VersionSet edit.
   // 1 = today's single-job behavior, byte for byte. Only takes effect
@@ -78,14 +78,8 @@ struct LsmOptions {
   // latency of the unluckiest follower.
   uint64_t max_write_group_bytes = 1ull << 20;
 
-  // Max in-flight MultiGet point lookups: each runs in its own
-  // foreground-read submission lane, so up to this many independent SST
-  // probes overlap in virtual device time across SSD channels. 1 (or no
-  // clock) = sequential Gets, the pre-async read path.
-  int read_queue_depth = 1;
-
   // Run paced compaction on the engine's background submission lane
-  // (queue `background_queue`, I/O class kBackground) instead of the
+  // (queue `kv::kBackgroundQueue`, I/O class kBackground) instead of the
   // user's timeline: commits no longer absorb compaction device time,
   // which instead surfaces as background-channel utilization and — at
   // the L0 stall trigger, Flush and SettleBackgroundWork, where the user
@@ -97,10 +91,6 @@ struct LsmOptions {
   // Optional virtual clock for CPU accounting (device time is charged by
   // the device itself).
   sim::SimClock* clock = nullptr;
-  // Submission queue for WriteAsync commits (see kv::EngineOptions).
-  uint32_t io_queue = 0;
-  // Submission queue for the background lane (see kv::EngineOptions).
-  uint32_t background_queue = 1;
 };
 
 }  // namespace ptsb::lsm

@@ -274,14 +274,8 @@ StatusOr<SstReader::GetResult> SstReader::Get(std::string_view key) {
   return r;
 }
 
-SstReader::Iterator::Iterator(SstReader* reader, uint64_t readahead_bytes,
-                              sim::SimClock* clock, uint32_t base_queue,
-                              int depth)
-    : reader_(reader),
-      readahead_bytes_(readahead_bytes),
-      clock_(clock),
-      base_queue_(base_queue),
-      depth_(depth) {}
+SstReader::Iterator::Iterator(SstReader* reader, uint64_t readahead_bytes)
+    : reader_(reader), readahead_bytes_(readahead_bytes) {}
 
 Status SstReader::Iterator::LoadSpan(size_t first_block) {
   const auto& blocks = reader_->blocks_;
@@ -305,42 +299,11 @@ Status SstReader::Iterator::LoadSpan(size_t first_block) {
   span_end_ = end;
   span_base_offset_ = blocks[first_block].offset;
   span_data_.resize(span_bytes);
-  const size_t nblocks = end - first_block;
-  if (clock_ != nullptr && depth_ > 1 && nblocks > 1) {
-    // Lane-split readahead: carve the span into up to `depth_`
-    // block-aligned chunks, submit each on its own foreground-read lane
-    // (distinct queues from the same instant -> distinct channels), and
-    // wait them all — the span completes when the SLOWEST chunk does,
-    // not after the sum of all chunk times.
-    const size_t nchunks = std::min<size_t>(static_cast<size_t>(depth_),
-                                            nblocks);
-    std::vector<block::IoTicket> tickets;
-    tickets.reserve(nchunks);
-    size_t b = first_block;
-    for (size_t j = 0; j < nchunks; j++) {
-      const size_t take = nblocks / nchunks + (j < nblocks % nchunks ? 1 : 0);
-      const uint64_t off = blocks[b].offset;
-      uint64_t len = 0;
-      for (size_t k = 0; k < take; k++) len += blocks[b + k].size;
-      tickets.push_back(reader_->file_->SubmitReadAt(
-          off, len, span_data_.data() + (off - span_base_offset_),
-          base_queue_ + static_cast<uint32_t>(j),
-          sim::IoClass::kForegroundRead));
-      b += take;
-    }
-    Status first_bad;
-    for (const block::IoTicket& t : tickets) {
-      const Status s = reader_->file_->Wait(t);
-      if (!s.ok() && first_bad.ok()) first_bad = s;
-    }
-    PTSB_RETURN_IF_ERROR(first_bad);
-  } else {
-    PTSB_ASSIGN_OR_RETURN(const uint64_t got,
-                          reader_->file_->ReadAt(span_base_offset_,
-                                                 span_bytes,
-                                                 span_data_.data()));
-    if (got != span_bytes) return Status::Corruption("short span read");
-  }
+  PTSB_ASSIGN_OR_RETURN(
+      const uint64_t got,
+      reader_->file_->ReadAt(span_base_offset_, span_bytes,
+                             span_data_.data()));
+  if (got != span_bytes) return Status::Corruption("short span read");
   return EnterBlock(first_block);
 }
 

@@ -117,14 +117,7 @@ class SstReader {
    public:
     // `readahead_bytes` batches sequential block reads into large device
     // commands (RocksDB's compaction readahead); 0 reads block by block.
-    // With a clock and depth > 1, each span read is additionally split
-    // into up to `depth` block-aligned chunks submitted on foreground-read
-    // lanes base_queue..base_queue+depth-1, so one span's I/O overlaps
-    // across SSD channels (completion = slowest chunk, not the sum) — the
-    // scan-side analog of the MultiGet fan-out.
-    explicit Iterator(SstReader* reader, uint64_t readahead_bytes = 0,
-                      sim::SimClock* clock = nullptr, uint32_t base_queue = 0,
-                      int depth = 1);
+    explicit Iterator(SstReader* reader, uint64_t readahead_bytes = 0);
     bool Valid() const { return valid_; }
     // Caps span prefetch at block `end_block` (exclusive): a
     // subcompaction stops batching at its subrange's last needed block
@@ -151,9 +144,6 @@ class SstReader {
 
     SstReader* reader_;
     uint64_t readahead_bytes_;
-    sim::SimClock* clock_;
-    uint32_t base_queue_;
-    int depth_;
     size_t span_block_limit_ = static_cast<size_t>(-1);
     size_t span_first_ = 0;  // first block index in span_data_
     size_t span_end_ = 0;    // one past the last block in span_data_

@@ -2,18 +2,17 @@
 // stalls, CPU cost per KV op) advances this clock, so experiments report
 // "minutes" of device time while running in milliseconds of wall-clock.
 //
-// The counter is atomic so concurrent shards/workers (kv::ShardedStore,
-// the multi-threaded experiment driver) can charge time without a data
-// race.
+// The counter is atomic so concurrent workers (the multi-threaded
+// experiment driver) can charge time without a data race.
 //
 // Semantics under concurrency: the clock is a shared timeline that only
 // moves forward. Plain Advance() calls from all threads sum (one
-// serialized timeline), but work wrapped in an async submission *lane*
-// (BeginAsync/EndAsync below, used by the block layer's SubmitWrite/
-// SubmitRead and by KVStore::WriteAsync) joins back via AdvanceTo — a
-// monotonic max — so N submissions issued from the same instant overlap
-// in virtual time instead of serializing. This is how the simulated SSD
-// models multi-queue/multi-channel parallelism (see docs/SIMULATION.md).
+// serialized timeline), but work wrapped in a submission *lane*
+// (BeginAsync/EndAsync below, used by fs::File's writes and by the
+// engines' kv::BackgroundPool) joins back via AdvanceTo — a monotonic
+// max — so N submissions issued from the same instant overlap in virtual
+// time instead of serializing. This is how the simulated SSD models
+// multi-queue/multi-channel parallelism (see docs/SIMULATION.md).
 #ifndef PTSB_SIM_CLOCK_H_
 #define PTSB_SIM_CLOCK_H_
 
@@ -107,21 +106,18 @@ class SimClock {
   std::atomic<int64_t> now_ns_{0};
 };
 
-// Outcome of one async submission: the op's status plus the virtual
-// time its lane completed at (0 when no clock was involved).
+// Outcome of one lane submission: the op's status plus the virtual time
+// its lane completed at (0 when no clock was involved).
 struct LaneResult {
   Status status;
   int64_t complete_ns = 0;
 };
 
-// THE lane protocol, shared by every submission wrapper in the stack
-// (block::BlockDevice::SubmitWrite/SubmitRead, fs::File::SubmitAppend/
-// SubmitWriteAt/SubmitReadAt, kv::GroupCommitStore's WriteAsync/ReadAsync):
-// run `op` inside a lane on `clock` tagged with `queue` and `io_class` and
-// capture its completion time. With no clock the op just runs; inside an
-// enclosing lane the op charges that lane and "completes" at its current
-// time (nesting collapses). Centralized so a change to lane semantics
-// cannot leave one layer's timing model behind.
+// The lane protocol for a one-off submission (fs::File's Append and
+// WriteAt): run `op` inside a lane on `clock` tagged with `queue` and
+// `io_class` and capture its completion time. With no clock the op just
+// runs; inside an enclosing lane the op charges that lane and
+// "completes" at its current time (nesting collapses).
 template <typename Op>
 LaneResult RunInLane(SimClock* clock, uint32_t queue, IoClass io_class,
                      const Op& op) {

@@ -2,11 +2,9 @@
 #ifndef PTSB_SSD_CONFIG_H_
 #define PTSB_SSD_CONFIG_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 
-#include "sim/io_class.h"
 
 namespace ptsb::ssd {
 
@@ -87,48 +85,12 @@ struct SsdConfig {
   // Number of independent flash channels, each with its own busy-until
   // timeline (host ack/transfer + program/GC backend). A command issued
   // on submission queue q serializes only on channel q % channels, so
-  // async submissions to distinct channels overlap in virtual time — the
+  // submission lanes on distinct channels overlap in virtual time — the
   // device-internal parallelism of Roh et al. (see PAPERS.md and
   // docs/SIMULATION.md). Synchronous callers (no submission lane) always
   // use channel 0, so channels = 1 reproduces the single-server model
   // exactly.
   int channels = 1;
-
-  // ---- Inter-class QoS scheduling (per channel) -----------------------
-  // The three knobs below enable the per-channel scheduler between
-  // sim::IoClass lanes (docs/SIMULATION.md, "Inter-class scheduling").
-  // All default to off, in which case backend commands are scheduled
-  // FIFO on one busy-until timeline per channel — byte-identical timing
-  // to the pre-QoS device.
-
-  // Preemption quantum for background backend work. A contiguous
-  // background service period is divided into slices of this many
-  // nanoseconds; a foreground command arriving mid-period starts at the
-  // next slice boundary instead of waiting the period out, so its
-  // scheduling delay behind background work is bounded by one quantum.
-  // 0 = background runs to completion (FIFO).
-  int64_t background_slice_ns = 0;
-
-  // Service weights per sim::IoClass {fg-read, fg-write, background}.
-  // At a preemption point, a foreground command of backend cost C lets
-  // the displaced background work interleave up to C * w_bg / w_fg of
-  // its backlog inside the foreground window, so background is not
-  // starved under sustained foreground load. Any weight 0 = strict
-  // foreground priority (no interleave).
-  std::array<int, sim::kNumIoClasses> class_weights = {0, 0, 0};
-
-  // Token-bucket admission limit for background host I/O bytes (writes
-  // and reads), in MB/s (decimal). Bucket capacity is 10 ms worth of
-  // tokens (at least 1 MiB); a background command that finds the bucket
-  // empty waits for the refill before the device even accepts it
-  // (ChannelStats::bg_throttled_ns). 0 = unlimited.
-  double background_rate_mbps = 0;
-
-  // True when any QoS knob is set; the device then routes backend
-  // scheduling through the inter-class scheduler.
-  bool QosEnabled() const {
-    return background_slice_ns > 0 || background_rate_mbps > 0;
-  }
 };
 
 }  // namespace ptsb::ssd

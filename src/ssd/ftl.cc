@@ -1,10 +1,33 @@
 #include "ssd/ftl.h"
 
 #include <algorithm>
+#include <string>
 
 #include "util/logging.h"
 
 namespace ptsb::ssd {
+
+Status ValidateGeometry(const FlashGeometry& geometry) {
+  if (geometry.pages_per_block == 0 || geometry.LogicalPages() == 0) {
+    return Status::InvalidArgument(
+        "flash geometry has no pages (" +
+        std::to_string(geometry.logical_bytes) + " logical bytes, " +
+        std::to_string(geometry.pages_per_block) + " pages per block)");
+  }
+  // The drive needs physical spare space to write at all: at least the
+  // logical space plus a handful of blocks for open/GC bootstrap.
+  const uint64_t logical_blocks =
+      (geometry.LogicalPages() + geometry.pages_per_block - 1) /
+      geometry.pages_per_block;
+  if (geometry.PhysicalBlocks() < logical_blocks + 4) {
+    return Status::InvalidArgument(
+        "hardware over-provisioning too small: " +
+        std::to_string(geometry.PhysicalBlocks()) + " physical blocks, " +
+        std::to_string(logical_blocks + 4) + " needed (" +
+        std::to_string(logical_blocks) + " logical + 4 spare)");
+  }
+  return Status::OK();
+}
 
 FlashTranslationLayer::FlashTranslationLayer(const FlashGeometry& geometry,
                                              bool gc_separate_open_block,
@@ -14,14 +37,9 @@ FlashTranslationLayer::FlashTranslationLayer(const FlashGeometry& geometry,
       pages_per_block_(geometry.pages_per_block),
       logical_pages_(geometry.LogicalPages()),
       physical_blocks_(geometry.PhysicalBlocks()) {
-  PTSB_CHECK_GT(pages_per_block_, 0u);
-  PTSB_CHECK_GT(logical_pages_, 0u);
-  // The drive needs physical spare space to write at all: at least the
-  // logical space plus a handful of blocks for open/GC bootstrap.
+  PTSB_CHECK_OK(ValidateGeometry(geometry));
   const uint64_t logical_blocks =
       (logical_pages_ + pages_per_block_ - 1) / pages_per_block_;
-  PTSB_CHECK_GE(physical_blocks_, logical_blocks + 4)
-      << " hardware over-provisioning too small";
   // Clamp the stripe width so tiny (test-scale) devices keep enough spare
   // blocks for GC to make progress.
   const uint64_t spare_blocks = physical_blocks_ - logical_blocks;

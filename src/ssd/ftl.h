@@ -18,6 +18,13 @@
 
 namespace ptsb::ssd {
 
+// InvalidArgument unless `geometry` can back a drive: it has pages, and
+// its physical blocks cover the logical ones plus four spare blocks for
+// the open and GC blocks. The FTL constructor CHECKs it; callers that
+// build a geometry from user input (a profile at some --scale) call it
+// first to report the error instead.
+Status ValidateGeometry(const FlashGeometry& geometry);
+
 class FlashTranslationLayer {
  public:
   explicit FlashTranslationLayer(const FlashGeometry& geometry,

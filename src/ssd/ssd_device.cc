@@ -10,9 +10,6 @@ namespace ptsb::ssd {
 SsdDevice::SsdDevice(const SsdConfig& config, sim::SimClock* clock)
     : config_(config),
       clock_(clock),
-      qos_(config.QosEnabled()),
-      bg_rate_bps_(static_cast<int64_t>(config.background_rate_mbps * 1e6)),
-      bucket_cap_bytes_(std::max<int64_t>(bg_rate_bps_ / 100, 1 << 20)),
       ftl_(std::make_unique<FlashTranslationLayer>(
           config.geometry, config.gc_separate_open_block,
           config.host_open_blocks)) {
@@ -82,16 +79,10 @@ void SsdDevice::WaitForCacheSpace(uint64_t bytes, Channel* channel) {
 
 void SsdDevice::EnqueueBackend(Channel* channel, int64_t cost_ns,
                                uint64_t cached_bytes, sim::IoClass cls,
-                               uint64_t bytes, int64_t* service_start_ns) {
-  int64_t start;
-  int64_t end;
-  if (!qos_) {
-    start = std::max(clock_->NowNanos(), channel->busy_until_ns);
-    end = start + cost_ns;
-    channel->busy_until_ns = end;
-  } else {
-    start = QosSchedule(channel, cls, cost_ns, &end);
-  }
+                               uint64_t bytes) {
+  const int64_t start = std::max(clock_->NowNanos(), channel->busy_until_ns);
+  const int64_t end = start + cost_ns;
+  channel->busy_until_ns = end;
   channel->busy_ns += cost_ns;
   channel->commands++;
   const auto c = static_cast<size_t>(cls);
@@ -102,149 +93,6 @@ void SsdDevice::EnqueueBackend(Channel* channel, int64_t cost_ns,
     cache_.emplace(end, cached_bytes);
     cache_occupancy_ += cached_bytes;
   }
-  if (service_start_ns != nullptr) *service_start_ns = start;
-}
-
-int64_t SsdDevice::QosForegroundStart(const Channel& channel, int64_t base,
-                                      bool* preempts) const {
-  if (preempts != nullptr) *preempts = false;
-  const int64_t bg_until =
-      channel.class_until_ns[static_cast<size_t>(sim::IoClass::kBackground)];
-  if (base >= bg_until) return base;  // background idle at base
-  const int64_t slice = config_.background_slice_ns;
-  if (slice <= 0) {
-    // No preemption configured: wait all booked background out (FIFO).
-    return bg_until;
-  }
-  // Find the booked background period containing `base`. If `base`
-  // falls in a gap between periods (background lanes book ahead of the
-  // foreground clock), the channel is genuinely idle and the command
-  // starts immediately.
-  for (const auto& [s, e] : channel.bg_periods) {
-    if (base >= e) continue;
-    if (base < s) break;
-    // Next slice boundary of this period's grid, capped at its end.
-    const int64_t boundary = s + (base - s + slice - 1) / slice * slice;
-    if (boundary < e) {
-      if (preempts != nullptr) *preempts = true;
-      return boundary;
-    }
-    return e;
-  }
-  return base;
-}
-
-int64_t SsdDevice::QosSchedule(Channel* channel, sim::IoClass cls,
-                               int64_t cost_ns, int64_t* end_ns) {
-  const int64_t now = clock_->NowNanos();
-  auto& until = channel->class_until_ns;
-  const auto bg = static_cast<size_t>(sim::IoClass::kBackground);
-  const auto fr = static_cast<size_t>(sim::IoClass::kForegroundRead);
-  const auto fw = static_cast<size_t>(sim::IoClass::kForegroundWrite);
-  int64_t start;
-  int64_t end;
-  if (cls == sim::IoClass::kBackground) {
-    // Background waits out every class (foreground has priority), then
-    // pays down any debt left by preemptions since its last booking.
-    const int64_t ready = std::max({now, until[bg], until[fr], until[fw]});
-    start = ready + channel->bg_debt_ns;
-    channel->bg_debt_ns = 0;
-    channel->class_wait_ns[bg] += start - std::max(now, until[bg]);
-    end = start + cost_ns;
-    until[bg] = end;
-    // Record the booked period: extend the current one if the gap since
-    // it is shorter than a quantum (same busy episode — a sub-quantum
-    // pause in a compaction's read-process-write pipeline must not
-    // restart the slice grid, or long slices would never reach a
-    // boundary), else open a new one anchoring a fresh grid. Swallowed
-    // gaps and the bounding coalesce of the two oldest periods both
-    // overestimate background occupancy slightly, never under.
-    auto& periods = channel->bg_periods;
-    const int64_t episode_gap =
-        std::max<int64_t>(config_.background_slice_ns, 1);
-    if (!periods.empty() && start - periods.back().second < episode_gap) {
-      periods.back().second = end;
-    } else {
-      periods.emplace_back(start, end);
-      if (periods.size() > 256) {
-        periods[1].first = periods[0].first;
-        periods.pop_front();
-      }
-    }
-  } else {
-    const auto c = static_cast<size_t>(cls);
-    // Foreground classes serialize behind each other, then preempt any
-    // booked background period at the next slice boundary. Periods the
-    // foreground has fully moved past can no longer affect it — prune.
-    const int64_t base = std::max({now, until[fr], until[fw]});
-    auto& periods = channel->bg_periods;
-    while (!periods.empty() && periods.front().second <= base) {
-      periods.pop_front();
-    }
-    bool preempts = false;
-    start = QosForegroundStart(*channel, base, &preempts);
-    if (preempts) channel->preemptions++;
-    // Weighted interleave: let the displaced background serve up to
-    // cost * w_bg / w_fg inside this window so it is not starved.
-    int64_t grant = 0;
-    const int w_fg = config_.class_weights[c];
-    const int w_bg = config_.class_weights[bg];
-    if (w_fg > 0 && w_bg > 0) {
-      const int64_t bg_backlog =
-          std::max<int64_t>(0, until[bg] - start) + channel->bg_debt_ns;
-      grant = std::min(bg_backlog, cost_ns * w_bg / w_fg);
-    }
-    end = start + cost_ns + grant;
-    channel->class_wait_ns[c] += (start - base) + grant;
-    // Booked background time this window overlaps, minus the
-    // interleaved grant (background service rendered inside it),
-    // becomes debt carried to the next background booking: the span
-    // the foreground cut into finishes that much later.
-    int64_t displaced = 0;
-    for (const auto& [s, e] : periods) {
-      if (s >= end) break;
-      displaced += std::max<int64_t>(0, std::min(e, end) - std::max(s, start));
-    }
-    channel->bg_debt_ns =
-        std::max<int64_t>(0, channel->bg_debt_ns + displaced - grant);
-    until[c] = end;
-  }
-  channel->busy_until_ns = std::max(channel->busy_until_ns, end);
-  if (end_ns != nullptr) *end_ns = end;
-  return start;
-}
-
-int64_t SsdDevice::TokenBucketWaitNanos(Channel* channel, uint64_t bytes) {
-  const int64_t now = clock_->NowNanos();
-  if (channel->bucket_tokens < 0) {  // first use: full bucket
-    channel->bucket_tokens = bucket_cap_bytes_;
-    channel->bucket_stamp_ns = now;
-  }
-  // Refill. Lanes can observe non-monotonic local times; never refill
-  // backwards. The product (elapsed * rate) overflows int64 on long
-  // runs, so widen.
-  if (now > channel->bucket_stamp_ns) {
-    const auto refill = static_cast<int64_t>(
-        static_cast<__int128>(now - channel->bucket_stamp_ns) * bg_rate_bps_ /
-        sim::kNanosPerSecond);
-    channel->bucket_tokens =
-        std::min(bucket_cap_bytes_, channel->bucket_tokens + refill);
-    channel->bucket_stamp_ns = now;
-  }
-  const auto need = static_cast<int64_t>(bytes);
-  if (channel->bucket_tokens >= need) {
-    channel->bucket_tokens -= need;
-    return 0;
-  }
-  // Wait exactly until the deficit has refilled (ceiling division, so
-  // the wait is never one nanosecond short); the bucket restarts empty
-  // with its stamp at the admission time.
-  const int64_t deficit = need - channel->bucket_tokens;
-  const int64_t wait =
-      (deficit * sim::kNanosPerSecond + bg_rate_bps_ - 1) / bg_rate_bps_;
-  channel->bucket_tokens = 0;
-  channel->bucket_stamp_ns = std::max(channel->bucket_stamp_ns, now) + wait;
-  return wait;
 }
 
 int64_t SsdDevice::BackendBacklogNanos(const Channel& channel) const {
@@ -268,47 +116,9 @@ Status SsdDevice::Read(uint64_t lba, uint64_t count, uint8_t* dst) {
       clock_->ActiveIoClass(sim::IoClass::kForegroundRead);
   int64_t cost = config_.timing.read_latency_ns +
                  sim::BytesToNanos(bytes, config_.timing.read_bw);
-  if (qos_ && cls == sim::IoClass::kBackground) {
-    // Under QoS a background read is a schedulable span exactly like a
-    // background program: it passes the admission token bucket and
-    // occupies the background timeline, so a compaction's whole
-    // read-process-write pipeline books one contiguous period a
-    // tightened slice can preempt — not just its output writes. The
-    // scheduler wait replaces the interference heuristic.
-    if (bg_rate_bps_ > 0) {
-      const int64_t throttle = TokenBucketWaitNanos(&channel, bytes);
-      channel.bg_throttled_ns += throttle;
-      clock_->Advance(throttle);
-    }
-    int64_t end = 0;
-    QosSchedule(&channel, cls, cost, &end);
-    times_.read_ns += cost;
-    times_.read_commands++;
-    const auto bg = static_cast<size_t>(cls);
-    channel.class_read_ns[bg] += cost;
-    channel.class_bytes[bg] += bytes;
-    channel.class_commands[bg]++;
-    clock_->AdvanceTo(end);
-    DrainCache(clock_->NowNanos());
-    smart_.host_bytes_read += bytes;
-    return Status::OK();
-  }
   // Reads queue behind a slice of the channel's program backlog; bounded,
   // since real firmware prioritizes reads over background programs.
-  // Under QoS a foreground read sees only the delay the scheduler would
-  // actually impose on it (its own class backlog plus at most one
-  // background quantum), not the whole backend backlog.
-  int64_t backlog_ns = BackendBacklogNanos(channel);
-  if (qos_ && cls != sim::IoClass::kBackground) {
-    const int64_t now = clock_->NowNanos();
-    const int64_t base = std::max(
-        {now,
-         channel.class_until_ns[static_cast<size_t>(
-             sim::IoClass::kForegroundRead)],
-         channel.class_until_ns[static_cast<size_t>(
-             sim::IoClass::kForegroundWrite)]});
-    backlog_ns = QosForegroundStart(channel, base, nullptr) - now;
-  }
+  const int64_t backlog_ns = BackendBacklogNanos(channel);
   const auto interference = std::min(
       static_cast<int64_t>(config_.timing.read_interference *
                            static_cast<double>(backlog_ns)),
@@ -353,30 +163,14 @@ Status SsdDevice::Write(uint64_t lba, uint64_t count, const uint8_t* src) {
   uint64_t done = 0;
   bool first_command = true;
   const auto cls = clock_->ActiveIoClass(sim::IoClass::kForegroundWrite);
-  // With QoS and no write cache, admission is deferred: the command is
-  // scheduled first and the host then waits until the channel reaches
-  // it (its service start), instead of waiting for the whole backend to
-  // drain — this is what lets a sliced schedule bound foreground waits.
-  const bool qos_sync_backend = qos_ && config_.timing.cache_bytes == 0;
   while (done < count) {
     const uint64_t n = std::min(batch_pages, count - done);
     const uint64_t bytes = n * page;
 
-    // Token-bucket admission pacing for background writes (QoS).
-    if (qos_ && bg_rate_bps_ > 0 && cls == sim::IoClass::kBackground) {
-      const int64_t throttle = TokenBucketWaitNanos(&channel, bytes);
-      if (throttle > 0) {
-        channel.bg_throttled_ns += throttle;
-        clock_->Advance(throttle);
-      }
-    }
-
     // Admission into the device cache (may stall).
     const int64_t stall_t0 = clock_->NowNanos();
-    if (!qos_sync_backend) {
-      WaitForCacheSpace(bytes, &channel);
-      times_.write_stall_ns += clock_->NowNanos() - stall_t0;
-    }
+    WaitForCacheSpace(bytes, &channel);
+    times_.write_stall_ns += clock_->NowNanos() - stall_t0;
 
     // FTL work for these pages.
     FlashTranslationLayer::WorkDone work;
@@ -394,23 +188,12 @@ Status SsdDevice::Write(uint64_t lba, uint64_t count, const uint8_t* src) {
         sim::BytesToNanos(work.gc_read_pages * page, t.gc_read_bw) +
         sim::BytesToNanos(work.gc_write_pages * page, t.program_bw) +
         static_cast<int64_t>(work.blocks_erased) * t.erase_latency_ns;
-    int64_t service_start = -1;
     if (gc_cost > 0) {
       EnqueueBackend(&channel, gc_cost, 0, cls,
-                     (work.gc_read_pages + work.gc_write_pages) * page,
-                     &service_start);
+                     (work.gc_read_pages + work.gc_write_pages) * page);
     }
-    int64_t program_start = 0;
     EnqueueBackend(&channel, sim::BytesToNanos(bytes, t.program_bw), bytes,
-                   cls, bytes, &program_start);
-    if (service_start < 0) service_start = program_start;
-    if (qos_sync_backend) {
-      // No cache: the host write is synchronous with the channel's
-      // backend reaching this command. (The FIFO equivalent — waiting
-      // out busy_until before booking — lives in WaitForCacheSpace.)
-      clock_->AdvanceTo(service_start);
-      times_.write_stall_ns += clock_->NowNanos() - stall_t0;
-    }
+                   cls, bytes);
 
     // Host-side cost: ack latency (once per command) + bus transfer.
     int64_t host_cost = sim::BytesToNanos(bytes, t.host_write_bw);
@@ -502,9 +285,6 @@ std::vector<SsdDevice::ChannelStats> SsdDevice::channel_stats() const {
     }
     s.class_bytes = c.class_bytes;
     s.class_commands = c.class_commands;
-    s.class_wait_ns = c.class_wait_ns;
-    s.preemptions = c.preemptions;
-    s.bg_throttled_ns = c.bg_throttled_ns;
     out.push_back(s);
   }
   return out;

@@ -8,9 +8,9 @@
 //    and N per-channel "backend" timelines shared by programs, GC reads
 //    and erases (config.channels; one channel = the single serialized
 //    server of the original model). A command issued on submission queue
-//    q (sim::SimClock::AsyncQueue, set by the block layer's Submit API)
-//    serializes on channel q % channels only, so async submissions to
-//    distinct channels overlap in virtual time. When the cache is full,
+//    q (sim::SimClock::AsyncQueue, the queue of the submitting lane)
+//    serializes on channel q % channels only, so lanes on distinct
+//    channels overlap in virtual time. When the cache is full,
 //    host writes stall until the backend catches up — reproducing the
 //    sustained-write cliff and the bursty stalls of consumer drives
 //    (paper Sections 4.1 and 4.7),
@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -112,7 +111,8 @@ class SsdDevice : public block::BlockDevice {
   // the command byte stream — independent of submission timing, queues
   // and lanes — so two runs of the same logical workload must agree on
   // it exactly even when their foreground/background scheduling differs
-  // (the conservation check in bench/micro_read.cc).
+  // (the conservation checks of BackgroundIoTest in
+  // tests/engine_differential_test.cc and of bench/micro_compact.cc).
   //
   // The per-class arrays (indexed by sim::IoClass) attribute the
   // channel's occupancy to who submitted it: backend work (programs, GC,
@@ -123,19 +123,9 @@ class SsdDevice : public block::BlockDevice {
   // tail is deducted from the backend classes pro rata; read occupancy
   // is always fully elapsed, since every read is waited out), so the
   // per-class values are true utilizations and sum to at most the
-  // elapsed backend + read busy time.
-  //
-  // The QoS counters below are populated when config.QosEnabled():
-  // class_scheduled_ns is the per-class split of scheduled_ns (backlog
-  // included — the per-class conservation invariant: a pure function of
-  // the command byte stream, identical across QoS settings);
-  // class_wait_ns accumulates scheduling delay imposed on each class by
-  // the inter-class scheduler (time between a command becoming ready
-  // behind its own class and actually starting, plus any interleaved
-  // grant stretched into it); preemptions counts foreground commands
-  // that cut a background service period short at a slice boundary;
-  // bg_throttled_ns is time background host writes spent waiting on the
-  // token-bucket admission limiter.
+  // elapsed backend + read busy time. class_scheduled_ns is the per-class
+  // split of scheduled_ns (backlog included: a pure function of the
+  // command byte stream, like scheduled_ns).
   struct ChannelStats {
     int64_t busy_ns = 0;
     uint64_t commands = 0;
@@ -144,9 +134,6 @@ class SsdDevice : public block::BlockDevice {
     std::array<uint64_t, sim::kNumIoClasses> class_bytes{};
     std::array<uint64_t, sim::kNumIoClasses> class_commands{};
     std::array<int64_t, sim::kNumIoClasses> class_scheduled_ns{};
-    std::array<int64_t, sim::kNumIoClasses> class_wait_ns{};
-    uint64_t preemptions = 0;
-    int64_t bg_throttled_ns = 0;
 
     // Field-wise sum (per-class arrays element by element): the device
     // total over channels.
@@ -161,9 +148,6 @@ class SsdDevice : public block::BlockDevice {
       add(class_bytes, o.class_bytes);
       add(class_commands, o.class_commands);
       add(class_scheduled_ns, o.class_scheduled_ns);
-      add(class_wait_ns, o.class_wait_ns);
-      preemptions += o.preemptions;
-      bg_throttled_ns += o.bg_throttled_ns;
       return *this;
     }
   };
@@ -194,36 +178,6 @@ class SsdDevice : public block::BlockDevice {
     std::array<int64_t, sim::kNumIoClasses> class_read_ns{};
     std::array<uint64_t, sim::kNumIoClasses> class_bytes{};
     std::array<uint64_t, sim::kNumIoClasses> class_commands{};
-
-    // ---- Inter-class scheduler state (config.QosEnabled() only) ----
-    // Per-class busy-until timelines; busy_until_ns above stays their
-    // max so the cache-stall and backlog logic is scheduler-agnostic.
-    std::array<int64_t, sim::kNumIoClasses> class_until_ns{};
-    // Booked background service periods [start, end), ascending. A
-    // booking that starts within one slice of the previous period's end
-    // extends it (one busy episode: sub-quantum pauses in a background
-    // pipeline must not restart the slice grid), others open a new
-    // period. Lanes run at different local times, so
-    // background work is routinely booked ahead of the foreground
-    // clock; a foreground command must distinguish "inside a booked
-    // background period" (wait for the next slice boundary of that
-    // period's grid) from "in a genuine idle gap" (start immediately).
-    // Periods the foreground has moved past are pruned at its next
-    // booking.
-    std::deque<std::pair<int64_t, int64_t>> bg_periods;
-    // Background work displaced by foreground preemption that has not
-    // yet been re-booked: added to the start of the next background
-    // booking, so span-level delay materializes without rewriting
-    // already-booked completion times.
-    int64_t bg_debt_ns = 0;
-    // Token bucket for background host-write admission. tokens < 0
-    // marks "never used" (filled to capacity on first use).
-    int64_t bucket_tokens = -1;
-    int64_t bucket_stamp_ns = 0;
-    // QoS counters (see ChannelStats).
-    std::array<int64_t, sim::kNumIoClasses> class_wait_ns{};
-    uint64_t preemptions = 0;
-    int64_t bg_throttled_ns = 0;
   };
 
   void CopyIn(uint64_t lpn, const uint8_t* src);
@@ -239,43 +193,16 @@ class SsdDevice : public block::BlockDevice {
   void DrainCache(int64_t now_ns);
   // Blocks (advances the current timeline) until `bytes` fit in the cache.
   void WaitForCacheSpace(uint64_t bytes, Channel* channel);
-  // Appends backend work to `channel`; `cached_bytes` > 0 ties a cache
-  // entry to its completion. `cls`/`bytes` feed the per-class
-  // accounting. With QoS off the work is booked FIFO at
-  // max(now, busy_until); with QoS on it goes through QosSchedule.
-  // `service_start_ns`, if non-null, receives the time the channel
-  // begins serving this item.
+  // Appends backend work to `channel`, booked FIFO at
+  // max(now, busy_until); `cached_bytes` > 0 ties a cache entry to its
+  // completion. `cls`/`bytes` feed the per-class accounting.
   void EnqueueBackend(Channel* channel, int64_t cost_ns,
                       uint64_t cached_bytes, sim::IoClass cls,
-                      uint64_t bytes, int64_t* service_start_ns = nullptr);
+                      uint64_t bytes);
   int64_t BackendBacklogNanos(const Channel& channel) const;
-
-  // ---- Inter-class QoS scheduler (config_.QosEnabled() only) ----
-  // Books `cost_ns` of backend work for `cls`, applying slice-bounded
-  // foreground preemption, weighted interleave and background debt.
-  // Returns the service start; *end_ns receives the completion time
-  // (start + cost + any interleaved background grant).
-  int64_t QosSchedule(Channel* channel, sim::IoClass cls, int64_t cost_ns,
-                      int64_t* end_ns);
-  // Earliest time a foreground command ready at `base` can claim the
-  // backend. Inside a booked background period: the next slice boundary
-  // of that period's grid (or the period's end, whichever is sooner;
-  // with no slice configured, behind ALL booked background, FIFO-
-  // style). In an idle gap: `base` itself. Sets *preempts when it cuts
-  // a background period short.
-  int64_t QosForegroundStart(const Channel& channel, int64_t base,
-                             bool* preempts) const;
-  // Token-bucket admission for background host writes: returns how long
-  // the caller must wait before `bytes` are admitted (0 if the bucket
-  // covers them), debiting the bucket.
-  int64_t TokenBucketWaitNanos(Channel* channel, uint64_t bytes);
 
   SsdConfig config_;
   sim::SimClock* clock_;
-  // QoS knobs resolved at construction.
-  const bool qos_;
-  const int64_t bg_rate_bps_;        // 0 = unlimited
-  const int64_t bucket_cap_bytes_;   // token-bucket capacity
   // The device's command-processing lock: Read/Write/Trim/Flush bodies
   // and the snapshot accessors serialize here (the firmware command
   // queue). The filesystem above takes no lock for data I/O — two files'

@@ -318,5 +318,29 @@ TEST(ExperimentTest, Ssd2AndSsd3ProfilesRun) {
   }
 }
 
+// A scale the profile's geometry cannot back is a reported error naming
+// the profile and the scale, not a CHECK abort in the FTL: SSD2 at scale
+// 8000 has fewer physical blocks than its logical blocks plus spares,
+// and scale 1e8 leaves SSD1 no pages at all.
+TEST(ExperimentTest, UnsupportedScaleIsInvalidArgument) {
+  auto c = TinyConfig("lsm");
+  c.profile = ssd::ProfileKind::kSsd2ConsumerQlc;
+  c.scale = 8000;
+  auto r = RunExperiment(c);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find(ssd::ProfileName(c.profile)),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("8000"), std::string::npos)
+      << r.status().ToString();
+
+  c.profile = ssd::ProfileKind::kSsd1Enterprise;
+  c.scale = 100'000'000;
+  r = RunExperiment(c);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+}
+
 }  // namespace
 }  // namespace ptsb::core

@@ -8,8 +8,10 @@
 // accounting invariants (user <= host <= NAND bytes), group-commit log
 // accounting (WAL/journal bytes grow sub-linearly with batch size),
 // write-path semantics (empty batches, duplicate keys in one batch, crash
-// replay of batch records), registry behavior, and error propagation from
-// injected device faults.
+// replay of batch records), registry behavior, error propagation from
+// injected device faults, background-I/O separation (foreground time
+// falls while scheduled device work is conserved), and the per-engine
+// concurrency and iterator-invalidation contracts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +26,7 @@
 
 #include "block/iostat.h"
 #include "block/memory_device.h"
+#include "core/experiment.h"
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/registry.h"
@@ -31,6 +34,7 @@
 #include "sim/clock.h"
 #include "ssd/ssd_device.h"
 #include "test_support.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace ptsb {
@@ -67,10 +71,7 @@ std::map<std::string, std::string> TinyParams(const std::string& engine) {
 }
 
 // One entry of the pairwise battery: a registry engine name plus the
-// params to open it with. The battery runs every registered engine AND
-// the sharded front end over each inner engine, so the router's
-// batch-splitting, merge iterator and per-shard recovery are held to the
-// same visible-state contract as the engines themselves.
+// params to open it with.
 struct EngineConfig {
   std::string label;   // unique name for failure messages
   std::string engine;  // registry name
@@ -81,29 +82,7 @@ std::vector<EngineConfig> AllEngineConfigs() {
   kv::RegisterBuiltinEngines();
   std::vector<EngineConfig> configs;
   for (const std::string& name : kv::EngineRegistry::Global().Names()) {
-    if (name == "sharded" || name == "cached") {
-      continue;  // wrappers are covered per inner engine below
-    }
     configs.push_back({name, name, TinyParams(name)});
-  }
-  for (const std::string inner : {"lsm", "btree", "alog"}) {
-    std::map<std::string, std::string> params = TinyParams(inner);
-    params["shards"] = "3";
-    params["inner_engine"] = inner;
-    configs.push_back({"sharded/" + inner, "sharded", std::move(params)});
-  }
-  // One queue_depth > 1 config. In the untimed harnesses (no SimClock)
-  // it degenerates to the synchronous dispatch — the async path requires
-  // a clock — so here it covers param parsing/passthrough only; the
-  // timed AsyncWriteEquivalenceTest below runs this same config WITH a
-  // clock, where Write really routes through WriteAsyncDispatch.
-  {
-    std::map<std::string, std::string> params = TinyParams("alog");
-    params["shards"] = "3";
-    params["inner_engine"] = "alog";
-    params["queue_depth"] = "4";
-    params["read_queue_depth"] = "4";
-    configs.push_back({"sharded-async/alog", "sharded", std::move(params)});
   }
   // The partitioned-subcompaction path: the same lsm engine with every
   // picked compaction split four ways across background lanes. Running
@@ -115,40 +94,13 @@ std::vector<EngineConfig> AllEngineConfigs() {
     params["compaction_parallelism"] = "4";
     configs.push_back({"lsm-subcompact", "lsm", std::move(params)});
   }
-  // The cached wrapper over every bare engine: write buffer + read cache
-  // in front, so the buffer merge iterator, tombstone shadowing and
-  // flush-then-read paths are pairwise-checked against the engines they
-  // wrap. Both cache policies get coverage across the inner engines.
-  for (const std::string inner : {"lsm", "btree", "alog"}) {
-    std::map<std::string, std::string> params = TinyParams(inner);
-    params["inner_engine"] = inner;
-    params["write_buffer_bytes"] = std::to_string(16 << 10);
-    params["read_cache_bytes"] = std::to_string(32 << 10);
-    params["read_cache_policy"] = inner == "lsm" ? "lru" : "2q";
-    configs.push_back({"cached/" + inner, "cached", std::move(params)});
-  }
   return configs;
-}
-
-// The engine that actually persists data for a config (the inner engine
-// for sharded configs) — durability and journal knobs belong to it and
-// pass through the router untouched.
-std::string BaseEngine(const EngineConfig& config) {
-  if (config.engine == "sharded" || config.engine == "cached") {
-    return config.params.at("inner_engine");
-  }
-  return config.engine;
 }
 
 // Overrides that make every write durable the moment Write returns, so a
 // SimulateCrash + reopen must recover it (journal on + sync per record).
 std::map<std::string, std::string> DurableParams(const EngineConfig& config) {
-  // The cached wrapper's own durability log is what guards buffered (and
-  // even already-flushed-but-inner-unsynced) writes; syncing it per
-  // record makes every Write durable regardless of the inner engine's
-  // own cadence.
-  if (config.engine == "cached") return {{"log_sync_every_bytes", "1"}};
-  const std::string base = BaseEngine(config);
+  const std::string& base = config.engine;
   if (base == "lsm") return {{"wal_sync_every_bytes", "1"}};
   if (base == "btree") {
     return {{"journal_enabled", "1"}, {"journal_sync_every_bytes", "1"}};
@@ -160,7 +112,7 @@ std::map<std::string, std::string> DurableParams(const EngineConfig& config) {
 // The B+Tree journal is the analog of the WAL/segment log: turn it on so
 // reopen recovers un-checkpointed batches like the other engines do.
 std::map<std::string, std::string> JournalParams(const EngineConfig& config) {
-  if (BaseEngine(config) == "btree") return {{"journal_enabled", "1"}};
+  if (config.engine == "btree") return {{"journal_enabled", "1"}};
   return {};
 }
 
@@ -205,7 +157,6 @@ TEST(RegistryTest, BuiltinEnginesRegisteredAndUnknownRejected) {
   EXPECT_TRUE(kv::EngineRegistry::Global().Contains("lsm"));
   EXPECT_TRUE(kv::EngineRegistry::Global().Contains("btree"));
   EXPECT_TRUE(kv::EngineRegistry::Global().Contains("alog"));
-  EXPECT_TRUE(kv::EngineRegistry::Global().Contains("sharded"));
 
   block::MemoryBlockDevice dev(4096, 1 << 14);
   fs::SimpleFs fs(&dev, {});
@@ -268,7 +219,7 @@ class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialTest, EnginesAgreeOnEverything) {
   const std::vector<EngineConfig> configs = AllEngineConfigs();
-  ASSERT_GE(configs.size(), 6u);
+  ASSERT_GE(configs.size(), 4u);  // lsm, btree, alog, lsm-subcompact
   std::vector<std::unique_ptr<EngineHarness>> engines;
   for (const EngineConfig& c : configs) engines.push_back(MakeEngine(c));
 
@@ -665,52 +616,6 @@ TEST(DeleteRangeEdgeCaseTest, FullKeyspaceRangeEmptiesEveryEngine) {
   }
 }
 
-// MultiGet is Get, batched: for every registered engine config, the
-// statuses and values must match per-key Gets exactly — present keys,
-// missing keys and deleted keys alike — and the result order must follow
-// the input order (including duplicates). The untimed harness exercises
-// the sequential fallback; the timed fan-out path is covered by
-// MultiGetFanOutMatchesGetsWhenTimed below and async_io_test.
-TEST(MultiGetTest, MatchesPerKeyGetsInEveryEngine) {
-  for (const EngineConfig& config : AllEngineConfigs()) {
-    const std::string& engine = config.label;
-    auto h = MakeEngine(config);
-    Rng rng(0x5eed ^ std::hash<std::string>{}(engine));
-    for (int i = 0; i < 600; i++) {
-      const std::string key = "k" + std::to_string(rng.Uniform(150));
-      if (rng.Bernoulli(0.8)) {
-        ASSERT_TRUE(h->store->Put(key, "v" + std::to_string(i)).ok());
-      } else {
-        ASSERT_TRUE(h->store->Delete(key).ok());
-      }
-    }
-    std::vector<std::string> keys;
-    for (int i = 0; i < 80; i++) {
-      keys.push_back("k" + std::to_string(rng.Uniform(200)));  // some miss
-    }
-    keys.push_back(keys.front());  // duplicate key in one batch
-    std::vector<std::string_view> views(keys.begin(), keys.end());
-    std::vector<std::string> values;
-    const std::vector<Status> statuses = h->store->MultiGet(views, &values);
-    ASSERT_EQ(statuses.size(), keys.size()) << engine;
-    ASSERT_EQ(values.size(), keys.size()) << engine;
-    const uint64_t gets_before = h->store->GetStats().user_gets;
-    for (size_t i = 0; i < keys.size(); i++) {
-      std::string expect;
-      const Status s = h->store->Get(keys[i], &expect);
-      ASSERT_EQ(statuses[i].ok(), s.ok()) << engine << ": " << keys[i];
-      ASSERT_EQ(statuses[i].IsNotFound(), s.IsNotFound()) << engine;
-      if (s.ok()) {
-        EXPECT_EQ(values[i], expect) << engine << ": " << keys[i];
-      }
-    }
-    // MultiGet counted one user_get per key, like the per-key loop did.
-    EXPECT_EQ(gets_before, h->store->GetStats().user_gets - keys.size())
-        << engine;
-    ASSERT_TRUE(h->store->Close().ok());
-  }
-}
-
 // SettleBackgroundWork battery: for every registered engine config,
 // settling must (a) leave the visible contents identical to an unsettled
 // store's iterator view of the same logical history, and (b) be
@@ -899,14 +804,10 @@ TEST(GroupCommitTest, WalBytesGrowSubLinearlyWithBatchSize) {
       EXPECT_GT(stats.wal_bytes_written, stats.user_bytes_written)
           << engine << " must log payload plus framing";
       // Single-caller record accounting: with one writer every Write is
-      // its own commit group and its own log record (wrappers excluded —
-      // sharded splits a batch into per-shard records, cached logs into
-      // its own durability log before the inner engine sees anything).
+      // its own commit group and its own log record.
       EXPECT_EQ(stats.write_group_batches, stats.user_batches) << engine;
-      if (config.engine != "sharded" && config.engine != "cached") {
-        EXPECT_EQ(stats.wal_records, stats.user_batches) << engine;
-        EXPECT_EQ(stats.write_groups, stats.user_batches) << engine;
-      }
+      EXPECT_EQ(stats.wal_records, stats.user_batches) << engine;
+      EXPECT_EQ(stats.write_groups, stats.user_batches) << engine;
       if (!first) {
         EXPECT_LT(stats.wal_bytes_written, prev_wal_bytes)
             << engine << " batch=" << batch_size
@@ -919,15 +820,10 @@ TEST(GroupCommitTest, WalBytesGrowSubLinearlyWithBatchSize) {
   }
 }
 
-// ---- Sync Write vs WriteAsync + Wait equivalence ----------------------
+// ---- Timed stacks ------------------------------------------------------
 //
-// On a timed stack (SsdDevice + virtual clock), WriteAsync immediately
-// awaited must be indistinguishable from sync Write for every registered
-// engine config: same stats (byte counters AND the virtual-time
-// breakdown), same final clock, same on-disk state. A lane seeded at the
-// global now and joined right away replays the synchronous timeline
-// exactly — this is what keeps the async path a pure overlap mechanism
-// rather than a second semantics.
+// An engine on a simulated 4-channel SSD with a virtual clock and
+// background_io on, so maintenance runs on background submission lanes.
 
 struct TimedHarness {
   sim::SimClock clock;
@@ -948,168 +844,6 @@ std::unique_ptr<TimedHarness> MakeTimedEngine(const EngineConfig& config) {
   options.fs = h->fs.get();
   options.clock = &h->clock;
   options.params = config.params;
-  auto opened = kv::OpenStore(options);
-  EXPECT_TRUE(opened.ok()) << config.label << ": "
-                           << opened.status().ToString();
-  h->store = *std::move(opened);
-  return h;
-}
-
-// Compares every KvStoreStats field, by name, via the stats field table.
-void ExpectStatsEqual(const std::string& label, const kv::KvStoreStats& a,
-                      const kv::KvStoreStats& b) {
-  using Fields = std::vector<std::pair<std::string, int64_t>>;
-  const auto fields = [](const kv::KvStoreStats& s) {
-    Fields out;
-    s.ForEachField([&out](const char* name, auto value) {
-      out.emplace_back(name, static_cast<int64_t>(value));
-    });
-    return out;
-  };
-  const Fields fa = fields(a);
-  const Fields fb = fields(b);
-  for (size_t i = 0; i < fa.size(); i++) EXPECT_EQ(fa[i], fb[i]) << label;
-}
-
-// The timed fan-out path returns byte-identical results to sequential
-// Gets for every engine config (read_queue_depth forced > 1, clock
-// attached, multi-channel device).
-TEST(MultiGetTest, FanOutMatchesGetsWhenTimed) {
-  for (EngineConfig config : AllEngineConfigs()) {
-    const std::string engine = config.label;
-    // Force the fan-out path regardless of the config's own params.
-    config.params["read_queue_depth"] = "4";
-    auto h = MakeTimedEngine(config);
-    Rng rng(0xfa11ed);
-    for (int i = 0; i < 500; i++) {
-      ASSERT_TRUE(h->store
-                      ->Put("k" + std::to_string(rng.Uniform(120)),
-                            std::string(300, static_cast<char>('a' + i % 26)))
-                      .ok());
-    }
-    ASSERT_TRUE(h->store->Flush().ok());
-    std::vector<std::string> keys;
-    for (int i = 0; i < 60; i++) {
-      keys.push_back("k" + std::to_string(rng.Uniform(140)));  // some miss
-    }
-    std::vector<std::string_view> views(keys.begin(), keys.end());
-    std::vector<std::string> values;
-    const std::vector<Status> statuses = h->store->MultiGet(views, &values);
-    for (size_t i = 0; i < keys.size(); i++) {
-      std::string expect;
-      const Status s = h->store->Get(keys[i], &expect);
-      ASSERT_EQ(statuses[i].ok(), s.ok()) << engine << ": " << keys[i];
-      if (s.ok()) {
-        EXPECT_EQ(values[i], expect) << engine;
-      }
-    }
-    ASSERT_TRUE(h->store->Close().ok()) << engine;
-  }
-}
-
-TEST(AsyncWriteEquivalenceTest, WriteAsyncPlusWaitMatchesSyncWrite) {
-  uint64_t bloom_probes = 0;
-  for (const EngineConfig& config : AllEngineConfigs()) {
-    const std::string& label = config.label;
-    auto sync_h = MakeTimedEngine(config);
-    auto async_h = MakeTimedEngine(config);
-
-    // A deterministic batched trace, generated once and applied to both.
-    std::vector<kv::WriteBatch> trace;
-    Rng rng(0xa51dc0de);
-    for (int round = 0; round < 40; round++) {
-      kv::WriteBatch batch;
-      const size_t n = 1 + rng.Uniform(24);
-      for (size_t j = 0; j < n; j++) {
-        const std::string key = "k" + std::to_string(rng.Uniform(200));
-        if (rng.Bernoulli(0.85)) {
-          std::string value(rng.UniformRange(1, 300), '\0');
-          rng.FillBytes(value.data(), value.size());
-          batch.Put(key, value);
-        } else {
-          batch.Delete(key);
-        }
-      }
-      trace.push_back(std::move(batch));
-    }
-
-    for (const kv::WriteBatch& batch : trace) {
-      ASSERT_TRUE(sync_h->store->Write(batch).ok()) << label;
-      kv::WriteHandle handle = async_h->store->WriteAsync(batch);
-      ASSERT_TRUE(handle.Wait().ok()) << label;
-    }
-    // The same flush, point reads and snapshot on both sides, so the bloom
-    // (LSM probes of flushed tables) and snapshot counters are compared
-    // on real values, not 0 == 0.
-    for (TimedHarness* h : {sync_h.get(), async_h.get()}) {
-      ASSERT_TRUE(h->store->Flush().ok()) << label;
-      std::string value;
-      for (int i = 0; i < 16; i++) {
-        // Even i: a trace key (a hit unless deleted); odd i: never written.
-        const std::string key =
-            "k" + std::to_string(i % 2 == 0 ? i * 12 : 1000 + i);
-        const Status s = h->store->Get(key, &value);
-        ASSERT_TRUE(s.ok() || s.IsNotFound()) << label << ": " << key;
-      }
-      const auto snap = h->store->GetSnapshot();
-      ASSERT_TRUE(snap.ok()) << label << ": " << snap.status().ToString();
-    }
-
-    EXPECT_EQ(sync_h->clock.NowNanos(), async_h->clock.NowNanos())
-        << label << ": submit-then-wait must replay the sync timeline";
-    const kv::KvStoreStats sync_stats = sync_h->store->GetStats();
-    ExpectStatsEqual(label, sync_stats, async_h->store->GetStats());
-    EXPECT_GT(sync_stats.snapshots_created, 0u) << label;
-    EXPECT_EQ(sync_stats.snapshots_open, 0u) << label;
-    bloom_probes +=
-        sync_stats.bloom_negatives + sync_stats.bloom_false_positives;
-    EXPECT_EQ(sync_h->store->DiskBytesUsed(), async_h->store->DiskBytesUsed())
-        << label;
-
-    // Identical visible state.
-    auto is = sync_h->store->NewIterator();
-    auto ia = async_h->store->NewIterator();
-    is->SeekToFirst();
-    ia->SeekToFirst();
-    while (is->Valid()) {
-      ASSERT_TRUE(ia->Valid()) << label;
-      EXPECT_EQ(is->key(), ia->key()) << label;
-      EXPECT_EQ(is->value(), ia->value()) << label;
-      is->Next();
-      ia->Next();
-    }
-    EXPECT_FALSE(ia->Valid()) << label;
-    ASSERT_TRUE(sync_h->store->Close().ok()) << label;
-    ASSERT_TRUE(async_h->store->Close().ok()) << label;
-  }
-  // The LSM configs' reads must have consulted blooms somewhere, or the
-  // bloom fields above were compared vacuously.
-  EXPECT_GT(bloom_probes, 0u);
-}
-
-// ---- QoS scheduling differential battery ------------------------------
-//
-// The inter-class scheduler (ssd::SsdConfig::background_slice_ns /
-// class_weights / background_rate_mbps) may reorder and delay commands
-// in VIRTUAL TIME only. For every registered engine config running with
-// background_io on, the same batched trace against a QoS-off device and
-// an aggressively-throttled QoS device must end in byte-identical
-// visible contents and identical user-facing counters; only the
-// virtual-clock numbers may move. The battery also checks the QoS runs
-// actually engaged the scheduler (background-class traffic, preemptions
-// and admission throttling all fired somewhere), so a regression that
-// silently stops classifying background I/O cannot pass by vacuity.
-
-std::unique_ptr<TimedHarness> MakeQosTimedEngine(
-    const EngineConfig& config, const ssd::SsdConfig& ssd_cfg) {
-  auto h = std::make_unique<TimedHarness>();
-  h->ssd = std::make_unique<ssd::SsdDevice>(ssd_cfg, &h->clock);
-  h->fs = std::make_unique<fs::SimpleFs>(h->ssd.get(), fs::FsOptions{});
-  kv::EngineOptions options;
-  options.engine = config.engine;
-  options.fs = h->fs.get();
-  options.clock = &h->clock;
-  options.params = config.params;
   options.params["background_io"] = "1";
   auto opened = kv::OpenStore(options);
   EXPECT_TRUE(opened.ok()) << config.label << ": "
@@ -1118,111 +852,107 @@ std::unique_ptr<TimedHarness> MakeQosTimedEngine(
   return h;
 }
 
-TEST(QosDifferentialTest, ThrottledSchedulingNeverChangesVisibleState) {
-  ssd::SsdConfig off_cfg;
-  off_cfg.geometry.logical_bytes = 64ull << 20;
-  off_cfg.channels = 4;
-  // Aggressive QoS on the twin: tight preemption slices, a weighted
-  // interleave AND a low background admission rate, so all three
-  // scheduler mechanisms perturb the timeline at once.
-  ssd::SsdConfig qos_cfg = off_cfg;
-  qos_cfg.background_slice_ns = 50'000;
-  qos_cfg.class_weights = {4, 4, 1};
-  qos_cfg.background_rate_mbps = 20;
+// ---- Background I/O separation ----------------------------------------
 
-  uint64_t total_preemptions = 0;
-  int64_t total_throttled_ns = 0;
-  for (const EngineConfig& config : AllEngineConfigs()) {
-    const std::string& label = config.label;
-    auto off = MakeQosTimedEngine(config, off_cfg);
-    auto qos = MakeQosTimedEngine(config, qos_cfg);
+struct BgOutcome {
+  int64_t foreground_ns = 0;       // clock at end of the write loop
+  int64_t scheduled_busy_ns = 0;   // byte-driven backend work, all channels
+  int64_t background_busy_ns = 0;  // busy time accounted to kBackground
+  uint32_t checksum = 0;           // final contents
+};
 
-    // One deterministic trace, applied to both stores in lockstep with
-    // interleaved point-read probes while background work is being
-    // preempted and throttled on one side only.
-    Rng rng(0x905dc0de);
-    kv::WriteBatch batch;
-    for (int round = 0; round < 90; round++) {
-      batch.Clear();
-      const size_t n = 1 + rng.Uniform(24);
-      for (size_t j = 0; j < n; j++) {
-        const std::string key = "k" + std::to_string(rng.Uniform(300));
-        if (rng.Bernoulli(0.85)) {
-          std::string value(rng.UniformRange(1, 400), '\0');
-          rng.FillBytes(value.data(), value.size());
-          batch.Put(key, value);
-        } else {
-          batch.Delete(key);
-        }
-      }
-      ASSERT_TRUE(off->store->Write(batch).ok()) << label;
-      ASSERT_TRUE(qos->store->Write(batch).ok()) << label;
-      if (round % 10 == 9) {
-        for (int i = 0; i < 8; i++) {
-          const std::string key = "k" + std::to_string(rng.Uniform(320));
-          std::string a, b;
-          const Status sa = off->store->Get(key, &a);
-          const Status sb = qos->store->Get(key, &b);
-          ASSERT_EQ(sa.ok(), sb.ok()) << label << ": " << key;
-          if (sa.ok()) {
-            ASSERT_EQ(a, b) << label << ": " << key;
-          }
-        }
-      }
-    }
+// Runs a maintenance-heavy write workload on `engine` with background_io
+// on or off. The logical work (and therefore the device command stream)
+// is identical in both modes; only the timeline attribution differs.
+BgOutcome RunBackgroundWorkload(const std::string& engine,
+                                std::map<std::string, std::string> params,
+                                bool background_io) {
+  BgOutcome out;
+  sim::SimClock clock;
+  ssd::SsdConfig cfg;
+  cfg.geometry.logical_bytes = 64ull << 20;
+  cfg.channels = 2;
+  // No write cache: program time is visible in every command's latency.
+  cfg.timing.cache_bytes = 0;
+  ssd::SsdDevice ssd(cfg, &clock);
+  fs::SimpleFs fs(&ssd, {});
+  kv::EngineOptions options;
+  options.engine = engine;
+  options.fs = &fs;
+  options.clock = &clock;
+  options.params = std::move(params);
+  options.params["background_io"] = background_io ? "1" : "0";
+  auto opened = kv::OpenStore(options);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  auto store = *std::move(opened);
 
-    // Identical user-facing counters: scheduling may move virtual time,
-    // never the logical operation accounting.
-    const auto so = off->store->GetStats();
-    const auto sq = qos->store->GetStats();
-    EXPECT_EQ(so.user_puts, sq.user_puts) << label;
-    EXPECT_EQ(so.user_gets, sq.user_gets) << label;
-    EXPECT_EQ(so.user_deletes, sq.user_deletes) << label;
-    EXPECT_EQ(so.user_scans, sq.user_scans) << label;
-    EXPECT_EQ(so.user_batches, sq.user_batches) << label;
-    EXPECT_EQ(so.user_bytes_written, sq.user_bytes_written) << label;
-    EXPECT_EQ(so.user_bytes_read, sq.user_bytes_read) << label;
-
-    // Byte-identical visible contents, entry by entry.
-    auto it_off = off->store->NewIterator();
-    auto it_qos = qos->store->NewIterator();
-    it_off->SeekToFirst();
-    it_qos->SeekToFirst();
-    while (it_off->Valid()) {
-      ASSERT_TRUE(it_qos->Valid()) << label << " lost keys under QoS";
-      EXPECT_EQ(it_off->key(), it_qos->key()) << label;
-      EXPECT_EQ(it_off->value(), it_qos->value()) << label;
-      it_off->Next();
-      it_qos->Next();
-    }
-    EXPECT_FALSE(it_qos->Valid()) << label << " grew keys under QoS";
-    ASSERT_TRUE(it_off->status().ok()) << label;
-    ASSERT_TRUE(it_qos->status().ok()) << label;
-
-    // The QoS device saw background-class traffic: every engine runs its
-    // maintenance on the background lane under background_io, so a trace
-    // this size that never touches the lane means classification broke.
-    // Exception: async-dispatch configs (queue_depth) run maintenance
-    // inside the enclosing write lane — a BackgroundPool cannot fork a
-    // nested lane and legitimately falls back to the caller's class.
-    ssd::SsdDevice::ChannelStats device;
-    for (const auto& c : qos->ssd->channel_stats()) device += c;
-    total_preemptions += device.preemptions;
-    total_throttled_ns += device.bg_throttled_ns;
-    if (config.params.count("queue_depth") == 0) {
-      EXPECT_GT(
-          device.class_bytes[static_cast<size_t>(sim::IoClass::kBackground)],
-          0u)
-          << label << ": trace never reached the background lane";
-    }
-    ASSERT_TRUE(off->store->Close().ok()) << label;
-    ASSERT_TRUE(qos->store->Close().ok()) << label;
+  kv::WriteBatch batch;
+  for (uint64_t i = 0; i < 3000; i++) {
+    batch.Clear();
+    batch.Put(kv::MakeKey(i % 400), kv::MakeValue(i, 512));
+    EXPECT_TRUE(store->Write(batch).ok());
   }
-  // Across the battery both perturbation mechanisms must have fired —
-  // otherwise the byte-identical check above proved nothing.
-  EXPECT_GT(total_preemptions, 0u);
-  EXPECT_GT(total_throttled_ns, 0);
+  out.foreground_ns = clock.NowNanos();
+
+  EXPECT_TRUE(store->SettleBackgroundWork().ok());
+  EXPECT_TRUE(store->Flush().ok());
+  auto it = store->NewIterator();
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    out.checksum = Crc32c(out.checksum, it->key().data(), it->key().size());
+    out.checksum =
+        Crc32c(out.checksum, it->value().data(), it->value().size());
+  }
+  EXPECT_TRUE(it->status().ok());
+  EXPECT_TRUE(store->Close().ok());
+  for (const auto& ch : ssd.channel_stats()) {
+    out.scheduled_busy_ns += ch.scheduled_ns;
+    out.background_busy_ns +=
+        ch.class_busy_ns[static_cast<int>(sim::IoClass::kBackground)];
+  }
+  return out;
 }
+
+// Maintenance-heavy params per engine: every run must actually trigger
+// compaction / checkpoints / GC, or the separation would have nothing to
+// separate and the strict inequalities below would be vacuous.
+class BackgroundIoTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BackgroundIoTest, SeparationLowersForegroundTimeConservingWork) {
+  const std::string engine = GetParam();
+  std::map<std::string, std::string> params;
+  if (engine == "lsm") {
+    params = {{"memtable_bytes", std::to_string(32 << 10)},
+              {"l1_target_bytes", std::to_string(128 << 10)},
+              {"sst_target_bytes", std::to_string(64 << 10)}};
+  } else if (engine == "btree") {
+    params = {{"cache_bytes", std::to_string(64 << 10)},
+              {"checkpoint_every_bytes", std::to_string(64 << 10)}};
+  } else {
+    params = {{"segment_bytes", std::to_string(64 << 10)},
+              {"gc_trigger", "0.3"}};
+  }
+  const BgOutcome base = RunBackgroundWorkload(engine, params, false);
+  const BgOutcome sep = RunBackgroundWorkload(engine, params, true);
+
+  // The baseline attributes nothing to the background class; separation
+  // must actually have moved work there.
+  EXPECT_EQ(base.background_busy_ns, 0) << engine;
+  EXPECT_GT(sep.background_busy_ns, 0) << engine;
+  // Foreground commits stop absorbing maintenance device time...
+  EXPECT_LT(sep.foreground_ns, base.foreground_ns) << engine;
+  // ...but the device did exactly the same byte-driven work,
+  EXPECT_EQ(sep.scheduled_busy_ns, base.scheduled_busy_ns) << engine;
+  // ...and contents cannot depend on timeline attribution.
+  EXPECT_EQ(sep.checksum, base.checksum) << engine;
+
+  // Determinism: the separated run replays to the nanosecond.
+  const BgOutcome again = RunBackgroundWorkload(engine, params, true);
+  EXPECT_EQ(again.foreground_ns, sep.foreground_ns) << engine;
+  EXPECT_EQ(again.checksum, sep.checksum) << engine;
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, BackgroundIoTest,
+                         ::testing::Values("lsm", "btree", "alog"));
 
 // ---- Concurrent multi-writer differential test ------------------------
 //
@@ -1233,7 +963,7 @@ TEST(QosDifferentialTest, ThrottledSchedulingNeverChangesVisibleState) {
 // final state — the one a serial golden run produces. The tiny params
 // make flush/compaction/eviction/checkpoint/segment GC all fire under
 // the concurrent load, and the battery covers every registered engine
-// config including the wrappers. This test is in the ctest "stress"
+// config. This test is in the ctest "stress"
 // label: the TSan CI matrix entry runs it to hunt data races across the
 // write group, the filesystem lock split and the device-internal locks.
 TEST(ConcurrentWriteTest, MultiWriterMatchesSerialGoldenRun) {
@@ -1417,18 +1147,8 @@ TEST(SubcompactionDifferentialTest, ParallelismNeverChangesVisibleState) {
   EngineConfig k4{"lsm-k4", "lsm", TinyLsmParams()};
   k4.params["compaction_parallelism"] = "4";
 
-  auto h1 = MakeQosTimedEngine(k1, [] {
-    ssd::SsdConfig cfg;
-    cfg.geometry.logical_bytes = 64ull << 20;
-    cfg.channels = 4;
-    return cfg;
-  }());
-  auto h4 = MakeQosTimedEngine(k4, [] {
-    ssd::SsdConfig cfg;
-    cfg.geometry.logical_bytes = 64ull << 20;
-    cfg.channels = 4;
-    return cfg;
-  }());
+  auto h1 = MakeTimedEngine(k1);
+  auto h4 = MakeTimedEngine(k4);
 
   Rng rng(0x5bc0de);
   kv::WriteBatch batch;
@@ -1506,9 +1226,8 @@ TEST(SubcompactionDifferentialTest, ParallelismNeverChangesVisibleState) {
 
 TEST(FaultInjectionTest, EnginesFailCleanlyWhenDeviceFull) {
   // A device far too small for the workload: every engine must surface
-  // NoSpace without aborting. 4 MiB with small append chunks, so even
-  // the sharded configs (3 shards x several files each) can open and
-  // then run out mid-workload rather than at Open.
+  // NoSpace without aborting. 4 MiB with small append chunks, so every
+  // config can open and then run out mid-workload rather than at Open.
   for (const EngineConfig& config : AllEngineConfigs()) {
     block::MemoryBlockDevice dev(4096, 1024);  // 4 MiB
     fs::FsOptions fs_options;
@@ -1531,6 +1250,126 @@ TEST(FaultInjectionTest, EnginesFailCleanlyWhenDeviceFull) {
         << "engine=" << config.label << " got: " << s.ToString();
   }
 }
+
+// ---- Per-engine concurrency and iterator contracts ---------------------
+
+// Opens `engine` with its default params on an untimed memory device.
+std::unique_ptr<EngineHarness> MakeDefaultEngine(const std::string& engine) {
+  return MakeEngine(EngineConfig{engine, engine, {}});
+}
+
+class ConcurrentWritersTest : public ::testing::TestWithParam<const char*> {};
+
+// The capability the multi-threaded driver keys off. Every built-in
+// engine routes Write through a cross-thread kv::WriteGroup, so they all
+// advertise it; the driver's refusal path only guards out-of-tree
+// engines that keep the base-class default (false).
+TEST_P(ConcurrentWritersTest, EveryBuiltinEngineSupportsConcurrentWriters) {
+  auto h = MakeDefaultEngine(GetParam());
+  EXPECT_TRUE(h->store->SupportsConcurrentWriters()) << GetParam();
+  ASSERT_TRUE(h->store->Close().ok());
+}
+
+// num_threads > 1 on every engine: the workers' batches meet in the
+// engine's write group instead of corrupting it. A short run must
+// complete cleanly and perform work.
+TEST_P(ConcurrentWritersTest, DriverRunsThreadsOnEveryEngine) {
+  core::ExperimentConfig config;
+  config.engine = GetParam();
+  config.num_threads = 4;
+  config.scale = 8000;
+  config.duration_minutes = 1;
+  auto result = core::RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->update_ops, 0u);
+  // The group-commit accounting must be consistent: every user batch
+  // landed in some group, and no more records than groups were written.
+  EXPECT_GT(result->engine_stats.write_groups, 0u);
+  EXPECT_GE(result->engine_stats.write_group_batches,
+            result->engine_stats.write_groups);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ConcurrentWritersTest,
+                         ::testing::Values("lsm", "btree", "alog"));
+
+// The debug-build epoch check: using an iterator after a write must fail
+// fast instead of silently reading stale state. Compiled out with NDEBUG
+// (Release and RelWithDebInfo), active in the Debug sanitizer jobs.
+#ifndef NDEBUG
+using IteratorEpochDeathTest = ::testing::TestWithParam<const char*>;
+
+TEST_P(IteratorEpochDeathTest, UseAfterWriteDiesInDebug) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto h = MakeDefaultEngine(GetParam());
+  kv::KVStore* store = h->store.get();
+  ASSERT_TRUE(store->Put("a", "1").ok());
+  ASSERT_TRUE(store->Put("b", "2").ok());
+  auto it = store->NewIterator();
+  it->SeekToFirst();
+  ASSERT_TRUE(it->Valid());
+  ASSERT_TRUE(store->Put("c", "3").ok());  // invalidates `it`
+  EXPECT_DEATH(it->Next(), "used after a write");
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, IteratorEpochDeathTest,
+                         ::testing::Values("lsm", "btree", "alog"));
+#endif  // NDEBUG
+
+// The snapshot counterpart of the epoch check: an iterator opened over a
+// snapshot reads the pinned state, not the live structures, so writes —
+// including range deletes that erase the very keys under the cursor —
+// must NOT invalidate it. (The live NewIterator() still dies, above.)
+using SnapshotIteratorSurvivalTest = ::testing::TestWithParam<const char*>;
+
+TEST_P(SnapshotIteratorSurvivalTest, SnapshotIteratorSurvivesWrites) {
+  auto h = MakeDefaultEngine(GetParam());
+  kv::KVStore* store = h->store.get();
+  ASSERT_TRUE(store->Put("a", "1").ok());
+  ASSERT_TRUE(store->Put("b", "2").ok());
+  ASSERT_TRUE(store->Put("c", "3").ok());
+
+  auto got = store->GetSnapshot();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  std::shared_ptr<const kv::Snapshot> snap = *std::move(got);
+  kv::ReadOptions opts;
+  opts.snapshot = snap.get();
+  auto it = store->NewIterator(opts);
+  it->SeekToFirst();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->key(), "a");
+  EXPECT_EQ(it->value(), "1");
+
+  // Mutate hard mid-iteration: overwrite, range-delete the whole
+  // keyspace, and flush so the live structures really move.
+  ASSERT_TRUE(store->Put("a", "changed").ok());
+  kv::WriteBatch wipe;
+  wipe.DeleteRange("", "\xff");
+  ASSERT_TRUE(store->Write(wipe).ok());
+  ASSERT_TRUE(store->Flush().ok());
+
+  it->Next();
+  ASSERT_TRUE(it->Valid()) << "snapshot iterator died under a write";
+  EXPECT_EQ(it->key(), "b");
+  EXPECT_EQ(it->value(), "2");
+  it->Next();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->key(), "c");
+  it->Next();
+  EXPECT_FALSE(it->Valid());
+  ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+  it.reset();
+  snap.reset();
+
+  // Meanwhile the live view took every write.
+  auto live = store->NewIterator();
+  live->SeekToFirst();
+  EXPECT_FALSE(live->Valid()) << "wipe did not reach the live state";
+  ASSERT_TRUE(live->status().ok());
+  ASSERT_TRUE(store->Close().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, SnapshotIteratorSurvivalTest,
+                         ::testing::Values("lsm", "btree", "alog"));
 
 }  // namespace
 }  // namespace ptsb

@@ -1,36 +1,27 @@
 // Fault-injection battery: crash at EVERY Nth device write.
 //
 // A counting fs::FaultPolicy first measures how many device writes W a
-// deterministic mixed workload (batched puts, deletes, range deletes,
-// snapshot scans mid-stream) issues, then replays the workload W times,
-// failing every write from the Nth on (a dying drive stays dead), crashing
-// the filesystem at the first surfaced error and reopening. Recovery must
-// be prefix-consistent at every single crash point:
-//
-//  - Engines that log a batch as one record (lsm WAL, btree journal, alog
-//    segment, each sync-per-record) must recover to the state after K
-//    fully-acknowledged batches, or K+1 if the faulted batch's record
-//    reached the device before the fault surfaced elsewhere in the same
-//    Write. Nothing in between: a torn record is dropped whole.
-//
-//  - The wrappers (sharded splits a batch across shard commits, cached
-//    interposes its own durability log over an inner engine) promise
-//    per-key prefix consistency: every key independently reads from state
-//    K or state K+1, never from an older state and never a value no
-//    prefix ever held.
+// deterministic mixed workload (batched puts, deletes, range deletes, snapshot
+// scans mid-stream) issues, then replays the workload W times, failing every
+// write from the Nth on (a dying drive stays dead), crashing the filesystem at
+// the first surfaced error and reopening. Recovery must be prefix-consistent
+// at every single crash point: every engine logs a batch as one record (lsm
+// WAL, btree journal, alog segment, each sync-per-record), so it must recover
+// to the state after K fully-acknowledged batches, or K+1 if the faulted
+// batch's record reached the device before the fault surfaced elsewhere in the
+// same Write. Nothing in between: a torn record is dropped whole.
 //
 // Then, at every crash point, the recovered store must keep what it
 // acknowledges later: a synced batch survives a second crash, and after
 // a Flush another one survives a third. No engine may append to a log it
-// has just replayed (the WAL, the MANIFEST, the journal, a segment, the
-// cached .wlog): a torn tail buried mid-log would drop every later
-// record at the next replay.
+// has just replayed (the WAL, the MANIFEST, the journal, a segment): a
+// torn tail buried mid-log would drop every later record at the next
+// replay.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,7 +67,6 @@ struct EngineConfig {
   std::string label;
   std::string engine;
   std::map<std::string, std::string> params;
-  bool per_key_consistency;  // wrappers: per-key (not whole-batch) prefix
 };
 
 // Tiny structural sizes so flush/compaction/checkpoint/GC run inside the
@@ -91,8 +81,7 @@ std::vector<EngineConfig> Configs() {
                       {"l1_target_bytes", std::to_string(32 << 10)},
                       {"sst_target_bytes", std::to_string(16 << 10)},
                       {"block_bytes", "1024"},
-                      {"wal_sync_every_bytes", "1"}},
-                     false});
+                      {"wal_sync_every_bytes", "1"}}});
   configs.push_back({"btree",
                      "btree",
                      {{"leaf_max_bytes", std::to_string(2 << 10)},
@@ -100,33 +89,12 @@ std::vector<EngineConfig> Configs() {
                       {"cache_bytes", std::to_string(16 << 10)},
                       {"checkpoint_every_bytes", std::to_string(32 << 10)},
                       {"journal_enabled", "1"},
-                      {"journal_sync_every_bytes", "1"}},
-                     false});
+                      {"journal_sync_every_bytes", "1"}}});
   configs.push_back({"alog",
                      "alog",
                      {{"segment_bytes", std::to_string(8 << 10)},
                       {"gc_trigger", "0.4"},
-                      {"sync_every_bytes", "1"}},
-                     false});
-  configs.push_back({"sharded/alog",
-                     "sharded",
-                     {{"shards", "3"},
-                      {"inner_engine", "alog"},
-                      {"segment_bytes", std::to_string(8 << 10)},
-                      {"gc_trigger", "0.4"},
-                      {"sync_every_bytes", "1"}},
-                     true});
-  configs.push_back({"cached/lsm",
-                     "cached",
-                     {{"inner_engine", "lsm"},
-                      {"memtable_bytes", std::to_string(8 << 10)},
-                      {"l1_target_bytes", std::to_string(32 << 10)},
-                      {"sst_target_bytes", std::to_string(16 << 10)},
-                      {"block_bytes", "1024"},
-                      {"write_buffer_bytes", std::to_string(4 << 10)},
-                      {"read_cache_bytes", std::to_string(16 << 10)},
-                      {"log_sync_every_bytes", "1"}},
-                     true});
+                      {"sync_every_bytes", "1"}}});
   return configs;
 }
 
@@ -254,8 +222,7 @@ Model ReadAll(const std::string& label, uint64_t fail_at,
   return got;
 }
 
-// Whole-batch engines: the recovered state IS one of the two candidate
-// prefixes.
+// The recovered state IS one of the two candidate prefixes.
 void ExpectWholeBatchConsistent(const std::string& label, uint64_t fail_at,
                                 kv::KVStore* store, const Model& at_k,
                                 const Model& at_k1) {
@@ -277,43 +244,6 @@ void ExpectWholeBatchConsistent(const std::string& label, uint64_t fail_at,
       << ": recovered state matches neither prefix K (" << at_k.size()
       << " keys) nor K+1 (" << at_k1.size() << " keys); got " << got.size()
       << " keys; vs K:" << diff;
-}
-
-// Wrapper engines: every key independently reads from prefix K or K+1.
-void ExpectPerKeyConsistent(const std::string& label, uint64_t fail_at,
-                            kv::KVStore* store, const Model& at_k,
-                            const Model& at_k1) {
-  const auto expected = [&](const std::string& key) {
-    std::vector<std::optional<std::string>> allowed;
-    const auto k = at_k.find(key);
-    allowed.push_back(k == at_k.end() ? std::nullopt
-                                      : std::make_optional(k->second));
-    const auto k1 = at_k1.find(key);
-    allowed.push_back(k1 == at_k1.end() ? std::nullopt
-                                        : std::make_optional(k1->second));
-    return allowed;
-  };
-  // Every key either model mentions, probed point-wise.
-  Model all = at_k;
-  all.insert(at_k1.begin(), at_k1.end());
-  for (const auto& [key, unused] : all) {
-    std::string value;
-    const Status s = store->Get(key, &value);
-    ASSERT_TRUE(s.ok() || s.IsNotFound()) << label << " N=" << fail_at;
-    const std::optional<std::string> got =
-        s.ok() ? std::make_optional(value) : std::nullopt;
-    const auto allowed = expected(key);
-    EXPECT_TRUE(got == allowed[0] || got == allowed[1])
-        << label << " crash at device write " << fail_at << ": key " << key
-        << " reads a value no adjacent prefix held";
-  }
-  // No phantom keys outside both models.
-  auto it = store->NewIterator();
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    EXPECT_TRUE(all.count(std::string(it->key())) > 0)
-        << label << " N=" << fail_at << ": phantom key " << it->key();
-  }
-  ASSERT_TRUE(it->status().ok()) << label << " N=" << fail_at;
 }
 
 // After a recovery, synced and acknowledged writes must survive further
@@ -397,14 +327,8 @@ void RunCrashBattery(const EngineConfig& config,
     h->fs.SetFaultPolicy(nullptr);
     OpenStore(config, h.get());
     ASSERT_NE(h->store, nullptr) << config.label << " N=" << n;
-    const Model& at_k = prefixes[k];
-    const Model& at_k1 = prefixes[std::min(k + 1, batches.size())];
-    if (config.per_key_consistency) {
-      ExpectPerKeyConsistent(config.label, n, h->store.get(), at_k, at_k1);
-    } else {
-      ExpectWholeBatchConsistent(config.label, n, h->store.get(), at_k,
-                                 at_k1);
-    }
+    ExpectWholeBatchConsistent(config.label, n, h->store.get(), prefixes[k],
+                               prefixes[std::min(k + 1, batches.size())]);
     if (::testing::Test::HasFatalFailure()) return;
     ExpectLaterWritesSurviveCrashes(config, n, h.get());
     if (::testing::Test::HasFatalFailure()) return;
@@ -503,7 +427,6 @@ TEST(FaultInjectionBattery, MidLogDamageFailsEveryOpenAndKeepsTheLog) {
       {"btree", "journal", false,
        [](fs::SimpleFs*) { return std::string("btree/tree.db.journal"); }},
       {"alog", "segment", false, newest("alog", ".seg")},
-      {"cached/lsm", ".wlog", false, newest("cached", ".wlog")},
   };
   const std::vector<EngineConfig> configs = Configs();
   for (const Case& c : cases) {
@@ -560,23 +483,18 @@ TEST(FaultInjectionBattery, MidLogDamageFailsEveryOpenAndKeepsTheLog) {
   }
 }
 
-// The same battery on the simulated SSD with background_io=1 and every
-// QoS knob armed (slice preemption, weighted interleave, token-bucket
-// admission). Background work is then booked AHEAD of the foreground
-// clock and foreground commits take the deferred-admission write path —
-// a crash at any device write must still recover a clean prefix: the
-// scheduler may move work in time, never corrupt what reached the
-// device before the fault.
-struct QosHarness {
+// The same battery on the simulated SSD with background_io=1 on lsm:
+// compaction runs on a background lane booked AHEAD of the foreground
+// clock. A crash at any device write must still recover a clean prefix:
+// moving work in virtual time must never corrupt what reached the device
+// before the fault.
+struct TimedHarness {
   static ssd::SsdConfig Config() {
     ssd::SsdConfig c;
     c.geometry.pages_per_block = 64;
     c.geometry.logical_bytes = 8ull << 20;
     c.geometry.hardware_op_frac = 0.25;
     c.timing.cache_bytes = 0;  // commits synchronous with the backend
-    c.background_slice_ns = 50'000;
-    c.class_weights = {1, 1, 1};
-    c.background_rate_mbps = 10;
     return c;
   }
   sim::SimClock clock;
@@ -585,39 +503,38 @@ struct QosHarness {
   std::unique_ptr<kv::KVStore> store;
 };
 
-void OpenQosStore(const EngineConfig& config, QosHarness* h) {
+void OpenTimedStore(const EngineConfig& config, TimedHarness* h) {
   kv::EngineOptions options;
   options.engine = config.engine;
   options.fs = &h->fs;
   options.clock = &h->clock;
   options.params = config.params;
-  options.params["background_io"] = "1";
   auto opened = kv::OpenStore(options);
   EXPECT_TRUE(opened.ok()) << config.label << ": "
                            << opened.status().ToString();
   h->store = *std::move(opened);
 }
 
-TEST(FaultInjectionBattery, CrashUnderQosScheduledBackgroundIo) {
+TEST(FaultInjectionBattery, CrashUnderBackgroundIoRecoversAPrefix) {
   const std::vector<kv::WriteBatch> batches = BuildWorkload();
   const std::vector<Model> prefixes = PrefixModels(batches);
   EngineConfig config = Configs()[0];  // lsm
   ASSERT_EQ(config.engine, "lsm");
-  config.label = "lsm+qos";
+  config.label = "lsm+background_io";
   // Structural sizes small enough that the ~15 KB workload flushes and
-  // compacts repeatedly — otherwise no background-class I/O exists to
-  // schedule.
+  // compacts repeatedly — otherwise no background-class I/O exists.
   config.params["memtable_bytes"] = "1024";
   config.params["l1_target_bytes"] = "4096";
   config.params["sst_target_bytes"] = "2048";
+  config.params["background_io"] = "1";
 
-  // Count pass; also prove the battery really runs under the scheduler:
+  // Count pass; also prove the battery really runs on background lanes:
   // compaction must have issued background I/O on the device.
   CountingFaultPolicy policy;
   uint64_t total_writes = 0;
   {
-    auto h = std::make_unique<QosHarness>();
-    OpenQosStore(config, h.get());
+    auto h = std::make_unique<TimedHarness>();
+    OpenTimedStore(config, h.get());
     ASSERT_NE(h->store, nullptr);
     h->fs.SetFaultPolicy(&policy);
     policy.Arm(0);
@@ -633,8 +550,8 @@ TEST(FaultInjectionBattery, CrashUnderQosScheduledBackgroundIo) {
   ASSERT_GT(total_writes, batches.size());
 
   for (uint64_t n = 1; n <= total_writes; n++) {
-    auto h = std::make_unique<QosHarness>();
-    OpenQosStore(config, h.get());
+    auto h = std::make_unique<TimedHarness>();
+    OpenTimedStore(config, h.get());
     ASSERT_NE(h->store, nullptr);
     h->fs.SetFaultPolicy(&policy);
     policy.Arm(n);
@@ -642,7 +559,7 @@ TEST(FaultInjectionBattery, CrashUnderQosScheduledBackgroundIo) {
     h->fs.SimulateCrash();
     h->store.release();  // NOLINT: intentional leak of a crashed store
     h->fs.SetFaultPolicy(nullptr);
-    OpenQosStore(config, h.get());
+    OpenTimedStore(config, h.get());
     ASSERT_NE(h->store, nullptr) << " N=" << n;
     ExpectWholeBatchConsistent(config.label, n, h->store.get(), prefixes[k],
                                prefixes[std::min(k + 1, batches.size())]);
@@ -650,27 +567,6 @@ TEST(FaultInjectionBattery, CrashUnderQosScheduledBackgroundIo) {
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
-
-// The same battery with partitioned subcompactions live: every picked
-// compaction is split into 4 key subranges running in their own
-// background lanes, so a crash can land after some subranges wrote
-// their output SSTs but before the single atomic install. Recovery must
-// still be a clean prefix, and the open-time orphan sweep must reclaim
-// the partial subrange outputs the manifest never referenced.
-struct SubcompactionHarness {
-  static ssd::SsdConfig Config() {
-    ssd::SsdConfig c;
-    c.geometry.pages_per_block = 64;
-    c.geometry.logical_bytes = 8ull << 20;
-    c.geometry.hardware_op_frac = 0.25;
-    c.timing.cache_bytes = 0;  // commits synchronous with the backend
-    return c;
-  }
-  sim::SimClock clock;
-  ssd::SsdDevice ssd{Config(), &clock};
-  fs::SimpleFs fs{&ssd, {}};
-  std::unique_ptr<kv::KVStore> store;
-};
 
 size_t CountSstFiles(const fs::SimpleFs& fs) {
   size_t n = 0;
@@ -680,6 +576,12 @@ size_t CountSstFiles(const fs::SimpleFs& fs) {
   return n;
 }
 
+// The same battery with partitioned subcompactions live: every picked
+// compaction is split into 4 key subranges running in their own
+// background lanes, so a crash can land after some subranges wrote
+// their output SSTs but before the single atomic install. Recovery must
+// still be a clean prefix, and the open-time orphan sweep must reclaim
+// the partial subrange outputs the manifest never referenced.
 TEST(FaultInjectionBattery, CrashMidSubcompactionSweepsPartialOutputs) {
   const std::vector<kv::WriteBatch> batches = BuildWorkload();
   const std::vector<Model> prefixes = PrefixModels(batches);
@@ -694,25 +596,13 @@ TEST(FaultInjectionBattery, CrashMidSubcompactionSweepsPartialOutputs) {
   config.params["background_io"] = "1";
   config.params["compaction_parallelism"] = "4";
 
-  const auto open = [&](SubcompactionHarness* h) {
-    kv::EngineOptions options;
-    options.engine = config.engine;
-    options.fs = &h->fs;
-    options.clock = &h->clock;
-    options.params = config.params;
-    auto opened = kv::OpenStore(options);
-    ASSERT_TRUE(opened.ok()) << config.label << ": "
-                             << opened.status().ToString();
-    h->store = *std::move(opened);
-  };
-
   // Count pass; prove compactions actually ran (otherwise no
   // subcompaction ever starts and the battery tests nothing).
   CountingFaultPolicy policy;
   uint64_t total_writes = 0;
   {
-    auto h = std::make_unique<SubcompactionHarness>();
-    open(h.get());
+    auto h = std::make_unique<TimedHarness>();
+    OpenTimedStore(config, h.get());
     ASSERT_NE(h->store, nullptr);
     h->fs.SetFaultPolicy(&policy);
     policy.Arm(0);
@@ -727,8 +617,8 @@ TEST(FaultInjectionBattery, CrashMidSubcompactionSweepsPartialOutputs) {
 
   size_t swept_files = 0;
   for (uint64_t n = 1; n <= total_writes; n++) {
-    auto h = std::make_unique<SubcompactionHarness>();
-    open(h.get());
+    auto h = std::make_unique<TimedHarness>();
+    OpenTimedStore(config, h.get());
     ASSERT_NE(h->store, nullptr);
     h->fs.SetFaultPolicy(&policy);
     policy.Arm(n);
@@ -737,7 +627,7 @@ TEST(FaultInjectionBattery, CrashMidSubcompactionSweepsPartialOutputs) {
     h->store.release();  // NOLINT: intentional leak of a crashed store
     h->fs.SetFaultPolicy(nullptr);
     const size_t ssts_at_crash = CountSstFiles(h->fs);
-    open(h.get());
+    OpenTimedStore(config, h.get());
     ASSERT_NE(h->store, nullptr) << " N=" << n;
     // Files present at the crash but gone after recovery were reclaimed
     // by the open-time sweep (never-installed subrange outputs).

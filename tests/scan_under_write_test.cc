@@ -10,14 +10,12 @@
 //  - re-scanning the SAME snapshot returns a byte-identical result;
 //  - per key, the observed round never decreases across a scanner's
 //    successive snapshots (sequence numbers are monotone);
-//  - per writer, all keys of its slice carry the SAME round stamp —
-//    except through the sharded router, whose composite snapshot is
-//    per-shard atomic only (exactly Write's documented atomicity);
+//  - per writer, all keys of its slice carry the SAME round stamp;
 //  - every scan sees the full keyspace (no partial states);
 //  - after the writers join, a final snapshot scan equals the serial
 //    golden state (every writer at its last round).
 //
-// Runs over every engine cell (bare, sharded, cached). Carries the ctest
+// Runs over every engine (lsm, btree, alog). Carries the ctest
 // "stress" label: the TSan matrix entry hunts races between the write
 // group, snapshot refcounts and the iterator read paths.
 #include <gtest/gtest.h>
@@ -67,7 +65,6 @@ struct EngineConfig {
   std::string label;
   std::string engine;
   std::map<std::string, std::string> params;
-  bool cross_shard_atomic;  // false for the sharded router
 };
 
 std::map<std::string, std::string> SmallParams(const std::string& engine) {
@@ -94,21 +91,7 @@ std::vector<EngineConfig> AllEngineConfigs() {
   kv::RegisterBuiltinEngines();
   std::vector<EngineConfig> configs;
   for (const std::string name : {"lsm", "btree", "alog"}) {
-    configs.push_back({name, name, SmallParams(name), true});
-  }
-  for (const std::string inner : {"lsm", "btree", "alog"}) {
-    std::map<std::string, std::string> params = SmallParams(inner);
-    params["shards"] = "3";
-    params["inner_engine"] = inner;
-    configs.push_back({"sharded/" + inner, "sharded", std::move(params),
-                       false});
-  }
-  for (const std::string inner : {"lsm", "btree", "alog"}) {
-    std::map<std::string, std::string> params = SmallParams(inner);
-    params["inner_engine"] = inner;
-    params["write_buffer_bytes"] = std::to_string(8 << 10);
-    params["read_cache_bytes"] = std::to_string(32 << 10);
-    configs.push_back({"cached/" + inner, "cached", std::move(params), true});
+    configs.push_back({name, name, SmallParams(name)});
   }
   return configs;
 }
@@ -218,16 +201,14 @@ TEST(ScanUnderWriteStress, SnapshotScansSeeWholeRoundsUnderLoad) {
             }
             last_rounds[id] = rounds[id];
           }
-          if (config.cross_shard_atomic) {
-            // Whole-round visibility: one stamp per writer slice.
-            for (size_t w = 0; w < kWriters; w++) {
-              const int first = rounds[w * kKeysPerWriter];
-              for (uint64_t i = 1; i < kKeysPerWriter; i++) {
-                if (rounds[w * kKeysPerWriter + i] != first) {
-                  fail("torn round: writer " + std::to_string(w) +
-                       " visible mid-batch");
-                  return;
-                }
+          // Whole-round visibility: one stamp per writer slice.
+          for (size_t w = 0; w < kWriters; w++) {
+            const int first = rounds[w * kKeysPerWriter];
+            for (uint64_t i = 1; i < kKeysPerWriter; i++) {
+              if (rounds[w * kKeysPerWriter + i] != first) {
+                fail("torn round: writer " + std::to_string(w) +
+                     " visible mid-batch");
+                return;
               }
             }
           }
