@@ -9,7 +9,6 @@
 #define PTSB_BENCH_FLAGS_H_
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +17,8 @@
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "util/parse.h"
 
 namespace ptsb::bench {
 
@@ -33,9 +34,7 @@ class FlagParser {
     }
     Add(name, kNumber ? "=N" : "=ID", help, [out](const std::string& s) {
       if constexpr (kNumber) {
-        const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(),
-                                               *out);
-        return ec == std::errc() && end == s.data() + s.size() && *out > 0 &&
+        return ParseValue(s, out) && *out > 0 &&
                std::isfinite(static_cast<double>(*out));
       } else {
         *out = s;

@@ -75,7 +75,6 @@ RunResult RunCell(const std::string& engine, const Flags& flags,
   auto opened = kv::OpenStore(options);
   PTSB_CHECK_OK(opened.status());
   auto store = *std::move(opened);
-  PTSB_CHECK(store->SupportsConcurrentWriters());
 
   const uint64_t per_thread = flags.keys / threads;
   std::vector<std::thread> writers;
@@ -134,7 +133,6 @@ int main(int argc, char** argv) {
     flags.value_bytes = 512;
   });
   parser.Parse(argc, argv);
-  kv::RegisterBuiltinEngines();
   flags.keys -= flags.keys % 4;  // divisible by every thread count
 
   std::printf(

@@ -75,7 +75,6 @@ std::map<std::string, std::string> SmallParams(const std::string& engine) {
 
 // Every engine cell: lsm, btree, alog.
 std::vector<EngineConfig> AllEngineConfigs() {
-  kv::RegisterBuiltinEngines();
   std::vector<EngineConfig> configs;
   for (const std::string name : {"lsm", "btree", "alog"}) {
     configs.push_back({name, name, SmallParams(name)});

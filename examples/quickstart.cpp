@@ -1,5 +1,5 @@
 // Quickstart: build the full simulated stack (SSD -> filesystem -> engine),
-// open each of the three storage engines through the registry (kv::OpenStore),
+// open each of the three storage engines by name (kv::OpenStore),
 // write data with batched group commit, stream a range with an iterator, and
 // peek at the metrics the paper is about (WA-A at the block layer, WA-D from
 // SMART).

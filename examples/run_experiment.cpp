@@ -3,31 +3,33 @@
 // mix — get the paper's metrics, windows and steady-state verdict.
 //
 //   ./build/run_experiment --engine=btree --state=preconditioned --dataset-frac=0.6 --profile=ssd2 --minutes=120 --scale=400
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/experiment.h"
 #include "core/report.h"
 #include "kv/registry.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 using namespace ptsb;
 
 namespace {
 
-[[noreturn]] void Usage() {
-  kv::RegisterBuiltinEngines();
+// Prints `error` (if any) to stderr and the usage to stdout, then exits 2.
+[[noreturn]] void Usage(const std::string& error = "") {
+  if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
   std::string engines;
-  for (const std::string& name : kv::EngineRegistry::Global().Names()) {
+  for (const std::string& name : kv::EngineNames()) {
     if (!engines.empty()) engines += ", ";
     engines += name;
   }
   std::printf(
       "flags:\n"
-      "  --engine=NAME               a registered engine (default lsm;\n"
-      "                              registered: %s)\n",
+      "  --engine=NAME               one of %s (default lsm)\n",
       engines.c_str());
   std::printf(
       "  --engine-param=KEY=VALUE    engine option override (repeatable)\n"
@@ -61,8 +63,16 @@ namespace {
   std::exit(2);
 }
 
-double ArgF(const char* arg, const char* name) {
-  return std::strtod(arg + std::strlen(name), nullptr);
+// The value of flag `a` (the text after its '=') as a T; exits 2 unless
+// it parses in full, is finite and is at least `min`.
+template <typename T>
+T Arg(const std::string& a, T min = std::numeric_limits<T>::lowest()) {
+  T v{};
+  if (!ParseValue(std::string_view(a).substr(a.find('=') + 1), &v) ||
+      !std::isfinite(static_cast<double>(v)) || v < min) {
+    Usage("bad value: " + a);
+  }
+  return v;
 }
 
 }  // namespace
@@ -75,61 +85,61 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     if (a.starts_with("--engine=")) {
       config.engine = a.substr(9);
-      if (config.engine.empty()) Usage();
+      if (config.engine.empty()) Usage("empty engine name");
     } else if (a.starts_with("--engine-param=")) {
       const std::string kv_pair = a.substr(15);
       const size_t eq = kv_pair.find('=');
-      if (eq == std::string::npos || eq == 0) Usage();
+      if (eq == std::string::npos || eq == 0) Usage("bad engine param: " + a);
       config.engine_params[kv_pair.substr(0, eq)] = kv_pair.substr(eq + 1);
     } else if (a.starts_with("--profile=")) {
-      config.profile = ssd::ProfileFromName(a.substr(10));
+      const auto profile = ssd::ProfileFromName(a.substr(10));
+      if (!profile) Usage("unknown profile: " + a);
+      config.profile = *profile;
     } else if (a.starts_with("--state=")) {
-      config.initial_state = a.substr(8) == "preconditioned"
+      const std::string state = a.substr(8);
+      if (state != "trimmed" && state != "preconditioned") {
+        Usage("unknown state: " + a);
+      }
+      config.initial_state = state == "preconditioned"
                                  ? ssd::InitialState::kPreconditioned
                                  : ssd::InitialState::kTrimmed;
     } else if (a.starts_with("--dataset-frac=")) {
-      config.dataset_frac = ArgF(argv[i], "--dataset-frac=");
+      config.dataset_frac = Arg<double>(a);
     } else if (a.starts_with("--partition-frac=")) {
-      config.partition_frac = ArgF(argv[i], "--partition-frac=");
+      config.partition_frac = Arg<double>(a);
     } else if (a.starts_with("--value-bytes=")) {
-      config.value_bytes = static_cast<size_t>(ArgF(argv[i], "--value-bytes="));
+      config.value_bytes = Arg<size_t>(a);
     } else if (a.starts_with("--write-frac=")) {
-      config.write_fraction = ArgF(argv[i], "--write-frac=");
+      config.write_fraction = Arg<double>(a);
     } else if (a.starts_with("--delete-frac=")) {
-      config.delete_fraction = ArgF(argv[i], "--delete-frac=");
+      config.delete_fraction = Arg<double>(a);
     } else if (a.starts_with("--scan-frac=")) {
-      config.scan_fraction = ArgF(argv[i], "--scan-frac=");
+      config.scan_fraction = Arg<double>(a);
     } else if (a.starts_with("--batch-size=")) {
-      config.batch_size =
-          static_cast<size_t>(ArgF(argv[i], "--batch-size="));
+      config.batch_size = Arg<size_t>(a);
     } else if (a.starts_with("--threads=")) {
-      config.num_threads = static_cast<size_t>(ArgF(argv[i], "--threads="));
-      if (config.num_threads < 1) Usage();
+      config.num_threads = Arg<size_t>(a, 1);
     } else if (a.starts_with("--channels=")) {
-      config.channels = static_cast<int>(ArgF(argv[i], "--channels="));
-      if (config.channels < 1) Usage();
+      config.channels = Arg<int>(a, 1);
     } else if (a.starts_with("--scan-while-writing=")) {
-      config.scan_while_writing =
-          ArgF(argv[i], "--scan-while-writing=") != 0;
+      config.scan_while_writing = Arg<bool>(a);
     } else if (a.starts_with("--background-io=")) {
-      config.background_io = ArgF(argv[i], "--background-io=") != 0;
+      config.background_io = Arg<bool>(a);
     } else if (a.starts_with("--compaction-parallelism=")) {
-      config.compaction_parallelism =
-          static_cast<int>(ArgF(argv[i], "--compaction-parallelism="));
-      if (config.compaction_parallelism < 1) Usage();
+      config.compaction_parallelism = Arg<int>(a, 1);
     } else if (a.starts_with("--zipf=")) {
       config.distribution = kv::Distribution::kZipfian;
-      config.zipf_theta = ArgF(argv[i], "--zipf=");
+      config.zipf_theta = Arg<double>(a);
     } else if (a.starts_with("--minutes=")) {
-      config.duration_minutes = ArgF(argv[i], "--minutes=");
+      config.duration_minutes = Arg<double>(a);
     } else if (a.starts_with("--window=")) {
-      config.window_minutes = ArgF(argv[i], "--window=");
+      config.window_minutes = Arg<double>(a);
     } else if (a.starts_with("--scale=")) {
-      config.scale = std::strtoull(argv[i] + 8, nullptr, 10);
+      config.scale = Arg<uint64_t>(a, 1);
     } else if (a.starts_with("--seed=")) {
-      config.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+      config.seed = Arg<uint64_t>(a);
     } else {
-      Usage();
+      Usage("unknown flag: " + a);
     }
   }
 
@@ -151,8 +161,9 @@ int main(int argc, char** argv) {
     std::printf("%s\n", line.c_str());
   });
   if (result.status().IsInvalidArgument()) {
-    // A configuration the stack cannot build (e.g. a scale the profile's
-    // flash geometry cannot back): a usage error, like a bad flag.
+    // A configuration the stack cannot build (an unknown engine or engine
+    // param, a malformed param value, a scale the profile's flash
+    // geometry cannot back): a usage error, like a bad flag.
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 2;
   }

@@ -5,10 +5,11 @@ Four checks, run from the repo root (exits non-zero with a report when
 any doc has rotted):
 
 1. docs/ENGINES.md: for every engine section, the parameter keys listed
-   in its param table must be exactly the keys the engine's
-   EncodeEngineParams emits (parsed from the `p["key"] = ...` lines in
-   the store .cc), and every key must correspond to a field of the
-   engine's option struct (same-name identifier in its options.h).
+   in its param table must be exactly the engine's one param list: the
+   PTSB_PARAM(field) rows of ForEachParam in its options.h, plus the
+   shared rows of ForEachCommonParam in src/kv/params.h when its list
+   calls that. (PTSB_PARAM makes each key its field's name, so the
+   compiler already ties every key to an option-struct field.)
 2. docs/EXPERIMENTS.md: the bench table's first-column names must be
    exactly the figure runner's ids (the `.id = "..."` rows of
    bench/figures.cc, run as `figures --figure=ID`) plus every other
@@ -25,13 +26,13 @@ import re
 import sys
 from pathlib import Path
 
-# engine section name in ENGINES.md -> (store .cc with EncodeEngineParams,
-# options header whose struct fields the keys mirror)
+# engine section name in ENGINES.md -> options header with its param list
 ENGINES = {
-    "lsm": ("src/lsm/lsm_store.cc", "src/lsm/options.h"),
-    "btree": ("src/btree/btree_store.cc", "src/btree/options.h"),
-    "alog": ("src/alog/alog_store.cc", "src/alog/options.h"),
+    "lsm": "src/lsm/options.h",
+    "btree": "src/btree/options.h",
+    "alog": "src/alog/options.h",
 }
+COMMON_PARAMS = Path("src/kv/params.h")
 
 DOC = Path("docs/ENGINES.md")
 EXPERIMENTS_DOC = Path("docs/EXPERIMENTS.md")
@@ -63,15 +64,21 @@ def table_keys(section: str) -> set:
     return keys
 
 
-def code_keys(cc_path: Path) -> set:
-    """Keys EncodeEngineParams emits: p["key"] = ... assignments."""
-    return set(re.findall(r'p\["(\w+)"\]\s*=', cc_path.read_text()))
+def param_rows(text: str, function: str) -> set:
+    """Keys of the PTSB_PARAM(field) rows in the body of `function`."""
+    m = re.search(r"\bvoid " + function + r"\(.*?\{(.*?)^\}", text,
+                  re.MULTILINE | re.DOTALL)
+    return set(re.findall(r"PTSB_PARAM\((\w+)\)", m.group(1))) if m else set()
 
 
-def header_fields(h_path: Path) -> set:
-    """Identifiers declared as option-struct fields (name = default;)."""
-    return set(re.findall(r"^\s*[A-Za-z_][\w:<>\s\*]*?\b(\w+)\s*=",
-                          h_path.read_text(), re.MULTILINE))
+def param_list(header: Path) -> set:
+    """The engine's one param list: its ForEachParam rows, plus the shared
+    ForEachCommonParam rows when it visits them."""
+    text = header.read_text()
+    keys = param_rows(text, "ForEachParam")
+    if "ForEachCommonParam(" in text:
+        keys |= param_rows(COMMON_PARAMS.read_text(), "ForEachCommonParam")
+    return keys
 
 
 def lint_experiments(failures: list) -> int:
@@ -172,29 +179,26 @@ def main() -> int:
         return 1
     sections = docs_sections(DOC.read_text())
     failures = []
-    for engine, (cc, header) in ENGINES.items():
+    for engine, header in ENGINES.items():
         if engine not in sections:
             failures.append(f"{engine}: no `## `{engine}`` section in {DOC}")
             continue
         documented = table_keys(sections[engine])
-        emitted = code_keys(Path(cc))
-        fields = header_fields(Path(header))
+        listed = param_list(Path(header))
         if not documented:
             failures.append(f"{engine}: no param table rows found in {DOC}")
             continue
-        for key in sorted(documented - emitted):
+        if not listed:
+            failures.append(f"{engine}: no PTSB_PARAM rows found in {header}")
+            continue
+        for key in sorted(documented - listed):
             failures.append(
-                f"{engine}: `{key}` documented in {DOC} but not emitted by "
-                f"EncodeEngineParams in {cc}")
-        for key in sorted(emitted - documented):
+                f"{engine}: `{key}` documented in {DOC} but not in the "
+                f"ForEachParam list of {header}")
+        for key in sorted(listed - documented):
             failures.append(
-                f"{engine}: `{key}` emitted by EncodeEngineParams in {cc} "
+                f"{engine}: `{key}` in the ForEachParam list of {header} "
                 f"but missing from the param table in {DOC}")
-        for key in sorted(documented & emitted):
-            if key not in fields:
-                failures.append(
-                    f"{engine}: `{key}` has no matching option-struct field "
-                    f"in {header}")
     n_benches = lint_experiments(failures)
     n_sim = lint_simulation(failures)
     n_flags = lint_readme_flags(failures)
@@ -205,7 +209,7 @@ def main() -> int:
         return 1
     total = sum(len(table_keys(sections[e])) for e in ENGINES if e in sections)
     print(f"docs lint OK: {total} engine params checked against "
-          f"{len(ENGINES)} option headers, {n_benches} bench rows against "
+          f"{len(ENGINES)} engine param lists, {n_benches} bench rows against "
           f"figure ids and bench/, {n_sim} SSD timing params against {SSD_CONFIG}, "
           f"{n_flags} README flags against {RUN_EXPERIMENT}")
     return 0

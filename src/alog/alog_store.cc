@@ -10,7 +10,7 @@ namespace ptsb::alog {
 
 AlogStore::AlogStore(fs::SimpleFs* fs, const AlogOptions& options,
                      std::string dir)
-    : GroupCommitStore(WiringOf(options)), fs_(fs), options_(options),
+    : GroupCommitStore(options), fs_(fs), options_(options),
       dir_(std::move(dir)) {}
 
 AlogStore::~AlogStore() {
@@ -777,51 +777,8 @@ std::string AlogStore::DebugString() const {
   return out;
 }
 
-namespace {
-
-AlogOptions AlogOptionsFromEngineOptions(const kv::EngineOptions& eo) {
-  AlogOptions o;
-  o.segment_bytes = kv::ParamUint64(eo, "segment_bytes", o.segment_bytes);
-  o.gc_trigger = kv::ParamDouble(eo, "gc_trigger", o.gc_trigger);
-  o.sync_every_bytes =
-      kv::ParamUint64(eo, "sync_every_bytes", o.sync_every_bytes);
-  o.cpu_put_ns = kv::ParamInt64(eo, "cpu_put_ns", o.cpu_put_ns);
-  o.cpu_get_ns = kv::ParamInt64(eo, "cpu_get_ns", o.cpu_get_ns);
-  o.max_write_group_bytes = kv::ParamUint64(eo, "max_write_group_bytes",
-                                            o.max_write_group_bytes);
-  o.background_io = kv::ParamBool(eo, "background_io", o.background_io);
-  o.compaction_parallelism =
-      kv::ParamInt(eo, "compaction_parallelism", o.compaction_parallelism);
-  o.clock = eo.clock;
-  return o;
-}
-
-}  // namespace
-
-void RegisterAlogEngine() {
-  kv::EngineRegistry::Global().Register(
-      "alog",
-      [](const kv::EngineOptions& eo)
-          -> StatusOr<std::unique_ptr<kv::KVStore>> {
-        auto opened =
-            AlogStore::Open(eo.fs, AlogOptionsFromEngineOptions(eo),
-                            eo.root.empty() ? "alog" : eo.root);
-        if (!opened.ok()) return opened.status();
-        return std::unique_ptr<kv::KVStore>(std::move(*opened));
-      });
-}
-
 std::map<std::string, std::string> EncodeEngineParams(const AlogOptions& o) {
-  std::map<std::string, std::string> p;
-  p["segment_bytes"] = std::to_string(o.segment_bytes);
-  p["gc_trigger"] = std::to_string(o.gc_trigger);
-  p["sync_every_bytes"] = std::to_string(o.sync_every_bytes);
-  p["cpu_put_ns"] = std::to_string(o.cpu_put_ns);
-  p["cpu_get_ns"] = std::to_string(o.cpu_get_ns);
-  p["max_write_group_bytes"] = std::to_string(o.max_write_group_bytes);
-  p["background_io"] = o.background_io ? "1" : "0";
-  p["compaction_parallelism"] = std::to_string(o.compaction_parallelism);
-  return p;
+  return kv::EncodeParams(o);
 }
 
 std::map<std::string, std::string> ScaledEngineParams(uint64_t scale) {

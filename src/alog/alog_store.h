@@ -23,7 +23,6 @@
 #include "fs/filesystem.h"
 #include "kv/group_commit_store.h"
 #include "kv/log.h"
-#include "kv/registry.h"
 
 namespace ptsb::alog {
 
@@ -57,6 +56,8 @@ class AlogStore : public kv::GroupCommitStore {
   // Dead payload bytes across sealed segments (what GC reclaims).
   uint64_t DeadBytes() const;
   std::string DebugString() const;
+  // The options the store was opened with.
+  const AlogOptions& options() const { return options_; }
 
  private:
   class Cursor;
@@ -171,15 +172,8 @@ class AlogStore : public kv::GroupCommitStore {
   std::map<uint64_t, ZombieSegment> zombie_segments_;
 };
 
-// Registers the "alog" engine factory with kv::EngineRegistry. Recognized
-// params mirror AlogOptions field names ("segment_bytes", "gc_trigger",
-// "sync_every_bytes", "cpu_put_ns", "cpu_get_ns"); the factory starts from
-// default AlogOptions and applies overrides.
-void RegisterAlogEngine();
-
-// Encodes every numeric AlogOptions field into an EngineOptions param map
-// (the inverse of what the factory parses); the clock is carried by
-// EngineOptions itself, not the map.
+// The param map of `o`, one entry per ForEachParam row (what
+// kv::OpenStore decodes back); the clock travels in kv::EngineOptions.
 std::map<std::string, std::string> EncodeEngineParams(const AlogOptions& o);
 
 // Param map with structural sizes divided by the simulation scale factor

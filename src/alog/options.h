@@ -6,11 +6,19 @@
 
 #include <cstdint>
 
-#include "sim/clock.h"
+#include "kv/params.h"
 
 namespace ptsb::alog {
 
-struct AlogOptions {
+// The kv::CommonOptions fields apply as documented there. background_io
+// moves segment GC off the commit path; compaction_parallelism fans a
+// collection's per-value segment reads over that many lanes, while the
+// rewrite record, sync and victim deletion stay ordered on lane 0.
+struct AlogOptions : kv::CommonOptions {
+  // The log engine does the least per-write work of the three engines: an
+  // append plus one ordered-map update.
+  AlogOptions() { cpu_put_ns = 5'000; }
+
   // Target size of one segment file; the active segment is sealed and a
   // new one started once its payload reaches this.
   uint64_t segment_bytes = 64ull << 20;
@@ -28,38 +36,19 @@ struct AlogOptions {
   // buffered tail is lost on crash, like an unsynced WAL).
   uint64_t sync_every_bytes = 0;
 
-  // CPU cost charged to the virtual clock per operation (0 if no clock).
-  // The log engine does the least per-write work of the three engines: an
-  // append plus one ordered-map update.
-  int64_t cpu_put_ns = 5'000;
+  // CPU cost charged to the virtual clock per point read (0 if no clock).
   int64_t cpu_get_ns = 6'000;
-
-  // Cap on the merged byte size of one cross-thread commit group: a
-  // leader folds waiting writers' batches into a single appended record
-  // up to this many payload bytes (its own batch always commits
-  // regardless). See kv::WriteGroup.
-  uint64_t max_write_group_bytes = 1ull << 20;
-
-  // Run segment GC on the engine's background submission lane (queue
-  // `kv::kBackgroundQueue`, I/O class kBackground) instead of the user's
-  // timeline: commits no longer absorb GC device time; Flush, Close and
-  // SettleBackgroundWork wait it out explicitly. Off by default (the
-  // paper's baseline).
-  bool background_io = false;
-
-  // Partitioned background GC: with background_io and a clock, a
-  // collection's per-value segment reads are fanned across this many
-  // background submission lanes (queue kv::kBackgroundQueue + i) via a
-  // kv::BackgroundPool, so the reads overlap across SSD channels. The
-  // rewrite record, sync and victim deletion stay on lane 0 (ordering
-  // is unchanged). 1 = today's single-lane behavior. The name matches
-  // the LSM engine's knob so one driver param reaches every engine.
-  int compaction_parallelism = 1;
-
-  // Optional virtual clock for CPU accounting (device time is charged by
-  // the device itself).
-  sim::SimClock* clock = nullptr;
 };
+
+// The alog engine params (see kv/params.h).
+template <typename Options, typename Visit>
+void ForEachParam(Options& o, Visit&& visit) {
+  PTSB_PARAM(segment_bytes);
+  PTSB_PARAM(gc_trigger);
+  PTSB_PARAM(sync_every_bytes);
+  kv::ForEachCommonParam(o, visit);
+  PTSB_PARAM(cpu_get_ns);
+}
 
 }  // namespace ptsb::alog
 

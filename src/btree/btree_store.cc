@@ -58,7 +58,7 @@ bool DecodeHeader(std::string_view in, Header* h) {
 
 BTreeStore::BTreeStore(fs::SimpleFs* fs, const BTreeOptions& options,
                        std::string file_name)
-    : GroupCommitStore(WiringOf(options)),
+    : GroupCommitStore(options),
       fs_(fs),
       options_(options),
       file_name_(std::move(file_name)) {}
@@ -1102,67 +1102,8 @@ Status BTreeStore::CheckSubtree(Node* node, int depth, int expect_depth,
   return Status::OK();
 }
 
-namespace {
-
-BTreeOptions BTreeOptionsFromEngineOptions(const kv::EngineOptions& eo) {
-  BTreeOptions o;
-  o.leaf_max_bytes = kv::ParamUint64(eo, "leaf_max_bytes", o.leaf_max_bytes);
-  o.internal_max_bytes =
-      kv::ParamUint64(eo, "internal_max_bytes", o.internal_max_bytes);
-  o.cache_bytes = kv::ParamUint64(eo, "cache_bytes", o.cache_bytes);
-  o.checkpoint_every_bytes = kv::ParamUint64(eo, "checkpoint_every_bytes",
-                                             o.checkpoint_every_bytes);
-  o.journal_enabled =
-      kv::ParamBool(eo, "journal_enabled", o.journal_enabled);
-  o.journal_sync_every_bytes = kv::ParamUint64(
-      eo, "journal_sync_every_bytes", o.journal_sync_every_bytes);
-  o.reuse_freed_blocks =
-      kv::ParamBool(eo, "reuse_freed_blocks", o.reuse_freed_blocks);
-  o.file_grow_bytes =
-      kv::ParamUint64(eo, "file_grow_bytes", o.file_grow_bytes);
-  o.cpu_put_ns = kv::ParamInt64(eo, "cpu_put_ns", o.cpu_put_ns);
-  o.cpu_get_ns = kv::ParamInt64(eo, "cpu_get_ns", o.cpu_get_ns);
-  o.max_write_group_bytes = kv::ParamUint64(eo, "max_write_group_bytes",
-                                            o.max_write_group_bytes);
-  o.background_io = kv::ParamBool(eo, "background_io", o.background_io);
-  o.compaction_parallelism =
-      kv::ParamInt(eo, "compaction_parallelism", o.compaction_parallelism);
-  o.clock = eo.clock;
-  return o;
-}
-
-}  // namespace
-
-void RegisterBTreeEngine() {
-  kv::EngineRegistry::Global().Register(
-      "btree",
-      [](const kv::EngineOptions& eo)
-          -> StatusOr<std::unique_ptr<kv::KVStore>> {
-        auto opened =
-            BTreeStore::Open(eo.fs, BTreeOptionsFromEngineOptions(eo),
-                             eo.root.empty() ? "btree/tree.db" : eo.root);
-        if (!opened.ok()) return opened.status();
-        return std::unique_ptr<kv::KVStore>(std::move(*opened));
-      });
-}
-
 std::map<std::string, std::string> EncodeEngineParams(const BTreeOptions& o) {
-  std::map<std::string, std::string> p;
-  p["leaf_max_bytes"] = std::to_string(o.leaf_max_bytes);
-  p["internal_max_bytes"] = std::to_string(o.internal_max_bytes);
-  p["cache_bytes"] = std::to_string(o.cache_bytes);
-  p["checkpoint_every_bytes"] = std::to_string(o.checkpoint_every_bytes);
-  p["journal_enabled"] = o.journal_enabled ? "1" : "0";
-  p["journal_sync_every_bytes"] =
-      std::to_string(o.journal_sync_every_bytes);
-  p["reuse_freed_blocks"] = o.reuse_freed_blocks ? "1" : "0";
-  p["file_grow_bytes"] = std::to_string(o.file_grow_bytes);
-  p["cpu_put_ns"] = std::to_string(o.cpu_put_ns);
-  p["cpu_get_ns"] = std::to_string(o.cpu_get_ns);
-  p["max_write_group_bytes"] = std::to_string(o.max_write_group_bytes);
-  p["background_io"] = o.background_io ? "1" : "0";
-  p["compaction_parallelism"] = std::to_string(o.compaction_parallelism);
-  return p;
+  return kv::EncodeParams(o);
 }
 
 Status BTreeStore::CheckStructure() {

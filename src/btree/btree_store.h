@@ -17,7 +17,6 @@
 #include "fs/filesystem.h"
 #include "kv/group_commit_store.h"
 #include "kv/log.h"
-#include "kv/registry.h"
 
 namespace ptsb::btree {
 
@@ -59,6 +58,8 @@ class BTreeStore : public kv::GroupCommitStore {
   const BlockManager& block_manager() const { return *blocks_; }
   // Structural invariants: sorted keys, route consistency, uniform depth.
   Status CheckStructure();
+  // The options the store was opened with.
+  const BTreeOptions& options() const { return options_; }
 
  private:
   class Cursor;
@@ -173,15 +174,8 @@ class BTreeStore : public kv::GroupCommitStore {
   bool in_checkpoint_ = false;
 };
 
-// Registers the "btree" engine factory with kv::EngineRegistry. Recognized
-// params mirror BTreeOptions field names (e.g. "cache_bytes",
-// "journal_enabled"); the factory starts from default BTreeOptions and
-// applies overrides.
-void RegisterBTreeEngine();
-
-// Encodes every numeric/bool BTreeOptions field into an EngineOptions
-// param map (the inverse of what the factory parses); the clock is
-// carried by EngineOptions itself, not the map.
+// The param map of `o`, one entry per ForEachParam row (what
+// kv::OpenStore decodes back); the clock travels in kv::EngineOptions.
 std::map<std::string, std::string> EncodeEngineParams(const BTreeOptions& o);
 
 }  // namespace ptsb::btree

@@ -7,11 +7,20 @@
 
 #include <cstdint>
 
-#include "sim/clock.h"
+#include "kv/params.h"
 
 namespace ptsb::btree {
 
-struct BTreeOptions {
+// The kv::CommonOptions fields apply as documented there. background_io
+// moves paced checkpoints off the commit path (the explicit Flush/Close
+// checkpoints still run, and are waited out, on the foreground: the user
+// asked for durability there); compaction_parallelism fans a checkpoint's
+// dirty-node block writes over that many lanes, while the free-list
+// blob, header and journal rotation stay ordered on lane 0.
+struct BTreeOptions : kv::CommonOptions {
+  // The paper observes WiredTiger is partially CPU/synchronization-bound.
+  BTreeOptions() { cpu_put_ns = 400'000; }
+
   uint64_t leaf_max_bytes = 32 << 10;
   uint64_t internal_max_bytes = 4 << 10;
 
@@ -36,37 +45,24 @@ struct BTreeOptions {
   // File growth chunk when the free list cannot satisfy an allocation.
   uint64_t file_grow_bytes = 16 << 20;
 
-  // CPU cost per op charged to the virtual clock (the paper observes
-  // WiredTiger is partially CPU/synchronization-bound).
-  int64_t cpu_put_ns = 400'000;
+  // CPU cost per point read charged to the virtual clock.
   int64_t cpu_get_ns = 150'000;
-
-  // Cap on the merged byte size of one cross-thread commit group: a
-  // leader folds waiting writers' batches into a single journal record
-  // up to this many payload bytes (its own batch always commits
-  // regardless). See kv::WriteGroup.
-  uint64_t max_write_group_bytes = 1ull << 20;
-
-  // Run paced checkpoints on the engine's background submission lane
-  // (queue `kv::kBackgroundQueue`, I/O class kBackground) instead of the
-  // user's timeline: commits no longer absorb checkpoint device time.
-  // The explicit Flush/Close checkpoints still run (and are waited out)
-  // on the foreground — the user asked for durability there. Off by
-  // default (the paper's baseline).
-  bool background_io = false;
-
-  // Partitioned paced checkpoints: with background_io and a clock, a
-  // checkpoint's dirty-node block writes are fanned across this many
-  // background submission lanes (queue kv::kBackgroundQueue + i) via a
-  // kv::BackgroundPool, so the writes overlap across SSD channels. The
-  // free-list blob, header and journal rotation stay ordered on lane 0
-  // (crash-safety order unchanged). 1 = today's single-lane behavior.
-  // The name matches the LSM engine's knob so one driver param reaches
-  // every engine.
-  int compaction_parallelism = 1;
-
-  sim::SimClock* clock = nullptr;
 };
+
+// The btree engine params (see kv/params.h).
+template <typename Options, typename Visit>
+void ForEachParam(Options& o, Visit&& visit) {
+  PTSB_PARAM(leaf_max_bytes);
+  PTSB_PARAM(internal_max_bytes);
+  PTSB_PARAM(cache_bytes);
+  PTSB_PARAM(checkpoint_every_bytes);
+  PTSB_PARAM(journal_enabled);
+  PTSB_PARAM(journal_sync_every_bytes);
+  PTSB_PARAM(reuse_freed_blocks);
+  PTSB_PARAM(file_grow_bytes);
+  kv::ForEachCommonParam(o, visit);
+  PTSB_PARAM(cpu_get_ns);
+}
 
 }  // namespace ptsb::btree
 

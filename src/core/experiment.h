@@ -101,20 +101,16 @@ struct ExperimentConfig {
   double duration_minutes = 210;  // paper-equivalent minutes
   double window_minutes = 10;
 
-  // Engine selection: a kv::EngineRegistry name plus option overrides.
-  // For the built-in engines the driver first fills the scaled defaults
-  // (ScaledLsmOptions / ScaledBTreeOptions below, alog's
-  // ScaledEngineParams), then applies engine_params on top, so any
-  // registered engine — including out-of-tree ones — is configured the
-  // same way.
+  // Engine selection: a kv::OpenStore name plus param overrides. The
+  // driver first fills the engine's scaled defaults (ScaledLsmOptions /
+  // ScaledBTreeOptions below, alog's ScaledEngineParams), then applies
+  // engine_params on top; an unknown or malformed param fails the run
+  // with InvalidArgument.
   std::string engine = "lsm";
   std::map<std::string, std::string> engine_params;
 
   bool collect_lba_trace = true;
   uint64_t seed = 42;
-
-  // Filesystem behavior (paper: ext4 with nodiscard).
-  bool fs_nodiscard = true;
 
   // Derived values (after scaling).
   uint64_t ScaledDeviceBytes() const { return device_bytes / scale; }

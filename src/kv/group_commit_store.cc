@@ -6,14 +6,13 @@
 
 namespace ptsb::kv {
 
-GroupCommitStore::GroupCommitStore(const Wiring& w)
-    : write_group_(w.max_write_group_bytes),
-      pool_(w.background_io ? w.clock : nullptr,
-            w.background_io && w.clock != nullptr
-                ? std::max(1, w.compaction_parallelism)
+GroupCommitStore::GroupCommitStore(const CommonOptions& o)
+    : pool_(o.background_io ? o.clock : nullptr,
+            o.background_io && o.clock != nullptr
+                ? std::max(1, o.compaction_parallelism)
                 : 1),
-      clock_(w.clock),
-      cpu_put_ns_(w.cpu_put_ns) {}
+      clock_(o.clock),
+      cpu_put_ns_(o.cpu_put_ns) {}
 
 Status GroupCommitStore::Write(const WriteBatch& batch) {
   PTSB_CHECK(!closed_);

@@ -25,6 +25,7 @@
 
 #include "kv/background_pool.h"
 #include "kv/kvstore.h"
+#include "kv/params.h"
 #include "kv/write_group.h"
 #include "util/logging.h"
 #include "util/status.h"
@@ -33,30 +34,10 @@ namespace ptsb::kv {
 
 class GroupCommitStore : public KVStore {
  public:
-  // The parts of an engine's options the shared entry points need.
-  struct Wiring {
-    sim::SimClock* clock = nullptr;
-    // CPU charge per written entry, paid by the group's leader.
-    int64_t cpu_put_ns = 0;
-    uint64_t max_write_group_bytes = WriteGroup::kDefaultMaxGroupBytes;
-    // Off: RunBackground runs the work inline on the caller's timeline.
-    // On (with a clock): the pool gets max(1, compaction_parallelism)
-    // lanes.
-    bool background_io = false;
-    int compaction_parallelism = 1;
-  };
-
-  // The wiring of an engine options struct that has every Wiring field.
-  template <typename Options>
-  static Wiring WiringOf(const Options& o) {
-    return Wiring{o.clock,
-                  o.cpu_put_ns,
-                  o.max_write_group_bytes,
-                  o.background_io,
-                  o.compaction_parallelism};
-  }
-
-  explicit GroupCommitStore(const Wiring& w);
+  // Off background_io, RunBackground runs the work inline on the caller's
+  // timeline; on (with a clock), the pool gets max(1,
+  // compaction_parallelism) lanes.
+  explicit GroupCommitStore(const CommonOptions& o);
 
   Status Write(const WriteBatch& batch) override;
   Status Get(std::string_view key, std::string* value) override;
@@ -69,7 +50,6 @@ class GroupCommitStore : public KVStore {
   // exclusion.
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& opts) override;
   using KVStore::NewIterator;
-  bool SupportsConcurrentWriters() const override { return true; }
   KvStoreStats GetStats() const override {
     return write_group_.RunExclusive([&] { return stats_; });
   }

@@ -21,11 +21,11 @@
 //     Snapshot it reads that frozen view and survives concurrent writes.
 //     Point reads are Get (one key, live or on a snapshot).
 //
-//  3. Registry construction. Engines self-register by name ("lsm",
-//     "btree", "alog") in kv::EngineRegistry; callers build stores
-//     through kv::OpenStore(EngineOptions) with a string name + option
-//     map instead of linking against a concrete engine type (see
-//     kv/registry.h).
+//  3. Construction by name. Callers build a store through
+//     kv::OpenStore(EngineOptions) with an engine name ("lsm", "btree",
+//     "alog") and a param map, instead of linking against a concrete
+//     engine type; an unknown name or a bad param is InvalidArgument
+//     (see kv/registry.h).
 #ifndef PTSB_KV_KVSTORE_H_
 #define PTSB_KV_KVSTORE_H_
 
@@ -192,6 +192,10 @@ class KVStore {
 
   virtual ~KVStore() = default;
 
+  // Write and both Gets may be called from any number of threads at once;
+  // iterators on the live store and the lifecycle calls (Flush, Close,
+  // SettleBackgroundWork) expect a quiesced store (kv::GroupCommitStore).
+
   // Primary mutation path: applies all entries atomically with respect to
   // logging (one WAL/journal record for the whole batch).
   virtual Status Write(const WriteBatch& batch) = 0;
@@ -224,16 +228,10 @@ class KVStore {
 
   virtual Status Get(std::string_view key, std::string* value) = 0;
 
-  // Snapshot-aware point lookup. The default forwards live reads and
-  // rejects snapshot reads, so only engines that actually implement
-  // snapshot visibility accept one.
+  // Snapshot-aware point lookup: a null opts.snapshot reads the live
+  // store, like Get(key, value).
   virtual Status Get(const ReadOptions& opts, std::string_view key,
-                     std::string* value) {
-    if (opts.snapshot != nullptr) {
-      return Status::NotSupported(Name() + ": snapshot reads not supported");
-    }
-    return Get(key, value);
-  }
+                     std::string* value) = 0;
 
   // The streaming read path; never returns null. Without a snapshot the
   // cursor reads the live store and is invalidated by any write. With
@@ -247,32 +245,19 @@ class KVStore {
   // Freezes the current committed state into a refcounted snapshot. The
   // returned shared_ptr's deleter releases the engine-side pins (under
   // the engine's commit exclusion), so dropping the last reference
-  // un-pins every resource the snapshot held. The default errors; all
-  // bundled engines override.
-  virtual StatusOr<std::shared_ptr<const Snapshot>> GetSnapshot() {
-    return Status::NotSupported(Name() + ": snapshots not supported");
-  }
+  // un-pins every resource the snapshot held.
+  virtual StatusOr<std::shared_ptr<const Snapshot>> GetSnapshot() = 0;
 
   // Forces all buffered state to stable storage (memtable flush or
   // checkpoint), e.g. before measuring space, or before Close.
   virtual Status Flush() = 0;
 
   // Completes pending background work (compaction debt). Used between a
-  // load phase and a measurement phase; engines without background work
-  // keep the default no-op.
-  virtual Status SettleBackgroundWork() { return Status::OK(); }
+  // load phase and a measurement phase.
+  virtual Status SettleBackgroundWork() = 0;
 
   // Graceful shutdown; the store can be re-opened from disk state.
   virtual Status Close() = 0;
-
-  // Whether Write/Get may be called from multiple threads concurrently.
-  // The storage engines route Write through a kv::WriteGroup (concurrent
-  // callers line up and a leader commits their batches as one log record)
-  // and exclude point reads against in-flight commits, so they return
-  // true. Iterators and lifecycle calls (Flush/Close/SettleBackgroundWork)
-  // still expect a quiesced store. Drivers must check this before fanning
-  // out workers.
-  virtual bool SupportsConcurrentWriters() const { return false; }
 
   virtual KvStoreStats GetStats() const = 0;
   virtual std::string Name() const = 0;

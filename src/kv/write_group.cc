@@ -28,11 +28,11 @@ Status WriteGroup::Commit(const WriteBatch& batch, const CommitFn& fn) {
   lock.lock();
 
   // Leader: claim the longest front run of the queue that fits in
-  // max_group_bytes (our own batch always fits).
+  // kMaxGroupBytes (our own batch always fits).
   size_t n = 1;
   uint64_t bytes = batch.ByteSize();
   while (n < queue_.size() &&
-         bytes + queue_[n]->batch->ByteSize() <= max_group_bytes_) {
+         bytes + queue_[n]->batch->ByteSize() <= kMaxGroupBytes) {
     bytes += queue_[n]->batch->ByteSize();
     n++;
   }

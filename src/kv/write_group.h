@@ -2,7 +2,7 @@
 //
 // N threads calling Commit() concurrently line up in arrival order; the
 // thread at the queue front becomes the LEADER, claims the batches of the
-// followers queued behind it (up to max_group_bytes), merges them into one
+// followers queued behind it (up to kMaxGroupBytes), merges them into one
 // WriteBatch, and runs the engine's commit function ONCE for the whole
 // group — one WAL/journal/segment record where a per-thread mutex would
 // have written N. Followers block until the leader publishes their status
@@ -48,12 +48,13 @@ class WriteGroup {
   using CommitFn = std::function<Status(const WriteBatch& merged,
                                         size_t n_user_batches)>;
 
-  static constexpr uint64_t kDefaultMaxGroupBytes = 1ull << 20;
+  // Cap on the merged payload bytes of one group: the leader claims
+  // followers' batches up to this (its own batch always commits). Larger
+  // groups amortize record framing further but lengthen the latency of
+  // the unluckiest follower.
+  static constexpr uint64_t kMaxGroupBytes = 1ull << 20;
 
-  explicit WriteGroup(uint64_t max_group_bytes = kDefaultMaxGroupBytes)
-      : max_group_bytes_(max_group_bytes == 0 ? kDefaultMaxGroupBytes
-                                              : max_group_bytes) {}
-
+  WriteGroup() = default;
   WriteGroup(const WriteGroup&) = delete;
   WriteGroup& operator=(const WriteGroup&) = delete;
 
@@ -73,8 +74,6 @@ class WriteGroup {
     return std::forward<Fn>(fn)();
   }
 
-  uint64_t max_group_bytes() const { return max_group_bytes_; }
-
  private:
   // One waiting writer, allocated on its caller's stack. The leader
   // touches followers' fields only under mu_, and a follower cannot
@@ -91,7 +90,6 @@ class WriteGroup {
   std::mutex mu_;         // guards queue_
   std::mutex commit_mu_;  // held across the commit fn; readers share it
   std::deque<Writer*> queue_;
-  const uint64_t max_group_bytes_;
 };
 
 }  // namespace ptsb::kv

@@ -251,7 +251,7 @@ Status CompactionJob::OpenOutput() {
       output_file_,
       fs_->Create(kv::NumberedFileName(dir_, output_number_, ".sst")));
   builder_ = std::make_unique<SstBuilder>(output_file_, options_.block_bytes,
-                                          options_.bloom_bits_per_key);
+                                          kBloomBitsPerKey);
   return Status::OK();
 }
 

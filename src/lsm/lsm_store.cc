@@ -9,7 +9,7 @@ namespace ptsb::lsm {
 
 LsmStore::LsmStore(fs::SimpleFs* fs, const LsmOptions& options,
                    std::string dir)
-    : GroupCommitStore(WiringOf(options)), fs_(fs), options_(options),
+    : GroupCommitStore(options), fs_(fs), options_(options),
       dir_(std::move(dir)) {}
 
 LsmStore::~LsmStore() {
@@ -25,8 +25,8 @@ StatusOr<std::unique_ptr<LsmStore>> LsmStore::Open(fs::SimpleFs* fs,
                                                    std::string dir) {
   auto store =
       std::unique_ptr<LsmStore>(new LsmStore(fs, options, std::move(dir)));
-  store->versions_ = std::make_unique<VersionSet>(fs, store->dir_,
-                                                  options.max_levels);
+  store->versions_ =
+      std::make_unique<VersionSet>(fs, store->dir_, kMaxLevels);
   PTSB_RETURN_IF_ERROR(store->versions_->Recover());
   store->memtable_ = std::make_shared<Memtable>();
   store->seq_ = store->versions_->last_sequence();
@@ -178,7 +178,7 @@ Status LsmStore::FlushMemtable() {
   PTSB_ASSIGN_OR_RETURN(
       fs::File * file,
       fs_->Create(kv::NumberedFileName(dir_, number, ".sst")));
-  SstBuilder builder(file, options_.block_bytes, options_.bloom_bits_per_key);
+  SstBuilder builder(file, options_.block_bytes, kBloomBitsPerKey);
   Memtable::Iterator it(memtable_.get());
   for (it.SeekToFirst(); it.Valid(); it.Next()) {
     PTSB_RETURN_IF_ERROR(builder.Add(it.key(), it.seq(), it.type(),
@@ -411,7 +411,7 @@ Status LsmStore::MaybeStall() {
   while (static_cast<int>(versions_->LevelFiles(0).size()) >=
          options_.l0_stall_trigger) {
     stats_.stall_count++;
-    PTSB_RETURN_IF_ERROR(CompactionWork(options_.compaction_budget_bytes));
+    PTSB_RETURN_IF_ERROR(CompactionWork(kCompactionBudgetBytes));
     // A stall IS the user waiting for compaction: with background_io the
     // wait shows up as an explicit join of the background horizon (and
     // therefore as commit tail latency), not as per-write compaction
@@ -434,8 +434,7 @@ Status LsmStore::DrainCompactions() {
   // its trigger. Draining means waiting the work out: join the
   // background horizon before reporting settled.
   for (;;) {
-    PTSB_RETURN_IF_ERROR(
-        CompactionWork(options_.compaction_budget_bytes * 8));
+    PTSB_RETURN_IF_ERROR(CompactionWork(kCompactionBudgetBytes * 8));
     if (CompactionPending()) continue;
     CompactionPick pick =
         PickCompaction(*versions_, options_, &compaction_cursors_);
@@ -474,7 +473,7 @@ Status LsmStore::CompactAll() {
       PTSB_RETURN_IF_ERROR(job->Prepare());
       for (;;) {
         PTSB_ASSIGN_OR_RETURN(
-            const bool done, job->Step(options_.compaction_budget_bytes * 8));
+            const bool done, job->Step(kCompactionBudgetBytes * 8));
         if (done) break;
       }
       stats_.compaction_bytes_read += job->io_stats().bytes_read;
@@ -936,88 +935,8 @@ uint64_t LsmStore::DiskBytesUsed() const {
   return total;
 }
 
-namespace {
-
-LsmOptions LsmOptionsFromEngineOptions(const kv::EngineOptions& eo) {
-  LsmOptions o;
-  o.memtable_bytes = kv::ParamUint64(eo, "memtable_bytes", o.memtable_bytes);
-  o.l0_compaction_trigger =
-      kv::ParamInt(eo, "l0_compaction_trigger", o.l0_compaction_trigger);
-  o.l0_stall_trigger =
-      kv::ParamInt(eo, "l0_stall_trigger", o.l0_stall_trigger);
-  o.l1_target_bytes =
-      kv::ParamUint64(eo, "l1_target_bytes", o.l1_target_bytes);
-  o.level_size_ratio =
-      kv::ParamDouble(eo, "level_size_ratio", o.level_size_ratio);
-  o.max_levels = kv::ParamInt(eo, "max_levels", o.max_levels);
-  o.sst_target_bytes =
-      kv::ParamUint64(eo, "sst_target_bytes", o.sst_target_bytes);
-  o.block_bytes = kv::ParamUint64(eo, "block_bytes", o.block_bytes);
-  o.bloom_bits_per_key =
-      kv::ParamInt(eo, "bloom_bits_per_key", o.bloom_bits_per_key);
-  o.wal_enabled = kv::ParamBool(eo, "wal_enabled", o.wal_enabled);
-  o.wal_sync_every_bytes =
-      kv::ParamUint64(eo, "wal_sync_every_bytes", o.wal_sync_every_bytes);
-  o.wal_buffer_bytes =
-      kv::ParamUint64(eo, "wal_buffer_bytes", o.wal_buffer_bytes);
-  o.compaction_readahead_bytes = kv::ParamUint64(
-      eo, "compaction_readahead_bytes", o.compaction_readahead_bytes);
-  o.compaction_work_per_user_write =
-      kv::ParamUint64(eo, "compaction_work_per_user_write",
-                      o.compaction_work_per_user_write);
-  o.compaction_budget_bytes = kv::ParamUint64(eo, "compaction_budget_bytes",
-                                              o.compaction_budget_bytes);
-  o.compaction_parallelism =
-      kv::ParamInt(eo, "compaction_parallelism", o.compaction_parallelism);
-  o.cpu_put_ns = kv::ParamInt64(eo, "cpu_put_ns", o.cpu_put_ns);
-  o.cpu_get_ns = kv::ParamInt64(eo, "cpu_get_ns", o.cpu_get_ns);
-  o.max_write_group_bytes = kv::ParamUint64(eo, "max_write_group_bytes",
-                                            o.max_write_group_bytes);
-  o.background_io = kv::ParamBool(eo, "background_io", o.background_io);
-  o.clock = eo.clock;
-  return o;
-}
-
-}  // namespace
-
-void RegisterLsmEngine() {
-  kv::EngineRegistry::Global().Register(
-      "lsm",
-      [](const kv::EngineOptions& eo)
-          -> StatusOr<std::unique_ptr<kv::KVStore>> {
-        auto opened =
-            LsmStore::Open(eo.fs, LsmOptionsFromEngineOptions(eo),
-                           eo.root.empty() ? "lsm" : eo.root);
-        if (!opened.ok()) return opened.status();
-        return std::unique_ptr<kv::KVStore>(std::move(*opened));
-      });
-}
-
 std::map<std::string, std::string> EncodeEngineParams(const LsmOptions& o) {
-  std::map<std::string, std::string> p;
-  p["memtable_bytes"] = std::to_string(o.memtable_bytes);
-  p["l0_compaction_trigger"] = std::to_string(o.l0_compaction_trigger);
-  p["l0_stall_trigger"] = std::to_string(o.l0_stall_trigger);
-  p["l1_target_bytes"] = std::to_string(o.l1_target_bytes);
-  p["level_size_ratio"] = std::to_string(o.level_size_ratio);
-  p["max_levels"] = std::to_string(o.max_levels);
-  p["sst_target_bytes"] = std::to_string(o.sst_target_bytes);
-  p["block_bytes"] = std::to_string(o.block_bytes);
-  p["bloom_bits_per_key"] = std::to_string(o.bloom_bits_per_key);
-  p["wal_enabled"] = o.wal_enabled ? "1" : "0";
-  p["wal_sync_every_bytes"] = std::to_string(o.wal_sync_every_bytes);
-  p["wal_buffer_bytes"] = std::to_string(o.wal_buffer_bytes);
-  p["compaction_readahead_bytes"] =
-      std::to_string(o.compaction_readahead_bytes);
-  p["compaction_work_per_user_write"] =
-      std::to_string(o.compaction_work_per_user_write);
-  p["compaction_budget_bytes"] = std::to_string(o.compaction_budget_bytes);
-  p["compaction_parallelism"] = std::to_string(o.compaction_parallelism);
-  p["cpu_put_ns"] = std::to_string(o.cpu_put_ns);
-  p["cpu_get_ns"] = std::to_string(o.cpu_get_ns);
-  p["max_write_group_bytes"] = std::to_string(o.max_write_group_bytes);
-  p["background_io"] = o.background_io ? "1" : "0";
-  return p;
+  return kv::EncodeParams(o);
 }
 
 std::string LsmStore::DebugString() const {

@@ -12,7 +12,6 @@
 #include "fs/filesystem.h"
 #include "kv/group_commit_store.h"
 #include "kv/log.h"
-#include "kv/registry.h"
 #include "lsm/compaction.h"
 #include "lsm/memtable.h"
 #include "lsm/options.h"
@@ -57,6 +56,8 @@ class LsmStore : public kv::GroupCommitStore {
   // tombstone on the way.
   Status CompactAll();
   std::string DebugString() const;
+  // The options the store was opened with.
+  const LsmOptions& options() const { return options_; }
 
  private:
   class MergingIterator;
@@ -158,15 +159,8 @@ class LsmStore : public kv::GroupCommitStore {
   SequenceNumber seq_ = 0;
 };
 
-// Registers the "lsm" engine factory with kv::EngineRegistry. Recognized
-// params mirror LsmOptions field names (e.g. "memtable_bytes",
-// "wal_enabled", "level_size_ratio"); the factory starts from default
-// LsmOptions and applies overrides.
-void RegisterLsmEngine();
-
-// Encodes every numeric/bool LsmOptions field into an EngineOptions param
-// map (the inverse of what the factory parses); the clock is carried by
-// EngineOptions itself, not the map.
+// The param map of `o`, one entry per ForEachParam row (what
+// kv::OpenStore decodes back); the clock travels in kv::EngineOptions.
 std::map<std::string, std::string> EncodeEngineParams(const LsmOptions& o);
 
 }  // namespace ptsb::lsm

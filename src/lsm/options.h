@@ -7,11 +7,29 @@
 
 #include <cstdint>
 
-#include "sim/clock.h"
+#include "kv/params.h"
 
 namespace ptsb::lsm {
 
-struct LsmOptions {
+// Fixed shape of the tree (RocksDB's defaults, which the paper runs).
+inline constexpr int kMaxLevels = 7;
+// Bloom filter bits per key.
+inline constexpr int kBloomBitsPerKey = 10;
+// Bytes of compaction input processed per pacing slice: each stall check
+// steps the running compaction by this budget, and drains use 8x it.
+// Step boundaries do not change the device command stream (I/O is driven
+// by iterator span loads and builder buffer flushes), so this sets
+// scheduling granularity, not timing accuracy.
+inline constexpr uint64_t kCompactionBudgetBytes = 8ull << 20;
+
+// The kv::CommonOptions fields (clock, cpu_put_ns, background_io,
+// compaction_parallelism) apply as documented there. background_io moves
+// paced compaction off the commit path; compaction_parallelism splits a
+// picked compaction into up to that many disjoint key subranges, each
+// merged on its own lane and installed as ONE atomic VersionSet edit.
+struct LsmOptions : kv::CommonOptions {
+  LsmOptions() { cpu_put_ns = 8'000; }
+
   // Memtable (write buffer) capacity.
   uint64_t memtable_bytes = 64ull << 20;
 
@@ -24,14 +42,11 @@ struct LsmOptions {
   // Target size of L1; level i+1 targets level_size_ratio x level i.
   uint64_t l1_target_bytes = 256ull << 20;
   double level_size_ratio = 10.0;
-  int max_levels = 7;
 
   // Target size of one SST file.
   uint64_t sst_target_bytes = 64ull << 20;
   // Data block size within an SST.
   uint64_t block_bytes = 4096;
-  // Bloom filter bits per key (0 disables blooms).
-  int bloom_bits_per_key = 10;
 
   // Write-ahead log. RocksDB's default: WAL written on every put, synced
   // only periodically (here: never synced explicitly unless
@@ -50,48 +65,28 @@ struct LsmOptions {
   // pacing is I/O-bound.
   uint64_t compaction_work_per_user_write = 16;  // multiplier on user bytes
 
-  // Bytes of compaction input processed per pacing slice: each stall
-  // check steps the running compaction by this budget, and drains use
-  // 8x it. Step boundaries do not change the device command stream
-  // (I/O is driven by iterator span loads and builder buffer flushes),
-  // so this knob trades scheduling granularity, not timing accuracy.
-  uint64_t compaction_budget_bytes = 8ull << 20;
-
-  // Partitioned subcompactions: a picked compaction is split into up to
-  // this many disjoint key subranges, each merged by its own job on its
-  // own background submission lane (queue kv::kBackgroundQueue + i), so
-  // reads and writes from different subranges overlap across SSD
-  // channels. All subranges install as ONE atomic VersionSet edit.
-  // 1 = today's single-job behavior, byte for byte. Only takes effect
-  // with background_io and a clock (there is no overlap to win
-  // otherwise).
-  int compaction_parallelism = 1;
-
-  // CPU cost charged to the virtual clock per operation (0 if no clock).
-  int64_t cpu_put_ns = 8'000;
+  // CPU cost charged to the virtual clock per point read (0 if no clock).
   int64_t cpu_get_ns = 10'000;
-
-  // Cap on the merged byte size of one cross-thread commit group: a
-  // leader folds waiting writers' batches into a single WAL record up to
-  // this many payload bytes (its own batch always commits regardless).
-  // Larger groups amortize record framing further but lengthen the
-  // latency of the unluckiest follower.
-  uint64_t max_write_group_bytes = 1ull << 20;
-
-  // Run paced compaction on the engine's background submission lane
-  // (queue `kv::kBackgroundQueue`, I/O class kBackground) instead of the
-  // user's timeline: commits no longer absorb compaction device time,
-  // which instead surfaces as background-channel utilization and — at
-  // the L0 stall trigger, Flush and SettleBackgroundWork, where the user
-  // genuinely waits — as an explicit join. Off by default: the paper's
-  // baseline charges compaction to the foreground, and the PR 4 async
-  // write path measured it that way.
-  bool background_io = false;
-
-  // Optional virtual clock for CPU accounting (device time is charged by
-  // the device itself).
-  sim::SimClock* clock = nullptr;
 };
+
+// The lsm engine params (see kv/params.h).
+template <typename Options, typename Visit>
+void ForEachParam(Options& o, Visit&& visit) {
+  PTSB_PARAM(memtable_bytes);
+  PTSB_PARAM(l0_compaction_trigger);
+  PTSB_PARAM(l0_stall_trigger);
+  PTSB_PARAM(l1_target_bytes);
+  PTSB_PARAM(level_size_ratio);
+  PTSB_PARAM(sst_target_bytes);
+  PTSB_PARAM(block_bytes);
+  PTSB_PARAM(wal_enabled);
+  PTSB_PARAM(wal_sync_every_bytes);
+  PTSB_PARAM(wal_buffer_bytes);
+  PTSB_PARAM(compaction_readahead_bytes);
+  PTSB_PARAM(compaction_work_per_user_write);
+  kv::ForEachCommonParam(o, visit);
+  PTSB_PARAM(cpu_get_ns);
+}
 
 }  // namespace ptsb::lsm
 

@@ -67,13 +67,11 @@ SsdConfig MakeProfile(ProfileKind kind, uint64_t logical_bytes,
   return c;
 }
 
-ProfileKind ProfileFromName(const std::string& name) {
+std::optional<ProfileKind> ProfileFromName(const std::string& name) {
   if (name == "ssd1") return ProfileKind::kSsd1Enterprise;
   if (name == "ssd2") return ProfileKind::kSsd2ConsumerQlc;
   if (name == "ssd3") return ProfileKind::kSsd3Optane;
-  PTSB_CHECK(false) << "unknown SSD profile: " << name
-                    << " (expected ssd1|ssd2|ssd3)";
-  return ProfileKind::kSsd1Enterprise;
+  return std::nullopt;
 }
 
 std::string ProfileName(ProfileKind kind) {

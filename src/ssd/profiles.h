@@ -8,6 +8,7 @@
 #define PTSB_SSD_PROFILES_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "ssd/config.h"
@@ -24,7 +25,8 @@ SsdConfig MakeProfile(ProfileKind kind, uint64_t logical_bytes,
 // The paper's 400 GB drive.
 constexpr uint64_t kPaperDeviceBytes = 400ull * 1000 * 1000 * 1000;
 
-ProfileKind ProfileFromName(const std::string& name);
+// "ssd1", "ssd2" or "ssd3"; nullopt for any other name.
+std::optional<ProfileKind> ProfileFromName(const std::string& name);
 std::string ProfileName(ProfileKind kind);
 
 }  // namespace ptsb::ssd

@@ -1,14 +1,14 @@
-// Differential testing: every registered engine implements kv::KVStore and
-// is opened through kv::OpenStore, so identical operation streams — single
-// puts, batched writes, deletes, point reads and iterator scans — must
-// produce identical visible state through flushes, compactions, evictions,
-// checkpoints, segment GC and reopen. The traces run across ALL registered
-// engine names and compare them pairwise, so a new engine (e.g. "alog")
-// inherits the full battery just by registering. Also checks cross-stack
-// accounting invariants (user <= host <= NAND bytes), group-commit log
-// accounting (WAL/journal bytes grow sub-linearly with batch size),
-// write-path semantics (empty batches, duplicate keys in one batch, crash
-// replay of batch records), registry behavior, error propagation from
+// Differential testing: every engine implements kv::KVStore and is opened
+// through kv::OpenStore, so identical operation streams — single puts,
+// batched writes, deletes, point reads and iterator scans — must produce
+// identical visible state through flushes, compactions, evictions,
+// checkpoints, segment GC and reopen. The traces run across ALL of
+// kv::EngineNames() and compare them pairwise, so an engine added to the
+// table inherits the full battery. Also checks cross-stack accounting
+// invariants (user <= host <= NAND bytes), group-commit log accounting
+// (WAL/journal bytes grow sub-linearly with batch size), write-path
+// semantics (empty batches, duplicate keys in one batch, crash replay of
+// batch records), OpenStore and its param decoding, error propagation from
 // injected device faults, background-I/O separation (foreground time
 // falls while scheduled device work is conserved), and the per-engine
 // concurrency and iterator-invalidation contracts.
@@ -24,17 +24,21 @@
 #include <utility>
 #include <vector>
 
+#include "alog/alog_store.h"
 #include "block/iostat.h"
 #include "block/memory_device.h"
+#include "btree/btree_store.h"
 #include "core/experiment.h"
 #include "fs/filesystem.h"
 #include "kv/kv.h"
 #include "kv/registry.h"
 #include "kv/write_batch.h"
+#include "lsm/lsm_store.h"
 #include "sim/clock.h"
 #include "ssd/ssd_device.h"
 #include "test_support.h"
 #include "util/crc32.h"
+#include "util/parse.h"
 #include "util/random.h"
 
 namespace ptsb {
@@ -70,18 +74,17 @@ std::map<std::string, std::string> TinyParams(const std::string& engine) {
   return {};
 }
 
-// One entry of the pairwise battery: a registry engine name plus the
+// One entry of the pairwise battery: a kv::OpenStore engine name plus the
 // params to open it with.
 struct EngineConfig {
   std::string label;   // unique name for failure messages
-  std::string engine;  // registry name
+  std::string engine;  // kv::OpenStore name
   std::map<std::string, std::string> params;
 };
 
 std::vector<EngineConfig> AllEngineConfigs() {
-  kv::RegisterBuiltinEngines();
   std::vector<EngineConfig> configs;
-  for (const std::string& name : kv::EngineRegistry::Global().Names()) {
+  for (const std::string& name : kv::EngineNames()) {
     configs.push_back({name, name, TinyParams(name)});
   }
   // The partitioned-subcompaction path: the same lsm engine with every
@@ -153,10 +156,8 @@ void Reopen(EngineHarness* h, const EngineConfig& config,
 }
 
 TEST(RegistryTest, BuiltinEnginesRegisteredAndUnknownRejected) {
-  kv::RegisterBuiltinEngines();
-  EXPECT_TRUE(kv::EngineRegistry::Global().Contains("lsm"));
-  EXPECT_TRUE(kv::EngineRegistry::Global().Contains("btree"));
-  EXPECT_TRUE(kv::EngineRegistry::Global().Contains("alog"));
+  EXPECT_EQ(kv::EngineNames(),
+            (std::vector<std::string>{"alog", "btree", "lsm"}));
 
   block::MemoryBlockDevice dev(4096, 1 << 14);
   fs::SimpleFs fs(&dev, {});
@@ -184,36 +185,119 @@ TEST(RegistryTest, ParamsConfigureTheEngine) {
   ASSERT_TRUE(h->store->Close().ok());
 }
 
-TEST(RegistryTest, ParamAccessorsRejectMalformedValues) {
-  kv::EngineOptions o;
-  o.params = {{"neg", "-1"},          {"ok", "123"},
-              {"junk", "12x"},        {"big", "4294967296"},
-              {"toolow", "-2147483649"}, {"negint", "-7"},
-              {"frac", "0.25"},
-              {"huge", "99999999999999999999999"}};
-  // strtoull would happily wrap "-1" to 2^64-1; the accessor must warn and
-  // keep the default instead of running with a garbage configuration.
-  EXPECT_EQ(kv::ParamUint64(o, "neg", 7), 7u);
-  EXPECT_EQ(kv::ParamUint64(o, "ok", 7), 123u);
-  EXPECT_EQ(kv::ParamUint64(o, "junk", 7), 7u);
-  EXPECT_EQ(kv::ParamUint64(o, "missing", 7), 7u);
-  // strtoull clamps overflow to 2^64-1 with ERANGE; that too must fall
-  // back to the default rather than run with a garbage value.
-  EXPECT_EQ(kv::ParamUint64(o, "huge", 7), 7u);
-  EXPECT_EQ(kv::ParamInt64(o, "huge", 5), 5);
-  // Values that parse as int64 but truncate when narrowed to int fall
-  // back to the default rather than wrapping.
-  EXPECT_EQ(kv::ParamInt(o, "big", 5), 5);
-  EXPECT_EQ(kv::ParamInt(o, "toolow", 5), 5);
-  EXPECT_EQ(kv::ParamInt(o, "negint", 5), -7);
-  EXPECT_EQ(kv::ParamInt64(o, "big", 5), 4294967296);
-  EXPECT_EQ(kv::ParamInt64(o, "negint", 5), -7);
-  EXPECT_DOUBLE_EQ(kv::ParamDouble(o, "frac", 1.0), 0.25);
-  EXPECT_DOUBLE_EQ(kv::ParamDouble(o, "junk", 1.0), 1.0);
-  EXPECT_TRUE(kv::ParamBool(o, "junk", true));
+// Opens `engine` with `params` on a fresh memory device; the store (or the
+// error) is returned with the harness that must outlive it.
+struct OpenResult {
+  std::unique_ptr<EngineHarness> harness;
+  StatusOr<std::unique_ptr<kv::KVStore>> store;
+};
+OpenResult TryOpen(const std::string& engine,
+                   std::map<std::string, std::string> params) {
+  auto harness = std::make_unique<EngineHarness>();
+  kv::EngineOptions options;
+  options.engine = engine;
+  options.fs = &harness->fs;
+  options.params = std::move(params);
+  auto store = kv::OpenStore(options);
+  return {std::move(harness), std::move(store)};
 }
 
-// One deterministic op stream applied to every registered engine; all
+// Opens lsm with `params` and returns the options it decoded.
+lsm::LsmOptions OpenedLsmOptions(std::map<std::string, std::string> params) {
+  OpenResult r = TryOpen("lsm", std::move(params));
+  EXPECT_TRUE(r.store.ok()) << r.store.status().ToString();
+  if (!r.store.ok()) return {};
+  return static_cast<const lsm::LsmStore&>(**r.store).options();
+}
+
+// A malformed value is InvalidArgument naming the key, never the default.
+TEST(RegistryTest, MalformedParamValuesAreInvalidArgument) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      // An unsigned field: a sign must not wrap to 2^64-1, and junk or
+      // overflow must not clamp.
+      {"memtable_bytes", "-1"},
+      {"memtable_bytes", "12x"},
+      {"memtable_bytes", "99999999999999999999999"},
+      {"memtable_bytes", "64k"},
+      {"memtable_bytes", ""},
+      // An int64 field overflowing.
+      {"cpu_put_ns", "99999999999999999999999"},
+      // int fields: a value that parses as int64 but narrows.
+      {"l0_compaction_trigger", "4294967296"},
+      {"l0_compaction_trigger", "-2147483649"},
+      // A double and a bool with junk.
+      {"level_size_ratio", "12x"},
+      {"wal_enabled", "yes"},
+  };
+  for (const auto& [key, value] : bad) {
+    OpenResult r = TryOpen("lsm", {{key, value}});
+    ASSERT_FALSE(r.store.ok()) << key << "=" << value;
+    EXPECT_TRUE(r.store.status().IsInvalidArgument());
+    EXPECT_NE(r.store.status().message().find(key), std::string::npos)
+        << r.store.status().ToString();
+  }
+  // Valid values still parse to what they say.
+  const lsm::LsmOptions o = OpenedLsmOptions({{"memtable_bytes", "123"},
+                                              {"l0_compaction_trigger", "-7"},
+                                              {"cpu_put_ns", "4294967296"},
+                                              {"level_size_ratio", "0.25"},
+                                              {"wal_enabled", "false"}});
+  EXPECT_EQ(o.memtable_bytes, 123u);
+  EXPECT_EQ(o.l0_compaction_trigger, -7);
+  EXPECT_EQ(o.cpu_put_ns, 4294967296);
+  EXPECT_DOUBLE_EQ(o.level_size_ratio, 0.25);
+  EXPECT_FALSE(o.wal_enabled);
+}
+
+// A key an engine does not have is InvalidArgument naming the key and the
+// engine, whether it is a typo or another engine's param.
+TEST(RegistryTest, UnknownParamIsInvalidArgumentForEveryEngine) {
+  for (const std::string& engine : kv::EngineNames()) {
+    for (const std::string key :
+         {"memtable_byte", "max_write_group_bytes", "no_such_param"}) {
+      OpenResult r = TryOpen(engine, {{key, "1"}});
+      ASSERT_FALSE(r.store.ok()) << engine << " " << key;
+      EXPECT_TRUE(r.store.status().IsInvalidArgument());
+      const std::string message = r.store.status().message();
+      EXPECT_NE(message.find(key), std::string::npos) << message;
+      EXPECT_NE(message.find(engine), std::string::npos) << message;
+    }
+  }
+  EXPECT_FALSE(TryOpen("btree", {{"segment_bytes", "65536"}}).store.ok());
+  EXPECT_FALSE(TryOpen("alog", {{"cache_bytes", "65536"}}).store.ok());
+}
+
+// encode -> OpenStore -> re-encode of the options the store opened with
+// gives back the same map, for the default and the scaled options.
+template <typename Store, typename Options>
+void ExpectParamsRoundTrip(const std::string& engine, const Options& o) {
+  const std::map<std::string, std::string> encoded =
+      EncodeEngineParams(o);
+  OpenResult r = TryOpen(engine, encoded);
+  ASSERT_TRUE(r.store.ok()) << engine << ": " << r.store.status().ToString();
+  EXPECT_EQ(EncodeEngineParams(static_cast<const Store&>(**r.store).options()),
+            encoded)
+      << engine;
+}
+
+TEST(RegistryTest, EncodeOpenReencodeRoundTrips) {
+  core::ExperimentConfig config;
+  config.scale = 4000;
+  ExpectParamsRoundTrip<lsm::LsmStore>("lsm", lsm::LsmOptions{});
+  ExpectParamsRoundTrip<lsm::LsmStore>("lsm", core::ScaledLsmOptions(config));
+  ExpectParamsRoundTrip<btree::BTreeStore>("btree", btree::BTreeOptions{});
+  ExpectParamsRoundTrip<btree::BTreeStore>("btree",
+                                           core::ScaledBTreeOptions(config));
+  ExpectParamsRoundTrip<alog::AlogStore>("alog", alog::AlogOptions{});
+  alog::AlogOptions scaled_alog;
+  const auto scaled = alog::ScaledEngineParams(config.scale);
+  ASSERT_TRUE(ParseValue(scaled.at("segment_bytes"),
+                         &scaled_alog.segment_bytes));
+  ExpectParamsRoundTrip<alog::AlogStore>("alog", scaled_alog);
+  EXPECT_EQ(alog::EncodeEngineParams(scaled_alog), scaled);
+}
+
+// One deterministic op stream applied to every engine; all
 // pairs must agree at every probe.
 class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -278,7 +362,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
 // The batched-API trace: randomized WriteBatch / Delete / iterator ops
-// through kv::OpenStore, cross-checked across every registered engine and
+// through kv::OpenStore, cross-checked across every engine and
 // against a reference model, with streamed iterator comparison at
 // checkpoints.
 class BatchedDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -616,7 +700,7 @@ TEST(DeleteRangeEdgeCaseTest, FullKeyspaceRangeEmptiesEveryEngine) {
   }
 }
 
-// SettleBackgroundWork battery: for every registered engine config,
+// SettleBackgroundWork battery: for every engine config,
 // settling must (a) leave the visible contents identical to an unsettled
 // store's iterator view of the same logical history, and (b) be
 // idempotent — a second settle moves no bytes and changes nothing.
@@ -962,7 +1046,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, BackgroundIoTest,
 // function of its key, so any interleaving must converge to the same
 // final state — the one a serial golden run produces. The tiny params
 // make flush/compaction/eviction/checkpoint/segment GC all fire under
-// the concurrent load, and the battery covers every registered engine
+// the concurrent load, and the battery covers every engine
 // config. This test is in the ctest "stress"
 // label: the TSan CI matrix entry runs it to hunt data races across the
 // write group, the filesystem lock split and the device-internal locks.
@@ -1000,7 +1084,6 @@ TEST(ConcurrentWriteTest, MultiWriterMatchesSerialGoldenRun) {
     }
 
     auto concurrent = MakeEngine(config);
-    ASSERT_TRUE(concurrent->store->SupportsConcurrentWriters()) << label;
     std::atomic<bool> failed{false};
     std::vector<std::thread> writers;
     for (size_t t = 0; t < kThreads; t++) {
@@ -1259,16 +1342,6 @@ std::unique_ptr<EngineHarness> MakeDefaultEngine(const std::string& engine) {
 }
 
 class ConcurrentWritersTest : public ::testing::TestWithParam<const char*> {};
-
-// The capability the multi-threaded driver keys off. Every built-in
-// engine routes Write through a cross-thread kv::WriteGroup, so they all
-// advertise it; the driver's refusal path only guards out-of-tree
-// engines that keep the base-class default (false).
-TEST_P(ConcurrentWritersTest, EveryBuiltinEngineSupportsConcurrentWriters) {
-  auto h = MakeDefaultEngine(GetParam());
-  EXPECT_TRUE(h->store->SupportsConcurrentWriters()) << GetParam();
-  ASSERT_TRUE(h->store->Close().ok());
-}
 
 // num_threads > 1 on every engine: the workers' batches meet in the
 // engine's write group instead of corrupting it. A short run must

@@ -73,7 +73,6 @@ struct EngineConfig {
 // short workload, plus sync-per-record durability: a batch whose Write
 // returned OK is on the device and MUST survive the crash.
 std::vector<EngineConfig> Configs() {
-  kv::RegisterBuiltinEngines();
   std::vector<EngineConfig> configs;
   configs.push_back({"lsm",
                      "lsm",

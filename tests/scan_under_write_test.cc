@@ -88,7 +88,6 @@ std::map<std::string, std::string> SmallParams(const std::string& engine) {
 }
 
 std::vector<EngineConfig> AllEngineConfigs() {
-  kv::RegisterBuiltinEngines();
   std::vector<EngineConfig> configs;
   for (const std::string name : {"lsm", "btree", "alog"}) {
     configs.push_back({name, name, SmallParams(name)});
@@ -132,7 +131,6 @@ TEST(ScanUnderWriteStress, SnapshotScansSeeWholeRoundsUnderLoad) {
     auto opened = kv::OpenStore(options);
     ASSERT_TRUE(opened.ok()) << label << ": " << opened.status().ToString();
     auto store = *std::move(opened);
-    ASSERT_TRUE(store->SupportsConcurrentWriters()) << label;
 
     // Round 0 for every writer, so scanners always see a full keyspace.
     for (size_t w = 0; w < kWriters; w++) {

@@ -143,7 +143,6 @@ struct StoreHarness {
 };
 
 std::unique_ptr<StoreHarness> OpenLsm(int parallelism) {
-  kv::RegisterBuiltinEngines();
   auto h = std::make_unique<StoreHarness>();
   kv::EngineOptions options;
   options.engine = "lsm";
@@ -223,7 +222,6 @@ TEST(SubcompactionStressTest, ConcurrentWritersUnderParallelCompaction) {
   constexpr size_t kWriters = 4;
   constexpr uint64_t kKeysPerWriter = 400;
   auto h = OpenLsm(4);
-  ASSERT_TRUE(h->store->SupportsConcurrentWriters());
   kv::KVStore* store = h->store.get();
 
   std::atomic<bool> failed{false};

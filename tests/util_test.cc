@@ -1,5 +1,5 @@
 // Unit tests for src/util: Status/StatusOr, encodings, CRC32C, histogram,
-// running stats, RNGs.
+// running stats, RNGs, human formatting and ParseValue.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include "util/encoding.h"
 #include "util/histogram.h"
 #include "util/human.h"
+#include "util/parse.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -304,6 +305,32 @@ TEST(HumanTest, StrPrintfLongString) {
   const std::string long_part(1000, 'y');
   const std::string s = StrPrintf("x=%s", long_part.c_str());
   EXPECT_EQ(s.size(), 1002u);
+}
+
+TEST(ParseValueTest, AcceptsOnlyTheWholeStringInRange) {
+  uint64_t u = 7;
+  EXPECT_TRUE(ParseValue("123", &u));
+  EXPECT_EQ(u, 123u);
+  for (const char* bad :
+       {"-1", "12x", " 1", "+1", "", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseValue(bad, &u)) << bad;
+    EXPECT_EQ(u, 123u) << bad;  // untouched on failure
+  }
+  int i = 0;
+  EXPECT_TRUE(ParseValue("-7", &i));
+  EXPECT_EQ(i, -7);
+  EXPECT_FALSE(ParseValue("4294967296", &i));  // would narrow
+  double d = 0;
+  EXPECT_TRUE(ParseValue("0.25", &d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_FALSE(ParseValue("abc", &d));
+  EXPECT_FALSE(ParseValue("1.5.", &d));
+  bool b = false;
+  EXPECT_TRUE(ParseValue("true", &b));
+  EXPECT_TRUE(b);
+  EXPECT_TRUE(ParseValue("0", &b));
+  EXPECT_FALSE(b);
+  EXPECT_FALSE(ParseValue("yes", &b));
 }
 
 }  // namespace
