@@ -29,8 +29,8 @@
 //     settle(K=1)/settle(K=4) >= 1.5 on four channels,
 //   - K=4 on ONE channel settles no sooner than K=4 on four (the speedup
 //     is channel overlap, not an accounting artifact),
-//   - K=1 is today's serial compactor, reproduced exactly: a repeat run
-//     is nanosecond-identical.
+//   - K=1 (one lane: one job per compaction) is deterministic: a repeat
+//     run is nanosecond-identical.
 //
 //   ./build/micro_compact
 //   ./build/micro_compact --smoke        # CI-sized, same self-checks
@@ -290,8 +290,8 @@ int main(int argc, char** argv) {
                 static_cast<double>(cells[kTarget].settle_ns) / 1e6);
     return 1;
   }
-  // 6. K=1 is today's serial compactor, reproduced exactly: a repeat run
-  // is nanosecond-identical.
+  // 6. K=1 (one lane, one job per compaction) is deterministic: a repeat
+  // run is nanosecond-identical.
   const CompactCell again = RunCell(flags, settings[kBaseline]);
   if (again.foreground_ns != cells[kBaseline].foreground_ns ||
       again.settled_ns != cells[kBaseline].settled_ns ||

@@ -162,8 +162,9 @@ int main(int argc, char** argv) {
   });
   if (result.status().IsInvalidArgument()) {
     // A configuration the stack cannot build (an unknown engine or engine
-    // param, a malformed param value, a scale the profile's flash
-    // geometry cannot back): a usage error, like a bad flag.
+    // param, a malformed param value, a fraction or value size out of
+    // range, a scale the profile's flash geometry cannot back): a usage
+    // error, like a bad flag.
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 2;
   }

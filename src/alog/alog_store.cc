@@ -260,24 +260,14 @@ Status AlogStore::WriteInternal(const kv::WriteBatch& batch) {
   stats_.time_wal_ns += now() - t0;
 
   const int64_t t1 = now();
-  PTSB_RETURN_IF_ERROR(RunGc());
+  PTSB_RETURN_IF_ERROR(MaybeGc());
   stats_.time_compaction_ns += now() - t1;
   return Status::OK();
 }
 
-Status AlogStore::RunGc() {
-  // Partitioned GC (more than one lane): MaybeGc's orchestration is
-  // CPU-only and stays on the foreground timeline; CollectSegment
-  // dispatches its I/O phases through the pool's lanes. Wrapping MaybeGc
-  // in one enclosing background span here would collapse the fan-out
-  // (nested lanes run synchronously), so the pool replaces the span.
-  if (pool_.lanes() > 1) return MaybeGc();
-  return RunBackground(0, [&] { return MaybeGc(); });
-}
-
 Status AlogStore::SettleBackgroundWork() {
   PTSB_CHECK(!closed_);
-  const Status s = RunGc();
+  const Status s = MaybeGc();
   JoinBackgroundWork();  // settling means waiting the work out
   return s;
 }
@@ -393,27 +383,16 @@ Status AlogStore::CollectSegment(uint64_t id) {
     return a.loc.value_offset < b.loc.value_offset;
   });
 
-  kv::WriteBatch batch;
-  if (pool_.lanes() > 1) {
-    // Partitioned read phase: the victim's live values are read on the
-    // pool's lanes — contiguous file-order chunks, one per lane, so a
-    // collection's reads overlap across SSD channels. The batch is then
-    // assembled in the same ref order as the serial path, so contents,
-    // record framing and stats are identical.
-    std::vector<size_t> live;
-    for (size_t i = 0; i < refs.size(); i++) {
-      if (!refs[i].loc.tombstone) live.push_back(i);
-    }
-    std::vector<std::string> values(refs.size());
-    const int lanes = pool_.lanes();
-    const size_t per =
-        (live.size() + static_cast<size_t>(lanes) - 1) /
-        std::max<size_t>(1, static_cast<size_t>(lanes));
-    for (int l = 0; l < lanes && per > 0; l++) {
-      const size_t begin = static_cast<size_t>(l) * per;
-      if (begin >= live.size()) break;
-      const size_t end = std::min(live.size(), begin + per);
-      PTSB_RETURN_IF_ERROR(RunBackground(l, [&, begin, end]() -> Status {
+  // The read phase: the victim's live values are read on the pool's
+  // lanes, in contiguous file-order chunks, one per lane, so a
+  // collection's reads overlap across SSD channels.
+  std::vector<size_t> live;
+  for (size_t i = 0; i < refs.size(); i++) {
+    if (!refs[i].loc.tombstone) live.push_back(i);
+  }
+  std::vector<std::string> values(refs.size());
+  PTSB_RETURN_IF_ERROR(
+      FanOut(live.size(), [&](size_t begin, size_t end) -> Status {
         for (size_t j = begin; j < end; j++) {
           const Ref& ref = refs[live[j]];
           std::string* out = &values[live[j]];
@@ -428,63 +407,35 @@ Status AlogStore::CollectSegment(uint64_t id) {
         }
         return Status::OK();
       }));
-    }
-    for (size_t i = 0; i < refs.size(); i++) {
-      const Ref& r = refs[i];
-      if (r.loc.tombstone) {
-        if (oldest) {
-          ReleaseLocation(r.loc);
-          index_.erase(r.key);
-        } else {
-          batch.Delete(r.key);
-        }
-        continue;
+  // The rewrite batch, in file order.
+  kv::WriteBatch batch;
+  for (size_t i = 0; i < refs.size(); i++) {
+    const Ref& r = refs[i];
+    if (r.loc.tombstone) {
+      if (oldest) {
+        ReleaseLocation(r.loc);
+        index_.erase(r.key);
+      } else {
+        batch.Delete(r.key);
       }
-      stats_.gc_bytes_read += r.loc.value_bytes;
-      batch.Put(r.key, values[i]);
+      continue;
     }
-  } else {
-    std::string value;
-    for (const Ref& r : refs) {
-      if (r.loc.tombstone) {
-        if (oldest) {
-          ReleaseLocation(r.loc);
-          index_.erase(r.key);
-        } else {
-          batch.Delete(r.key);
-        }
-        continue;
-      }
-      value.resize(r.loc.value_bytes);
-      PTSB_ASSIGN_OR_RETURN(
-          const uint64_t got,
-          seg_it->second.file->ReadAt(r.loc.value_offset, r.loc.value_bytes,
-                                      value.data()));
-      if (got != r.loc.value_bytes) {
-        return Status::Corruption("short GC value read");
-      }
-      stats_.gc_bytes_read += r.loc.value_bytes;
-      batch.Put(r.key, value);
-    }
+    stats_.gc_bytes_read += r.loc.value_bytes;
+    batch.Put(r.key, values[i]);
   }
 
   if (!batch.empty()) {
     // The victim's file is deleted below, so the rewritten live data must
     // be durable first: a crash with the GC record still in the unsynced
     // tail would drop it whole on replay (torn crc) while the durable
-    // originals are already gone with the victim's file.
-    auto apply = [&]() -> Status {
+    // originals are already gone with the victim's file. The rewrite
+    // depends on every lane's reads; it runs on lane 0 after a
+    // background-side barrier (the foreground does not wait).
+    pool_.Barrier();
+    PTSB_RETURN_IF_ERROR(RunBackground(0, [&]() -> Status {
       PTSB_RETURN_IF_ERROR(ApplyBatchRecord(batch, /*gc=*/true));
       return log_->Sync();
-    };
-    if (pool_.lanes() > 1) {
-      // The rewrite depends on every lane's reads; it runs on lane 0
-      // after a background-side barrier (the foreground does not wait).
-      pool_.Barrier();
-      PTSB_RETURN_IF_ERROR(RunBackground(0, apply));
-    } else {
-      PTSB_RETURN_IF_ERROR(apply());
-    }
+    }));
   }
 
   const SegmentInfo& collected = segments_.at(id);
@@ -500,14 +451,12 @@ Status AlogStore::CollectSegment(uint64_t id) {
     z.file_bytes = collected.file->size();
     stats_.snapshot_pinned_bytes += z.file_bytes;
     zombie_segments_.emplace(id, z);
-  } else if (pool_.lanes() > 1) {
-    // Partitioned mode: the deletion orders after the rewrite on lane 0
-    // (file metadata work stays on the background timeline).
+  } else {
+    // The deletion orders after the rewrite on lane 0 (file metadata
+    // work stays on the background timeline).
     PTSB_RETURN_IF_ERROR(RunBackground(0, [&] {
       return fs_->Delete(kv::NumberedFileName(dir_, id, ".seg"));
     }));
-  } else {
-    PTSB_RETURN_IF_ERROR(fs_->Delete(kv::NumberedFileName(dir_, id, ".seg")));
   }
   segments_.erase(id);
   return Status::OK();

@@ -139,12 +139,14 @@ class AlogStore : public kv::GroupCommitStore {
   // Rewrites every live entry (and surviving tombstone) of one sealed
   // segment to the active head, then deletes its file — unless a
   // snapshot pins it, in which case the file lingers as a zombie until
-  // the last pin drops.
+  // the last pin drops. The I/O runs on the background pool: the value
+  // reads fan out over its lanes, and the rewrite and the deletion follow
+  // on lane 0 behind a barrier. With background_io on, the foreground
+  // clock does not advance.
   Status CollectSegment(uint64_t id);
+  // Collects segments while a GC trigger holds. Picking a victim is
+  // CPU-only and stays on the caller's timeline.
   Status MaybeGc();
-  // MaybeGc on the background lane when background_io is on (and not
-  // inside an enclosing lane); the foreground clock does not advance.
-  Status RunGc();
 
   fs::SimpleFs* fs_;
   AlogOptions options_;

@@ -1,6 +1,7 @@
 #include "btree/btree_store.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "util/crc32.h"
@@ -206,7 +207,11 @@ void BTreeStore::ForgetLeaf(Node* leaf) {
 Status BTreeStore::EvictIfNeeded() {
   while (cache_leaf_bytes_ > options_.cache_bytes && !lru_.empty()) {
     Node* leaf = lru_.front();
-    if (leaf->dirty) PTSB_RETURN_IF_ERROR(WriteNode(leaf));
+    if (leaf->dirty) {
+      std::vector<PendingWrite> write;
+      PTSB_RETURN_IF_ERROR(WriteNode(leaf, &write));
+      PTSB_RETURN_IF_ERROR(IssueWrites(write, 0, write.size()));
+    }
     ForgetLeaf(leaf);
     Node* parent = leaf->parent;
     const size_t idx = parent->FindChildIdxExact(leaf->route_key);
@@ -221,21 +226,15 @@ Status BTreeStore::EvictIfNeeded() {
   return Status::OK();
 }
 
-Status BTreeStore::WriteNode(Node* node, std::vector<PendingWrite>* deferred) {
+Status BTreeStore::WriteNode(Node* node, std::vector<PendingWrite>* writes) {
   std::string data = node->Serialize();
   PTSB_ASSIGN_OR_RETURN(BlockAddr addr, blocks_->Allocate(data.size()));
   data.resize(addr.bytes, 0);
-  if (deferred != nullptr) {
-    // Partitioned checkpoint: every allocation/free/parent-pointer step
-    // stays in post-order here; only the device write is postponed so
-    // the batch can fan out across lanes. Safe to reorder among
-    // themselves: each targets its own freshly allocated block, and the
-    // header that makes any of them reachable is written after all of
-    // them complete.
-    deferred->push_back({addr.offset, std::move(data)});
-  } else {
-    PTSB_RETURN_IF_ERROR(file_->WriteAt(addr.offset, data));
-  }
+  // Only the device write is postponed. Pending writes may be issued in
+  // any order: each targets its own freshly allocated block, and the
+  // header that makes any of them reachable is written after all of
+  // them complete.
+  writes->push_back({addr.offset, std::move(data)});
   if (in_checkpoint_) {
     stats_.checkpoint_bytes_written += addr.bytes;
   } else {
@@ -254,16 +253,24 @@ Status BTreeStore::WriteNode(Node* node, std::vector<PendingWrite>* deferred) {
   return Status::OK();
 }
 
+Status BTreeStore::IssueWrites(const std::vector<PendingWrite>& writes,
+                               size_t begin, size_t end) {
+  for (size_t j = begin; j < end; j++) {
+    PTSB_RETURN_IF_ERROR(file_->WriteAt(writes[j].offset, writes[j].data));
+  }
+  return Status::OK();
+}
+
 Status BTreeStore::WriteDirtySubtree(Node* node,
-                                     std::vector<PendingWrite>* deferred) {
+                                     std::vector<PendingWrite>* writes) {
   if (!node->is_leaf) {
     for (auto& ref : node->children) {
       if (ref.child != nullptr) {
-        PTSB_RETURN_IF_ERROR(WriteDirtySubtree(ref.child.get(), deferred));
+        PTSB_RETURN_IF_ERROR(WriteDirtySubtree(ref.child.get(), writes));
       }
     }
   }
-  if (node->dirty) PTSB_RETURN_IF_ERROR(WriteNode(node, deferred));
+  if (node->dirty) PTSB_RETURN_IF_ERROR(WriteNode(node, writes));
   return Status::OK();
 }
 
@@ -279,40 +286,61 @@ Status BTreeStore::WriteHeader() {
   return file_->Sync();
 }
 
-Status BTreeStore::Checkpoint() {
+Status BTreeStore::Checkpoint(bool paced) {
+  // A paced checkpoint runs its phases on the pool's lanes; a foreground
+  // one runs them inline.
+  auto run = [&](int lane, const std::function<Status()>& work) {
+    return paced ? RunBackground(lane, work) : work();
+  };
   in_checkpoint_ = true;
   Status s = [&]() -> Status {
-    PTSB_RETURN_IF_ERROR(WriteDirtySubtree(root_.get()));
+    // Phase 1 (CPU only): serialize and allocate every dirty node in
+    // post-order, collecting the device writes.
+    std::vector<PendingWrite> writes;
+    PTSB_RETURN_IF_ERROR(WriteDirtySubtree(root_.get(), &writes));
 
-    // Persist the post-commit free list. The blob is allocated from the
-    // currently-available list only (never from blocks the previous
-    // checkpoint still references), then the old blob becomes free.
-    const BlockAddr old_blob = freelist_addr_;
-    std::string encoded = blocks_->EncodeMergedFreeList(old_blob);
-    PTSB_ASSIGN_OR_RETURN(BlockAddr blob,
-                          blocks_->Allocate(encoded.size() + 64));
-    encoded = blocks_->EncodeMergedFreeList(old_blob);
-    PTSB_CHECK_LE(encoded.size(), blob.bytes);
-    encoded.resize(blob.bytes, 0);
-    PTSB_RETURN_IF_ERROR(file_->WriteAt(blob.offset, encoded));
-    stats_.checkpoint_bytes_written += blob.bytes;
-    freelist_addr_ = blob;
+    // Phase 2: the block writes. A paced checkpoint fans them out in
+    // contiguous chunks, so each lane still issues ascending offsets.
+    const auto issue = [&](size_t begin, size_t end) {
+      return IssueWrites(writes, begin, end);
+    };
+    PTSB_RETURN_IF_ERROR(paced ? FanOut(writes.size(), issue)
+                               : issue(0, writes.size()));
 
-    PTSB_RETURN_IF_ERROR(WriteHeader());
+    // Phase 3, ordered after every block write: the post-commit free
+    // list, the header, then the free bookkeeping.
+    if (paced) pool_.Barrier();
+    return run(0, [&]() -> Status {
+      // The blob is allocated from the currently-available list only
+      // (never from blocks the previous checkpoint still references),
+      // then the old blob becomes free.
+      const BlockAddr old_blob = freelist_addr_;
+      std::string encoded = blocks_->EncodeMergedFreeList(old_blob);
+      PTSB_ASSIGN_OR_RETURN(BlockAddr blob,
+                            blocks_->Allocate(encoded.size() + 64));
+      encoded = blocks_->EncodeMergedFreeList(old_blob);
+      PTSB_CHECK_LE(encoded.size(), blob.bytes);
+      encoded.resize(blob.bytes, 0);
+      PTSB_RETURN_IF_ERROR(file_->WriteAt(blob.offset, encoded));
+      stats_.checkpoint_bytes_written += blob.bytes;
+      freelist_addr_ = blob;
 
-    // The new header is durable: deferred frees become reusable — unless
-    // a live snapshot pins an older checkpoint, whose tree may still
-    // reference them; then they wait in a quarantine cohort until the
-    // last such snapshot drops. (Crash recovery ignores quarantine: the
-    // persisted free list already counts these blocks as free, which is
-    // correct because a crash drops every snapshot.)
-    if (snapshot_pins_.empty()) {
-      blocks_->MergePendingFrees();
-    } else {
-      blocks_->QuarantinePendingFrees(checkpoint_gen_);
-    }
-    blocks_->FreeImmediately(old_blob);
-    return Status::OK();
+      PTSB_RETURN_IF_ERROR(WriteHeader());
+
+      // The new header is durable: deferred frees become reusable —
+      // unless a live snapshot pins an older checkpoint, whose tree may
+      // still reference them; then they wait in a quarantine cohort until
+      // the last such snapshot drops. (Crash recovery ignores quarantine:
+      // the persisted free list already counts these blocks as free,
+      // which is correct because a crash drops every snapshot.)
+      if (snapshot_pins_.empty()) {
+        blocks_->MergePendingFrees();
+      } else {
+        blocks_->QuarantinePendingFrees(checkpoint_gen_);
+      }
+      blocks_->FreeImmediately(old_blob);
+      return Status::OK();
+    });
   }();
   in_checkpoint_ = false;
   PTSB_RETURN_IF_ERROR(s);
@@ -320,7 +348,7 @@ Status BTreeStore::Checkpoint() {
   bytes_since_checkpoint_ = 0;
 
   // Rotate the journal: everything it held is now in the checkpoint.
-  if (journal_ != nullptr) return RotateJournal();
+  if (journal_ != nullptr) return run(0, [&] { return RotateJournal(); });
   return Status::OK();
 }
 
@@ -345,75 +373,6 @@ Status BTreeStore::RotateJournal() {
     journal_lost_ = true;
   }
   return rotated;
-}
-
-Status BTreeStore::CheckpointParallel() {
-  in_checkpoint_ = true;
-  Status s = [&]() -> Status {
-    // Phase 1 (CPU only): serialize + allocate every dirty node in the
-    // usual post-order, deferring the device writes. Allocation order,
-    // parent-pointer updates, frees and byte accounting are identical
-    // to the serial path.
-    std::vector<PendingWrite> writes;
-    PTSB_RETURN_IF_ERROR(WriteDirtySubtree(root_.get(), &writes));
-
-    // Phase 2: fan the block writes across the pool's lanes —
-    // contiguous chunks so each lane still issues ascending offsets.
-    const int lanes = pool_.lanes();
-    const size_t per = (writes.size() + static_cast<size_t>(lanes) - 1) /
-                       static_cast<size_t>(lanes);
-    for (int l = 0; l < lanes && per > 0; l++) {
-      const size_t begin = static_cast<size_t>(l) * per;
-      if (begin >= writes.size()) break;
-      const size_t end = std::min(writes.size(), begin + per);
-      PTSB_RETURN_IF_ERROR(RunBackground(l, [&, begin, end]() -> Status {
-        for (size_t j = begin; j < end; j++) {
-          PTSB_RETURN_IF_ERROR(
-              file_->WriteAt(writes[j].offset, writes[j].data));
-        }
-        return Status::OK();
-      }));
-    }
-
-    // Phase 3 (lane 0, ordered after every block write): free-list
-    // blob, header, post-header free bookkeeping — the crash-safety
-    // order is unchanged: the header that publishes the new tree is the
-    // last write, and frees only become reusable once it is durable.
-    pool_.Barrier();
-    return RunBackground(0, [&]() -> Status {
-      const BlockAddr old_blob = freelist_addr_;
-      std::string encoded = blocks_->EncodeMergedFreeList(old_blob);
-      PTSB_ASSIGN_OR_RETURN(BlockAddr blob,
-                            blocks_->Allocate(encoded.size() + 64));
-      encoded = blocks_->EncodeMergedFreeList(old_blob);
-      PTSB_CHECK_LE(encoded.size(), blob.bytes);
-      encoded.resize(blob.bytes, 0);
-      PTSB_RETURN_IF_ERROR(file_->WriteAt(blob.offset, encoded));
-      stats_.checkpoint_bytes_written += blob.bytes;
-      freelist_addr_ = blob;
-
-      PTSB_RETURN_IF_ERROR(WriteHeader());
-
-      if (snapshot_pins_.empty()) {
-        blocks_->MergePendingFrees();
-      } else {
-        blocks_->QuarantinePendingFrees(checkpoint_gen_);
-      }
-      blocks_->FreeImmediately(old_blob);
-      return Status::OK();
-    });
-  }();
-  in_checkpoint_ = false;
-  PTSB_RETURN_IF_ERROR(s);
-  checkpoint_count_++;
-  bytes_since_checkpoint_ = 0;
-
-  // Journal rotation, on lane 0 behind the header (same order as the
-  // serial path).
-  if (journal_ != nullptr) {
-    return RunBackground(0, [&] { return RotateJournal(); });
-  }
-  return Status::OK();
 }
 
 Status BTreeStore::SplitIfNeeded(Node* node) {
@@ -615,17 +574,10 @@ Status BTreeStore::WriteInternal(const kv::WriteBatch& batch) {
   bytes_since_checkpoint_ += batch.ByteSize();
   if (!replaying_ &&
       bytes_since_checkpoint_ >= options_.checkpoint_every_bytes) {
-    // Paced (not user-requested) checkpoints move to the background lane
-    // when background_io is on: the commit returns without absorbing the
-    // checkpoint's device time.
-    if (pool_.lanes() > 1) {
-      // Partitioned checkpoint: the phases dispatch through the pool's
-      // lanes themselves — an enclosing background span here would
-      // collapse the fan-out (nested lanes run synchronously).
-      PTSB_RETURN_IF_ERROR(CheckpointParallel());
-    } else {
-      PTSB_RETURN_IF_ERROR(RunBackground(0, [&] { return Checkpoint(); }));
-    }
+    // Paced (not user-requested) checkpoints run on the background
+    // lanes: with background_io on, the commit returns without absorbing
+    // the checkpoint's device time.
+    PTSB_RETURN_IF_ERROR(Checkpoint(/*paced=*/true));
   }
   return EvictIfNeeded();
 }

@@ -104,29 +104,31 @@ class BTreeStore : public kv::GroupCommitStore {
   StatusOr<Node*> FetchChild(Node* parent, size_t idx);
   StatusOr<Node*> DescendToLeaf(std::string_view key);
 
-  // One deferred checkpoint block write: the bytes for a node (or blob)
-  // at its freshly allocated offset, device write postponed so a batch
-  // of them can fan out across background lanes.
+  // One deferred block write: the bytes for a node (or blob) at its
+  // freshly allocated offset, issued after the bookkeeping so a batch of
+  // them can fan out across background lanes.
   struct PendingWrite {
     uint64_t offset = 0;
     std::string data;
   };
-  // Writes a node to a fresh block, frees the old one, updates the parent
-  // address cell (or the pending root address). With `deferred` set, all
-  // of that bookkeeping still happens in order but the device write is
-  // appended to the list instead of issued.
-  Status WriteNode(Node* node, std::vector<PendingWrite>* deferred = nullptr);
+  // Moves a node to a fresh block: allocates it, frees the old one and
+  // updates the parent address cell (or the pending root address), then
+  // appends the device write to `writes` for the caller to issue.
+  Status WriteNode(Node* node, std::vector<PendingWrite>* writes);
+  // Issues writes[begin, end) in order on the current timeline.
+  Status IssueWrites(const std::vector<PendingWrite>& writes, size_t begin,
+                     size_t end);
   // Post-order: writes every dirty node in the loaded subtree.
-  Status WriteDirtySubtree(Node* node,
-                           std::vector<PendingWrite>* deferred = nullptr);
-  Status Checkpoint();
-  // Partitioned checkpoint (compaction_parallelism > 1 with
-  // background_io and a clock): collects the dirty nodes' block writes,
-  // fans them across the pool's lanes, then runs the free-list blob,
-  // header and journal rotation on lane 0 behind a background-side
-  // barrier — same crash-safety order (header last, frees after), same
-  // bytes, overlapped device time.
-  Status CheckpointParallel();
+  Status WriteDirtySubtree(Node* node, std::vector<PendingWrite>* writes);
+  // Writes every dirty node, then the free-list blob and the header, then
+  // rotates the journal. Foreground checkpoints (Flush, GetSnapshot,
+  // Close, and the one after replay) run all of it on the caller's
+  // timeline. The paced checkpoint (`paced` set) fans the node writes
+  // out over the pool's lanes in contiguous chunks, then runs the rest on
+  // lane 0 behind a barrier. Either way the header that publishes the new
+  // tree is the last tree write, and frees become reusable only once it
+  // is durable.
+  Status Checkpoint(bool paced = false);
   // Syncs the journal and replaces it with an empty one. On failure the
   // journal is lost and WriteInternal refuses writes until a reopen.
   Status RotateJournal();

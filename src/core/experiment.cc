@@ -340,6 +340,30 @@ Status RunUpdatePhaseConcurrent(const ExperimentConfig& config,
   return Status::OK();
 }
 
+// A workload value outside the range the stack can run is a usage
+// error, reported before anything is built.
+Status ValidateConfig(const ExperimentConfig& config) {
+  const auto check = [](const char* name, double v, bool open_at_zero) {
+    const bool ok = (open_at_zero ? v > 0 : v >= 0) && v <= 1;
+    return ok ? Status::OK()
+              : Status::InvalidArgument(
+                    std::string(name) + " " + std::to_string(v) +
+                    (open_at_zero ? " outside (0,1]" : " outside [0,1]"));
+  };
+  PTSB_RETURN_IF_ERROR(check("partition_frac", config.partition_frac, true));
+  PTSB_RETURN_IF_ERROR(check("dataset_frac", config.dataset_frac, true));
+  PTSB_RETURN_IF_ERROR(check("write_fraction", config.write_fraction, false));
+  PTSB_RETURN_IF_ERROR(
+      check("delete_fraction", config.delete_fraction, false));
+  PTSB_RETURN_IF_ERROR(check("scan_fraction", config.scan_fraction, false));
+  if (config.value_bytes < 16) {
+    return Status::InvalidArgument("value_bytes " +
+                                   std::to_string(config.value_bytes) +
+                                   " below 16");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<ExperimentResult> RunExperiment(
@@ -348,6 +372,7 @@ StatusOr<ExperimentResult> RunExperiment(
   ExperimentResult result;
   result.config = config;
 
+  PTSB_RETURN_IF_ERROR(ValidateConfig(config));
   Stack stack;
   PTSB_RETURN_IF_ERROR(BuildStack(config, &stack));
   const double time_scale = static_cast<double>(config.scale);

@@ -89,12 +89,12 @@ struct ExperimentConfig {
   // tail latency at the points where the user genuinely waits (write
   // stalls, Flush, SettleBackgroundWork).
   bool background_io = false;
-  // Partitioned background work (every engine's compaction_parallelism
-  // param): > 1 splits a picked LSM compaction into that many disjoint
-  // key subranges (and fans alog GC value reads / B+Tree checkpoint
-  // block writes out the same way), each on its own background
-  // submission lane, so background I/O overlaps across SSD channels.
-  // Needs background_io; 1 keeps today's single-lane behavior.
+  // Background lanes (every engine's compaction_parallelism param): > 1
+  // splits a picked LSM compaction into that many disjoint key subranges
+  // (and fans alog GC value reads / B+Tree checkpoint block writes out
+  // the same way), each on its own background submission lane, so
+  // background I/O overlaps across SSD channels. Without background_io
+  // the engine has one lane whatever the value.
   int compaction_parallelism = 1;
   kv::Distribution distribution = kv::Distribution::kUniform;
   double zipf_theta = 0.99;  // used when distribution is zipfian
@@ -177,6 +177,9 @@ struct ExperimentResult {
 
 // Builds the stack, runs load + update, returns the sampled result.
 // `progress` (optional) is invoked with a short status line per window.
+// A fraction outside its range (partition_frac and dataset_frac in
+// (0,1], the write, delete and scan fractions in [0,1]) or a value_bytes
+// below 16 is InvalidArgument before anything is built.
 StatusOr<ExperimentResult> RunExperiment(
     const ExperimentConfig& config,
     const std::function<void(const std::string&)>& progress = nullptr);

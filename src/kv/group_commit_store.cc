@@ -84,6 +84,18 @@ Status GroupCommitStore::RunBackground(int lane,
   return r.status;
 }
 
+Status GroupCommitStore::FanOut(
+    size_t n, const std::function<Status(size_t, size_t)>& work) {
+  const size_t lanes = static_cast<size_t>(pool_.lanes());
+  const size_t per = (n + lanes - 1) / lanes;
+  for (size_t begin = 0; begin < n; begin += per) {
+    const size_t end = std::min(n, begin + per);
+    PTSB_RETURN_IF_ERROR(RunBackground(static_cast<int>(begin / per),
+                                       [&] { return work(begin, end); }));
+  }
+  return Status::OK();
+}
+
 void GroupCommitStore::DcheckSnapshotsReleased() const {
   PTSB_DCHECK(GetStats().snapshots_open == 0 &&
               GetStats().snapshot_pinned_bytes == 0)

@@ -17,6 +17,7 @@
 #ifndef PTSB_KV_GROUP_COMMIT_STORE_H_
 #define PTSB_KV_GROUP_COMMIT_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -95,6 +96,11 @@ class GroupCommitStore : public KVStore {
   // Runs `work` on background lane `lane` (inline when background_io is
   // off) and adds the lane's busy time to time_background_ns.
   Status RunBackground(int lane, const std::function<Status()>& work);
+  // Splits items [0, n) into contiguous chunks of ceil(n / lanes), one
+  // per lane, and runs work(begin, end) for chunk i on lane i, so every
+  // lane issues its share in order.
+  Status FanOut(size_t n,
+                const std::function<Status(size_t, size_t)>& work);
   // Advances the foreground clock past all background work: the explicit
   // wait at stalls, Flush, Close and SettleBackgroundWork.
   void JoinBackgroundWork() { pool_.Join(); }

@@ -160,47 +160,7 @@ CompactionJob::CompactionJob(fs::SimpleFs* fs, std::string dir,
 
 CompactionJob::~CompactionJob() = default;
 
-Status CompactionJob::SeekInputToBegin(Input* in) {
-  if (begin_key_.empty()) return in->iter->SeekToFirst();
-  // The lower bound is exclusive: the previous subrange owns every
-  // version of begin_key_ itself.
-  PTSB_RETURN_IF_ERROR(in->iter->Seek(begin_key_));
-  while (in->iter->Valid() && in->iter->key() == begin_key_) {
-    PTSB_RETURN_IF_ERROR(in->iter->Next());
-  }
-  return Status::OK();
-}
-
-Status CompactionJob::Prepare() {
-  PTSB_CHECK(!prepared_);
-  prepared_ = true;
-  auto open_input = [&](const FileMeta& meta) -> Status {
-    Input in;
-    in.meta = meta;
-    PTSB_ASSIGN_OR_RETURN(
-        fs::File * file,
-        fs_->Open(kv::NumberedFileName(dir_, meta.number, ".sst")));
-    PTSB_ASSIGN_OR_RETURN(in.owned_reader, SstReader::Open(file));
-    in.reader = in.owned_reader.get();
-    in.iter = std::make_unique<SstReader::Iterator>(
-        in.reader, options_.compaction_readahead_bytes);
-    if (!end_key_.empty()) {
-      // Don't prefetch past this subrange: cap the span at the block
-      // holding end_key_ (blocks are sorted by last key, so the first
-      // block whose last key covers it is the last one needed).
-      in.iter->LimitSpanTo(in.reader->FindBlock(end_key_) + 1);
-    }
-    PTSB_RETURN_IF_ERROR(SeekInputToBegin(&in));
-    inputs_.push_back(std::move(in));
-    return Status::OK();
-  };
-  for (const FileMeta& f : pick_.inputs0) PTSB_RETURN_IF_ERROR(open_input(f));
-  for (const FileMeta& f : pick_.inputs1) PTSB_RETURN_IF_ERROR(open_input(f));
-  return Status::OK();
-}
-
-Status CompactionJob::PrepareWithReaders(
-    const std::vector<SstReader*>& readers) {
+Status CompactionJob::Prepare(const std::vector<SstReader*>& readers) {
   PTSB_CHECK(!prepared_);
   prepared_ = true;
   PTSB_CHECK_EQ(readers.size(), pick_.inputs0.size() + pick_.inputs1.size());
@@ -217,7 +177,16 @@ Status CompactionJob::PrepareWithReaders(
       // block whose last key covers it is the last one needed).
       in.iter->LimitSpanTo(in.reader->FindBlock(end_key_) + 1);
     }
-    PTSB_RETURN_IF_ERROR(SeekInputToBegin(&in));
+    if (begin_key_.empty()) {
+      PTSB_RETURN_IF_ERROR(in.iter->SeekToFirst());
+    } else {
+      // The lower bound is exclusive: the previous subrange owns every
+      // version of begin_key_ itself.
+      PTSB_RETURN_IF_ERROR(in.iter->Seek(begin_key_));
+      while (in.iter->Valid() && in.iter->key() == begin_key_) {
+        PTSB_RETURN_IF_ERROR(in.iter->Next());
+      }
+    }
     inputs_.push_back(std::move(in));
     return Status::OK();
   };
@@ -289,7 +258,6 @@ StatusOr<bool> CompactionJob::Step(uint64_t max_bytes) {
       // All inputs drained — or the smallest remaining entry is past
       // this subrange's inclusive upper bound, so every input is.
       PTSB_RETURN_IF_ERROR(FinishOutput());
-      if (!defer_install_) PTSB_RETURN_IF_ERROR(Install());
       finished_ = true;
       return true;
     }
@@ -323,39 +291,6 @@ StatusOr<bool> CompactionJob::Step(uint64_t max_bytes) {
     PTSB_RETURN_IF_ERROR(iter.Next());
   }
   return false;
-}
-
-Status CompactionJob::Install() {
-  VersionEdit edit;
-  for (const FileMeta& f : pick_.inputs0) {
-    edit.removed.emplace_back(pick_.level, f.number);
-  }
-  for (const FileMeta& f : pick_.inputs1) {
-    edit.removed.emplace_back(pick_.level + 1, f.number);
-  }
-  for (auto& [meta, number] : outputs_) {
-    edit.added.emplace_back(pick_.level + 1, meta);
-  }
-  PTSB_RETURN_IF_ERROR(versions_->LogAndApply(edit));
-  // Drop input files (this job's readers first, then the files). The
-  // store's deleter keeps inputs a snapshot pins on disk as zombies and
-  // reports false; only physical deletions reach deleted_, so the table
-  // cache keeps serving pinned files to snapshot iterators.
-  inputs_.clear();
-  auto dispose = [&](const FileMeta& f) -> Status {
-    bool deleted = true;
-    if (file_deleter_) {
-      PTSB_ASSIGN_OR_RETURN(deleted, file_deleter_(f));
-    } else {
-      PTSB_RETURN_IF_ERROR(
-          fs_->Delete(kv::NumberedFileName(dir_, f.number, ".sst")));
-    }
-    if (deleted) deleted_.push_back(f.number);
-    return Status::OK();
-  };
-  for (const FileMeta& f : pick_.inputs0) PTSB_RETURN_IF_ERROR(dispose(f));
-  for (const FileMeta& f : pick_.inputs1) PTSB_RETURN_IF_ERROR(dispose(f));
-  return Status::OK();
 }
 
 }  // namespace ptsb::lsm

@@ -6,7 +6,6 @@
 #define PTSB_LSM_COMPACTION_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,7 +64,10 @@ struct CompactionIoStats {
   uint64_t entries_dropped = 0;  // shadowed versions + dropped tombstones
 };
 
-// Merges inputs0+inputs1 into new tables at level+1. Drives in steps.
+// Merges one key subrange of inputs0+inputs1 into new tables at
+// level+1, in steps. The job only writes its outputs: the store opens the
+// inputs, installs every subrange's outputs as one VersionSet edit and
+// disposes the inputs.
 class CompactionJob {
  public:
   CompactionJob(fs::SimpleFs* fs, std::string dir, VersionSet* versions,
@@ -75,15 +77,6 @@ class CompactionJob {
   CompactionJob(const CompactionJob&) = delete;
   CompactionJob& operator=(const CompactionJob&) = delete;
 
-  // Opens input tables. Must be called once before Step.
-  Status Prepare();
-
-  // Subcompaction variant: borrows pre-opened readers (one per input, in
-  // inputs0-then-inputs1 order) instead of opening the tables itself, so
-  // K subjobs over the same inputs pay the footer/index/bloom reads
-  // once. The readers must outlive the job.
-  Status PrepareWithReaders(const std::vector<SstReader*>& readers);
-
   // Restricts the job to user keys in (begin_exclusive, end_inclusive]
   // — a subrange from SplitCompactionRange. Empty begin means from the
   // start, empty end means unbounded. Must be set before Prepare.
@@ -92,57 +85,35 @@ class CompactionJob {
     end_key_ = std::move(end_inclusive);
   }
 
-  // Deferred-install mode (subcompactions): Step finishes outputs but
-  // neither writes the manifest edit nor touches the inputs — the store
-  // installs all subranges' outputs as ONE atomic VersionSet edit and
-  // disposes the shared inputs once. Must be set before the final Step.
-  void set_defer_install(bool defer) { defer_install_ = defer; }
+  // Positions the job on borrowed readers, one per input in
+  // inputs0-then-inputs1 order, so the subjobs over one pick share the
+  // footer/index/bloom reads. The readers must outlive the job. Must be
+  // called once before Step.
+  Status Prepare(const std::vector<SstReader*>& readers);
 
-  // Processes about `max_bytes` of input data. Returns true when the whole
-  // compaction is finished and installed (inputs deleted) — or, in
-  // deferred-install mode, drained with all outputs finished.
+  // Processes about `max_bytes` of input data. Returns true when the
+  // subrange is drained and every output table is finished.
   StatusOr<bool> Step(uint64_t max_bytes);
 
   bool finished() const { return finished_; }
   const CompactionIoStats& io_stats() const { return io_; }
-  const CompactionPick& pick() const { return pick_; }
-  // Finished output tables (meta, file number). Stable once finished();
-  // deferred-install callers read this to build the combined edit.
+  // Finished output tables (meta, file number), for the store's edit.
   const std::vector<std::pair<FileMeta, uint64_t>>& outputs() const {
     return outputs_;
-  }
-  // File numbers of tables this job PHYSICALLY deleted (for table-cache
-  // invalidation). Inputs an open snapshot still pins are not listed: the
-  // store's deleter turned them into zombies instead of deleting them.
-  const std::vector<uint64_t>& deleted_files() const { return deleted_; }
-
-  // Input disposal hook. Returns true if the file was physically deleted,
-  // false if it must outlive the compaction (an open snapshot reads it);
-  // the store installs one that parks pinned inputs as zombies. Unset,
-  // inputs are deleted directly.
-  using FileDeleter = std::function<StatusOr<bool>(const FileMeta&)>;
-  void set_file_deleter(FileDeleter deleter) {
-    file_deleter_ = std::move(deleter);
   }
 
  private:
   struct Input {
     FileMeta meta;
-    SstReader* reader = nullptr;            // borrowed or owned_reader.get()
-    std::unique_ptr<SstReader> owned_reader;  // set when self-opened
+    SstReader* reader = nullptr;  // borrowed
     std::unique_ptr<SstReader::Iterator> iter;
   };
-
-  // Positions one input's iterator at the first entry inside the key
-  // bounds (shared by both Prepare variants).
-  Status SeekInputToBegin(Input* in);
 
   // Index of the input whose current entry is smallest in internal order,
   // or -1 when all are exhausted.
   int FindSmallest() const;
   Status OpenOutput();
   Status FinishOutput();
-  Status Install();
 
   fs::SimpleFs* fs_;
   std::string dir_;
@@ -153,7 +124,6 @@ class CompactionJob {
   std::vector<Input> inputs_;
   std::string begin_key_;  // exclusive lower bound ("" = none)
   std::string end_key_;    // inclusive upper bound ("" = none)
-  bool defer_install_ = false;
   std::unique_ptr<SstBuilder> builder_;
   fs::File* output_file_ = nullptr;
   uint64_t output_number_ = 0;
@@ -163,8 +133,6 @@ class CompactionJob {
   bool prepared_ = false;
   bool finished_ = false;
   CompactionIoStats io_;
-  std::vector<uint64_t> deleted_;
-  FileDeleter file_deleter_;
 };
 
 }  // namespace ptsb::lsm

@@ -225,48 +225,13 @@ Status LsmStore::CompactionWork(uint64_t budget) {
   // explicit drains); without this, picking and preparing a job would
   // still do device reads.
   if (budget == 0) return Status::OK();
-  // Partitioned subcompactions need the pool's independent lanes; they
-  // only exist with background_io and a clock. One lane keeps the
-  // single-job path below, byte for byte.
-  if (pool_.lanes() > 1) return ParallelCompactionWork(budget);
-  return RunBackground(0, [&] { return CompactionWorkImpl(budget); });
-}
-
-Status LsmStore::CompactionWorkImpl(uint64_t budget) {
-  if (job_ == nullptr) {
+  if (compaction_ == nullptr) {
     CompactionPick pick =
         PickCompaction(*versions_, options_, &compaction_cursors_);
     if (!pick.valid) return Status::OK();
     if (pick.trivial_move) {
-      // Relink the file into the next level; no I/O at all.
-      VersionEdit edit;
-      edit.removed.emplace_back(pick.level, pick.inputs0[0].number);
-      edit.added.emplace_back(pick.level + 1, pick.inputs0[0]);
-      return versions_->LogAndApply(edit);
-    }
-    job_ = std::make_unique<CompactionJob>(fs_, dir_, versions_.get(),
-                                           options_, std::move(pick));
-    job_->set_file_deleter(MakeFileDeleter());
-    PTSB_RETURN_IF_ERROR(job_->Prepare());
-  }
-  PTSB_ASSIGN_OR_RETURN(const bool done, job_->Step(budget));
-  if (done) {
-    stats_.compaction_bytes_read += job_->io_stats().bytes_read;
-    stats_.compaction_bytes_written += job_->io_stats().bytes_written;
-    EvictReaders(job_->deleted_files());
-    job_.reset();
-  }
-  return Status::OK();
-}
-
-Status LsmStore::ParallelCompactionWork(uint64_t budget) {
-  if (parallel_job_ == nullptr) {
-    CompactionPick pick =
-        PickCompaction(*versions_, options_, &compaction_cursors_);
-    if (!pick.valid) return Status::OK();
-    if (pick.trivial_move) {
-      // No table I/O; the manifest append still runs (and is charged)
-      // on a background lane, like the single-lane path.
+      // Relink the file into the next level: no table I/O, but the
+      // manifest append still runs (and is charged) on lane 0.
       return RunBackground(0, [&] {
         VersionEdit edit;
         edit.removed.emplace_back(pick.level, pick.inputs0[0].number);
@@ -274,9 +239,64 @@ Status LsmStore::ParallelCompactionWork(uint64_t budget) {
         return versions_->LogAndApply(edit);
       });
     }
-    PTSB_RETURN_IF_ERROR(StartSubcompaction(std::move(pick)));
+    PTSB_RETURN_IF_ERROR(StartCompaction(std::move(pick)));
   }
-  auto& jobs = parallel_job_->jobs;
+  return StepCompaction(budget);
+}
+
+Status LsmStore::StartCompaction(CompactionPick pick) {
+  auto c = std::make_unique<Compaction>();
+  c->pick = std::move(pick);
+  // Open each input table once, on lane 0: the subjobs share the
+  // readers, so footer/index/bloom reads are paid once, not per
+  // subrange.
+  std::vector<SstReader*> raw;
+  PTSB_RETURN_IF_ERROR(RunBackground(0, [&]() -> Status {
+    auto open_input = [&](const FileMeta& f) -> Status {
+      PTSB_ASSIGN_OR_RETURN(
+          fs::File * file,
+          fs_->Open(kv::NumberedFileName(dir_, f.number, ".sst")));
+      PTSB_ASSIGN_OR_RETURN(auto reader, SstReader::Open(file));
+      raw.push_back(reader.get());
+      c->input_readers.push_back(std::move(reader));
+      return Status::OK();
+    };
+    for (const FileMeta& f : c->pick.inputs0) {
+      PTSB_RETURN_IF_ERROR(open_input(f));
+    }
+    for (const FileMeta& f : c->pick.inputs1) {
+      PTSB_RETURN_IF_ERROR(open_input(f));
+    }
+    return Status::OK();
+  }));
+  // Every subrange depends on the shared opens.
+  pool_.Barrier();
+
+  // One subrange per lane: the lane count, not compaction_parallelism,
+  // so a store without background lanes never splits.
+  const std::vector<std::string> bounds =
+      SplitCompactionRange(raw, pool_.lanes());
+  const size_t k = bounds.size() + 1;
+  for (size_t i = 0; i < k; i++) {
+    auto job = std::make_unique<CompactionJob>(fs_, dir_, versions_.get(),
+                                               options_, c->pick);
+    job->SetKeyBounds(i == 0 ? std::string() : bounds[i - 1],
+                      i == bounds.size() ? std::string() : bounds[i]);
+    c->jobs.push_back(std::move(job));
+  }
+  // Seed each subrange on its own lane: the initial Seek loads data
+  // blocks, and those reads already overlap across channels.
+  for (size_t i = 0; i < k; i++) {
+    PTSB_RETURN_IF_ERROR(RunBackground(static_cast<int>(i), [&] {
+      return c->jobs[i]->Prepare(raw);
+    }));
+  }
+  compaction_ = std::move(c);
+  return Status::OK();
+}
+
+Status LsmStore::StepCompaction(uint64_t budget) {
+  auto& jobs = compaction_->jobs;
   int live = 0;
   for (const auto& j : jobs) {
     if (!j->finished()) live++;
@@ -284,7 +304,7 @@ Status LsmStore::ParallelCompactionWork(uint64_t budget) {
   if (live > 0) {
     // Split the pacing budget across the live subranges: one call here
     // advances every lane, so a slice still represents `budget` bytes
-    // of input overall — the same pacing a single job would get.
+    // of input overall — the same pacing one job would get.
     const uint64_t share =
         std::max<uint64_t>(1, budget / static_cast<uint64_t>(live));
     for (size_t i = 0; i < jobs.size(); i++) {
@@ -297,63 +317,13 @@ Status LsmStore::ParallelCompactionWork(uint64_t budget) {
   for (const auto& j : jobs) {
     if (!j->finished()) return Status::OK();
   }
-  return InstallSubcompaction();
+  return InstallCompaction();
 }
 
-Status LsmStore::StartSubcompaction(CompactionPick pick) {
-  auto sub = std::make_unique<Subcompaction>();
-  sub->pick = std::move(pick);
-  // Open each input table once, on lane 0: the K subjobs share the
-  // readers, so footer/index/bloom reads are paid once, not per
-  // subrange.
-  std::vector<SstReader*> raw;
-  PTSB_RETURN_IF_ERROR(RunBackground(0, [&]() -> Status {
-    auto open_input = [&](const FileMeta& f) -> Status {
-      PTSB_ASSIGN_OR_RETURN(
-          fs::File * file,
-          fs_->Open(kv::NumberedFileName(dir_, f.number, ".sst")));
-      PTSB_ASSIGN_OR_RETURN(auto reader, SstReader::Open(file));
-      raw.push_back(reader.get());
-      sub->input_readers.push_back(std::move(reader));
-      return Status::OK();
-    };
-    for (const FileMeta& f : sub->pick.inputs0) {
-      PTSB_RETURN_IF_ERROR(open_input(f));
-    }
-    for (const FileMeta& f : sub->pick.inputs1) {
-      PTSB_RETURN_IF_ERROR(open_input(f));
-    }
-    return Status::OK();
-  }));
-  // Every subrange depends on the shared opens.
-  pool_.Barrier();
-
-  const std::vector<std::string> bounds =
-      SplitCompactionRange(raw, options_.compaction_parallelism);
-  const size_t k = bounds.size() + 1;
-  for (size_t i = 0; i < k; i++) {
-    auto job = std::make_unique<CompactionJob>(fs_, dir_, versions_.get(),
-                                               options_, sub->pick);
-    job->SetKeyBounds(i == 0 ? std::string() : bounds[i - 1],
-                      i == bounds.size() ? std::string() : bounds[i]);
-    job->set_defer_install(true);
-    sub->jobs.push_back(std::move(job));
-  }
-  // Seed each subrange on its own lane: the initial Seek loads data
-  // blocks, and those reads already overlap across channels.
-  for (size_t i = 0; i < k; i++) {
-    PTSB_RETURN_IF_ERROR(RunBackground(static_cast<int>(i), [&] {
-      return sub->jobs[i]->PrepareWithReaders(raw);
-    }));
-  }
-  parallel_job_ = std::move(sub);
-  return Status::OK();
-}
-
-Status LsmStore::InstallSubcompaction() {
-  PTSB_CHECK(parallel_job_ != nullptr);
-  Subcompaction& sub = *parallel_job_;
-  for (const auto& job : sub.jobs) {
+Status LsmStore::InstallCompaction() {
+  PTSB_CHECK(compaction_ != nullptr);
+  Compaction& c = *compaction_;
+  for (const auto& job : c.jobs) {
     stats_.compaction_bytes_read += job->io_stats().bytes_read;
     stats_.compaction_bytes_written += job->io_stats().bytes_written;
   }
@@ -367,39 +337,37 @@ Status LsmStore::InstallSubcompaction() {
     // before this record leaves only orphan SSTs (the recovery sweep
     // reclaims them); after it, the new version is complete.
     VersionEdit edit;
-    for (const FileMeta& f : sub.pick.inputs0) {
-      edit.removed.emplace_back(sub.pick.level, f.number);
+    for (const FileMeta& f : c.pick.inputs0) {
+      edit.removed.emplace_back(c.pick.level, f.number);
     }
-    for (const FileMeta& f : sub.pick.inputs1) {
-      edit.removed.emplace_back(sub.pick.level + 1, f.number);
+    for (const FileMeta& f : c.pick.inputs1) {
+      edit.removed.emplace_back(c.pick.level + 1, f.number);
     }
-    for (const auto& job : sub.jobs) {
+    for (const auto& job : c.jobs) {
       for (const auto& [meta, number] : job->outputs()) {
-        edit.added.emplace_back(sub.pick.level + 1, meta);
+        edit.added.emplace_back(c.pick.level + 1, meta);
       }
     }
     PTSB_RETURN_IF_ERROR(versions_->LogAndApply(edit));
-    // Close the shared readers, then dispose the inputs once (the
-    // deleter parks snapshot-pinned inputs as on-disk zombies; only
-    // physical deletions reach the eviction list) — same order as
-    // CompactionJob::Install.
-    sub.jobs.clear();
-    sub.input_readers.clear();
-    const CompactionJob::FileDeleter deleter = MakeFileDeleter();
+    // Close the shared readers, then dispose the inputs once. Only
+    // physical deletions reach the eviction list, so the table cache
+    // keeps serving snapshot-pinned zombies.
+    c.jobs.clear();
+    c.input_readers.clear();
     auto dispose = [&](const FileMeta& f) -> Status {
-      PTSB_ASSIGN_OR_RETURN(const bool gone, deleter(f));
+      PTSB_ASSIGN_OR_RETURN(const bool gone, DisposeInput(f));
       if (gone) deleted.push_back(f.number);
       return Status::OK();
     };
-    for (const FileMeta& f : sub.pick.inputs0) {
+    for (const FileMeta& f : c.pick.inputs0) {
       PTSB_RETURN_IF_ERROR(dispose(f));
     }
-    for (const FileMeta& f : sub.pick.inputs1) {
+    for (const FileMeta& f : c.pick.inputs1) {
       PTSB_RETURN_IF_ERROR(dispose(f));
     }
     return Status::OK();
   });
-  parallel_job_.reset();
+  compaction_.reset();
   EvictReaders(deleted);
   return s;
 }
@@ -467,20 +435,14 @@ Status LsmStore::CompactAll() {
       }
       pick.inputs1 = versions_->Overlapping(level + 1, smallest, largest);
       pick.drop_tombstones = CanDropTombstones(*versions_, level + 1);
-      auto job = std::make_unique<CompactionJob>(fs_, dir_, versions_.get(),
-                                                 options_, std::move(pick));
-      job->set_file_deleter(MakeFileDeleter());
-      PTSB_RETURN_IF_ERROR(job->Prepare());
-      for (;;) {
-        PTSB_ASSIGN_OR_RETURN(
-            const bool done, job->Step(kCompactionBudgetBytes * 8));
-        if (done) break;
+      PTSB_RETURN_IF_ERROR(StartCompaction(std::move(pick)));
+      while (compaction_ != nullptr) {
+        PTSB_RETURN_IF_ERROR(StepCompaction(kCompactionBudgetBytes * 8));
       }
-      stats_.compaction_bytes_read += job->io_stats().bytes_read;
-      stats_.compaction_bytes_written += job->io_stats().bytes_written;
-      EvictReaders(job->deleted_files());
     }
   }
+  // A manual compaction returns once its work is done.
+  JoinBackgroundWork();
   return Status::OK();
 }
 
@@ -602,18 +564,16 @@ void LsmStore::UnpinFile(uint64_t number) {
   fs_->Delete(kv::NumberedFileName(dir_, number, ".sst")).ok();
 }
 
-CompactionJob::FileDeleter LsmStore::MakeFileDeleter() {
-  return [this](const FileMeta& f) -> StatusOr<bool> {
-    if (pins_.count(f.number) != 0) {
-      // A snapshot still reads this input: park it as an on-disk zombie.
-      zombies_[f.number] = f.file_bytes;
-      stats_.snapshot_pinned_bytes += f.file_bytes;
-      return false;
-    }
-    PTSB_RETURN_IF_ERROR(
-        fs_->Delete(kv::NumberedFileName(dir_, f.number, ".sst")));
-    return true;
-  };
+StatusOr<bool> LsmStore::DisposeInput(const FileMeta& f) {
+  if (pins_.count(f.number) != 0) {
+    // A snapshot still reads this input: park it as an on-disk zombie.
+    zombies_[f.number] = f.file_bytes;
+    stats_.snapshot_pinned_bytes += f.file_bytes;
+    return false;
+  }
+  PTSB_RETURN_IF_ERROR(
+      fs_->Delete(kv::NumberedFileName(dir_, f.number, ".sst")));
+  return true;
 }
 
 Status LsmStore::SnapshotGetInternal(const kv::Snapshot& snapshot,

@@ -46,9 +46,7 @@ class LsmStore : public kv::GroupCommitStore {
   // Introspection for tests and benches.
   const VersionSet& versions() const { return *versions_; }
   uint64_t MemtableBytes() const { return memtable_->ApproximateBytes(); }
-  bool CompactionPending() const {
-    return job_ != nullptr || parallel_job_ != nullptr;
-  }
+  bool CompactionPending() const { return compaction_ != nullptr; }
   // Runs compaction to completion (tests; also used by Flush).
   Status DrainCompactions();
   // Manual full compaction (RocksDB CompactRange analog): pushes all data
@@ -83,29 +81,32 @@ class LsmStore : public kv::GroupCommitStore {
   // Creates a fresh WAL as wal_ and returns its file number.
   StatusOr<uint64_t> StartWal();
   Status FlushMemtable();
-  // Runs up to `budget` bytes of compaction work, starting a job if due.
-  // With background_io on (and a clock), the work runs on the engine's
-  // background lane: the foreground clock does not advance, and the
-  // completion horizon is joined back only where the user genuinely
-  // waits (MaybeStall, DrainCompactions, Close).
+  // Runs up to `budget` bytes of compaction work, starting a compaction
+  // if one is due. The work runs on the engine's background pool: with
+  // background_io on (and a clock) the foreground clock does not advance,
+  // and the pool's horizon is joined back only where the user genuinely
+  // waits (MaybeStall, DrainCompactions, Close); otherwise it runs inline.
   Status CompactionWork(uint64_t budget);
-  Status CompactionWorkImpl(uint64_t budget);
-  // Partitioned-subcompaction variants (compaction_parallelism > 1 with
-  // background_io and a clock). The picked input set is cut into up to K
-  // disjoint key subranges; each runs as its own deferred-install
-  // CompactionJob on its own BackgroundPool lane, so reads/writes from
-  // different subranges overlap in virtual device time. All subranges'
-  // outputs install as ONE atomic VersionSet edit.
-  Status ParallelCompactionWork(uint64_t budget);
-  Status StartSubcompaction(CompactionPick pick);
-  Status InstallSubcompaction();
+  // Opens the picked inputs once (lane 0), cuts their key space into up
+  // to pool_.lanes() disjoint subranges and prepares one CompactionJob
+  // per subrange on its own lane, so reads and writes of different
+  // subranges overlap in virtual device time. One lane is one job over
+  // the whole range.
+  Status StartCompaction(CompactionPick pick);
+  // Steps every unfinished subrange by its share of `budget`, each on its
+  // lane; once all have drained, installs them (InstallCompaction).
+  Status StepCompaction(uint64_t budget);
+  // Logs all subranges' outputs as ONE atomic VersionSet edit on lane 0,
+  // behind every lane, then disposes the shared inputs.
+  Status InstallCompaction();
   Status MaybeStall();
   StatusOr<SstReader*> GetReader(uint64_t number);
   void EvictReaders(const std::vector<uint64_t>& numbers);
 
-  // The CompactionJob input-disposal hook: pinned inputs become on-disk
-  // zombies (snapshot_pinned_bytes grows) instead of being deleted.
-  CompactionJob::FileDeleter MakeFileDeleter();
+  // Disposes of one compacted input: a snapshot-pinned input becomes an
+  // on-disk zombie (snapshot_pinned_bytes grows) and false is returned;
+  // otherwise the file is deleted and true is returned.
+  StatusOr<bool> DisposeInput(const FileMeta& f);
   // Snapshot deleter body: un-pins every file the snapshot held and
   // physically deletes zombies whose last pin dropped.
   void ReleaseSnapshot(const SnapshotImpl& snap);
@@ -124,16 +125,14 @@ class LsmStore : public kv::GroupCommitStore {
   // at open, then wal_'s (last).
   std::vector<uint64_t> wal_numbers_;
 
-  std::unique_ptr<CompactionJob> job_;
-  // In-flight partitioned subcompaction: one pick, the shared input
-  // readers (each input table opened once), and one deferred-install
-  // job per key subrange. Mutually exclusive with job_.
-  struct Subcompaction {
+  // In-flight compaction: one pick, the shared input readers (each
+  // input table opened once), and one job per key subrange.
+  struct Compaction {
     CompactionPick pick;
     std::vector<std::unique_ptr<SstReader>> input_readers;
     std::vector<std::unique_ptr<CompactionJob>> jobs;
   };
-  std::unique_ptr<Subcompaction> parallel_job_;
+  std::unique_ptr<Compaction> compaction_;
   std::vector<uint64_t> compaction_cursors_;
 
   // Table cache: open readers with pinned index+bloom (never evicted while

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/experiment.h"
@@ -353,6 +357,49 @@ TEST(ExperimentTest, UnsupportedScaleIsInvalidArgument) {
   r = RunExperiment(c);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+}
+
+// Out-of-range workload values are InvalidArgument before the stack is
+// built, not a CHECK abort deep in it (partition_frac 0, value_bytes 0)
+// nor a silently accepted run (write_fraction -1, dataset_frac 1.5).
+TEST(ExperimentTest, OutOfRangeWorkloadIsInvalidArgument) {
+  const std::vector<std::pair<std::string,
+                              std::function<void(ExperimentConfig*)>>>
+      cases = {
+          {"partition_frac", [](auto* c) { c->partition_frac = 0; }},
+          {"partition_frac", [](auto* c) { c->partition_frac = 1.5; }},
+          {"dataset_frac", [](auto* c) { c->dataset_frac = 0; }},
+          {"dataset_frac", [](auto* c) { c->dataset_frac = 1.5; }},
+          {"write_fraction", [](auto* c) { c->write_fraction = -1; }},
+          {"write_fraction", [](auto* c) { c->write_fraction = 1.01; }},
+          {"delete_fraction", [](auto* c) { c->delete_fraction = -0.1; }},
+          {"delete_fraction", [](auto* c) { c->delete_fraction = 2; }},
+          {"scan_fraction", [](auto* c) { c->scan_fraction = -0.5; }},
+          {"scan_fraction", [](auto* c) { c->scan_fraction = 1.5; }},
+          {"value_bytes", [](auto* c) { c->value_bytes = 0; }},
+          {"value_bytes", [](auto* c) { c->value_bytes = 15; }},
+      };
+  for (const auto& [field, set] : cases) {
+    auto c = TinyConfig("lsm");
+    set(&c);
+    auto r = RunExperiment(c);
+    ASSERT_FALSE(r.ok()) << field;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find(field), std::string::npos)
+        << r.status().ToString();
+  }
+  // The range ends themselves run: a full partition, all writes, no
+  // deletes or scans, and the smallest value size.
+  auto c = TinyConfig("lsm");
+  c.duration_minutes = 10;
+  c.partition_frac = 1;
+  c.write_fraction = 1;
+  c.delete_fraction = 0;
+  c.scan_fraction = 0;
+  c.value_bytes = 16;
+  c.dataset_frac = 0.01;
+  const auto r = RunExperiment(c);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
 }
 
 }  // namespace

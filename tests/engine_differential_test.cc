@@ -80,6 +80,9 @@ struct EngineConfig {
   std::string label;   // unique name for failure messages
   std::string engine;  // kv::OpenStore name
   std::map<std::string, std::string> params;
+  // Open with the harness's sim::SimClock. A store has background lanes
+  // only with a clock and background_io=1.
+  bool timed = false;
 };
 
 std::vector<EngineConfig> AllEngineConfigs() {
@@ -87,15 +90,21 @@ std::vector<EngineConfig> AllEngineConfigs() {
   for (const std::string& name : kv::EngineNames()) {
     configs.push_back({name, name, TinyParams(name)});
   }
-  // The partitioned-subcompaction path: the same lsm engine with every
-  // picked compaction split four ways across background lanes. Running
-  // it as its own battery entry holds K=4 to the identical visible
-  // state as K=1 (and every other engine) through the whole pairwise
+  // Every engine again on four background lanes: lsm splits each picked
+  // compaction four ways, btree fans its paced checkpoint writes out and
+  // alog its GC value reads. Each runs as its own battery entry, so the
+  // four-lane path is held to the identical visible state as the
+  // one-lane one (and every other engine) through the whole pairwise
   // trace set.
-  {
-    std::map<std::string, std::string> params = TinyLsmParams();
+  for (const auto& [label, engine] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"lsm-subcompact", "lsm"},
+           {"btree-k4", "btree"},
+           {"alog-k4", "alog"}}) {
+    std::map<std::string, std::string> params = TinyParams(engine);
+    params["background_io"] = "1";
     params["compaction_parallelism"] = "4";
-    configs.push_back({"lsm-subcompact", "lsm", std::move(params)});
+    configs.push_back({label, engine, std::move(params), /*timed=*/true});
   }
   return configs;
 }
@@ -120,21 +129,30 @@ std::map<std::string, std::string> JournalParams(const EngineConfig& config) {
 }
 
 struct EngineHarness {
+  sim::SimClock clock;
   block::MemoryBlockDevice dev{4096, 1 << 15};
   fs::SimpleFs fs{&dev, {}};
   std::unique_ptr<kv::KVStore> store;
 };
 
+// Opens `config` (plus `extra_params`) on the harness's filesystem.
+StatusOr<std::unique_ptr<kv::KVStore>> OpenOn(
+    EngineHarness* h, const EngineConfig& config,
+    const std::map<std::string, std::string>& extra_params) {
+  kv::EngineOptions options;
+  options.engine = config.engine;
+  options.fs = &h->fs;
+  if (config.timed) options.clock = &h->clock;
+  options.params = config.params;
+  for (const auto& [k, v] : extra_params) options.params[k] = v;
+  return kv::OpenStore(options);
+}
+
 std::unique_ptr<EngineHarness> MakeEngine(
     const EngineConfig& config,
     std::map<std::string, std::string> extra_params = {}) {
   auto h = std::make_unique<EngineHarness>();
-  kv::EngineOptions options;
-  options.engine = config.engine;
-  options.fs = &h->fs;
-  options.params = config.params;
-  for (auto& [k, v] : extra_params) options.params[k] = v;
-  auto opened = kv::OpenStore(options);
+  auto opened = OpenOn(h.get(), config, extra_params);
   EXPECT_TRUE(opened.ok()) << config.label << ": "
                            << opened.status().ToString();
   h->store = *std::move(opened);
@@ -144,12 +162,7 @@ std::unique_ptr<EngineHarness> MakeEngine(
 // Re-opens an engine on an existing harness (reopen/recovery tests).
 void Reopen(EngineHarness* h, const EngineConfig& config,
             std::map<std::string, std::string> extra_params = {}) {
-  kv::EngineOptions options;
-  options.engine = config.engine;
-  options.fs = &h->fs;
-  options.params = config.params;
-  for (auto& [k, v] : extra_params) options.params[k] = v;
-  auto opened = kv::OpenStore(options);
+  auto opened = OpenOn(h, config, extra_params);
   ASSERT_TRUE(opened.ok()) << config.label << ": "
                            << opened.status().ToString();
   h->store = *std::move(opened);
@@ -303,7 +316,7 @@ class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialTest, EnginesAgreeOnEverything) {
   const std::vector<EngineConfig> configs = AllEngineConfigs();
-  ASSERT_GE(configs.size(), 4u);  // lsm, btree, alog, lsm-subcompact
+  ASSERT_GE(configs.size(), 6u);  // each engine on one lane and on four
   std::vector<std::unique_ptr<EngineHarness>> engines;
   for (const EngineConfig& c : configs) engines.push_back(MakeEngine(c));
 
@@ -1220,14 +1233,28 @@ TEST(FaultInjectionTest, AlogSurfacesDeviceWriteErrors) {
   EXPECT_TRUE(s.IsIoError()) << s.ToString();
 }
 
-// Partitioned subcompactions are a scheduling choice, not a semantics
-// change: the same batched trace on a timed multi-channel stack with
-// background_io on must leave lsm K=1 and K=4 with byte-identical
-// visible contents and identical user-facing counters. Only the
-// virtual-time numbers (and SST file seams) may differ.
-TEST(SubcompactionDifferentialTest, ParallelismNeverChangesVisibleState) {
-  EngineConfig k1{"lsm-k1", "lsm", TinyLsmParams()};
-  EngineConfig k4{"lsm-k4", "lsm", TinyLsmParams()};
+// Background lanes are a scheduling choice, not a semantics change: the
+// same batched trace on a timed multi-channel stack with background_io
+// on must leave each engine on one lane and on four (lsm subcompactions,
+// btree checkpoint writes, alog GC reads) with byte-identical visible
+// contents and identical user-facing counters. Only the virtual-time
+// numbers (and, for lsm, SST file seams) may differ.
+class ParallelismDifferentialTest
+    : public ::testing::TestWithParam<const char*> {};
+
+// The engine's background-maintenance byte counter: it must be non-zero,
+// or the four-lane side had no background work to split.
+uint64_t MaintenanceBytes(const std::string& engine,
+                          const kv::KvStoreStats& s) {
+  if (engine == "lsm") return s.compaction_bytes_written;
+  if (engine == "btree") return s.checkpoint_bytes_written;
+  return s.gc_bytes_written;
+}
+
+TEST_P(ParallelismDifferentialTest, ParallelismNeverChangesVisibleState) {
+  const std::string engine = GetParam();
+  EngineConfig k1{engine + "-k1", engine, TinyParams(engine)};
+  EngineConfig k4{engine + "-k4", engine, TinyParams(engine)};
   k4.params["compaction_parallelism"] = "4";
 
   auto h1 = MakeTimedEngine(k1);
@@ -1265,9 +1292,9 @@ TEST(SubcompactionDifferentialTest, ParallelismNeverChangesVisibleState) {
   ASSERT_TRUE(h4->store->SettleBackgroundWork().ok());
 
   // K=4 must actually have split work: with this trace and these tiny
-  // sizes, compactions ran (the K=1 side proves it), so a vacuously
-  // sequential K=4 is a wiring bug.
-  EXPECT_GT(h1->store->GetStats().compaction_bytes_written, 0u);
+  // sizes, background maintenance ran (the K=1 side proves it), so a
+  // vacuously sequential K=4 is a wiring bug.
+  EXPECT_GT(MaintenanceBytes(engine, h1->store->GetStats()), 0u);
 
   // Identical user-facing counters.
   const auto s1 = h1->store->GetStats();
@@ -1281,10 +1308,11 @@ TEST(SubcompactionDifferentialTest, ParallelismNeverChangesVisibleState) {
   EXPECT_EQ(s1.wal_records, s4.wal_records);
   EXPECT_EQ(s1.wal_bytes_written, s4.wal_bytes_written);
   EXPECT_EQ(s1.flush_bytes_written, s4.flush_bytes_written);
-  // Both sides compacted; byte totals differ (installing a partitioned
-  // compaction at a different op index shifts every later pick, and the
-  // micro_compact bench pins down exact conservation for a fixed pick).
-  EXPECT_GT(s4.compaction_bytes_read, 0u);
+  // Both sides ran maintenance; lsm byte totals differ (installing a
+  // partitioned compaction at a different op index shifts every later
+  // pick, and the micro_compact bench pins down exact conservation for a
+  // fixed pick).
+  EXPECT_GT(MaintenanceBytes(engine, s4), 0u);
 
   // Byte-identical visible contents.
   auto i1 = h1->store->NewIterator();
@@ -1307,11 +1335,15 @@ TEST(SubcompactionDifferentialTest, ParallelismNeverChangesVisibleState) {
   ASSERT_TRUE(h4->store->Close().ok());
 }
 
+INSTANTIATE_TEST_SUITE_P(Engines, ParallelismDifferentialTest,
+                         ::testing::Values("lsm", "btree", "alog"));
+
 TEST(FaultInjectionTest, EnginesFailCleanlyWhenDeviceFull) {
   // A device far too small for the workload: every engine must surface
   // NoSpace without aborting. 4 MiB with small append chunks, so every
   // config can open and then run out mid-workload rather than at Open.
   for (const EngineConfig& config : AllEngineConfigs()) {
+    sim::SimClock clock;
     block::MemoryBlockDevice dev(4096, 1024);  // 4 MiB
     fs::FsOptions fs_options;
     fs_options.append_alloc_pages = 8;
@@ -1319,6 +1351,7 @@ TEST(FaultInjectionTest, EnginesFailCleanlyWhenDeviceFull) {
     kv::EngineOptions options;
     options.engine = config.engine;
     options.fs = &fs;
+    if (config.timed) options.clock = &clock;
     options.params = config.params;
     auto opened = kv::OpenStore(options);
     ASSERT_TRUE(opened.ok()) << config.label << ": "
