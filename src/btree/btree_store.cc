@@ -599,151 +599,6 @@ Status BTreeStore::GetInternal(std::string_view key, std::string* value) {
   return result;
 }
 
-// Leaf-walking cursor: descends to the target leaf, then streams items in
-// order, hopping to the next leaf through the stack of internal-node
-// positions. The cache cap is enforced only when moving OFF a leaf (the
-// current leaf must stay resident while views into it are live); internal
-// nodes are pinned by design, so stack frames never dangle.
-class BTreeStore::Cursor : public kv::KVStore::Iterator {
- public:
-  explicit Cursor(BTreeStore* store)
-      : store_(store), epoch_(store->write_epoch_) {}
-
-  void SeekToFirst() override { Seek(""); }
-
-  void Seek(std::string_view target) override {
-    CheckEpoch();
-    status_ = Status::OK();
-    valid_ = false;
-    stack_.clear();
-    leaf_ = nullptr;
-    item_ = 0;
-    // Enforce the cache cap before loading anything: short seek-bounded
-    // scans never reach AdvanceToNextLeaf, and without this the cursor
-    // path would grow the leaf cache without bound. Our own eviction must
-    // not self-invalidate: resync the epoch (we hold no leaf here).
-    status_ = store_->EvictIfNeeded();
-    epoch_ = store_->write_epoch_;
-    if (!status_.ok()) return;
-    Node* node = store_->root_.get();
-    while (!node->is_leaf) {
-      const size_t idx = node->FindChildIdx(target);
-      stack_.push_back({node, idx});
-      auto child = store_->FetchChild(node, idx);
-      if (!child.ok()) {
-        status_ = child.status();
-        return;
-      }
-      node = *child;
-    }
-    leaf_ = node;
-    const auto it = std::lower_bound(
-        leaf_->items.begin(), leaf_->items.end(), target,
-        [](const auto& item, std::string_view k) { return item.first < k; });
-    item_ = static_cast<size_t>(it - leaf_->items.begin());
-    if (item_ < leaf_->items.size()) {
-      SetCurrent();
-    } else {
-      AdvanceToNextLeaf();
-    }
-  }
-
-  bool Valid() const override {
-    CheckEpoch();
-    return valid_;
-  }
-
-  void Next() override {
-    CheckEpoch();
-    if (!valid_) return;
-    valid_ = false;
-    item_++;
-    if (item_ < leaf_->items.size()) {
-      SetCurrent();
-    } else {
-      AdvanceToNextLeaf();
-    }
-  }
-
-  std::string_view key() const override {
-    CheckEpoch();
-    return leaf_->items[item_].first;
-  }
-  std::string_view value() const override {
-    CheckEpoch();
-    return leaf_->items[item_].second;
-  }
-  Status status() const override { return status_; }
-
- private:
-  // Debug-build fail-fast on use-after-write: splits move items between
-  // pages and evictions free the leaf this cursor points into, so
-  // continuing would silently read stale (or freed) state.
-  void CheckEpoch() const {
-    PTSB_DCHECK(epoch_ == store_->write_epoch_)
-        << "B+Tree cursor used after a write to the store; iterators "
-           "observe the store as of creation and are invalidated by "
-           "writes (create, consume, discard)";
-  }
-
-  struct Frame {
-    Node* node;  // internal node (never cache-evicted)
-    size_t idx;  // child currently being explored
-  };
-
-  void SetCurrent() {
-    valid_ = true;
-    store_->stats_.user_bytes_read +=
-        leaf_->items[item_].first.size() + leaf_->items[item_].second.size();
-  }
-
-  void AdvanceToNextLeaf() {
-    leaf_ = nullptr;
-    item_ = 0;
-    // Off the previous leaf: the only safe point to enforce the cache
-    // cap. Resync the epoch so our own eviction doesn't self-invalidate.
-    status_ = store_->EvictIfNeeded();
-    epoch_ = store_->write_epoch_;
-    while (status_.ok() && !stack_.empty()) {
-      Frame& top = stack_.back();
-      top.idx++;
-      if (top.idx >= top.node->children.size()) {
-        stack_.pop_back();
-        continue;
-      }
-      // Descend the leftmost path under the next sibling.
-      Node* node = top.node;
-      size_t idx = top.idx;
-      for (;;) {
-        auto child = store_->FetchChild(node, idx);
-        if (!child.ok()) {
-          status_ = child.status();
-          return;
-        }
-        node = *child;
-        if (node->is_leaf) break;
-        stack_.push_back({node, 0});
-        idx = 0;
-      }
-      if (node->items.empty()) continue;  // deletes can leave empty leaves
-      leaf_ = node;
-      item_ = 0;
-      SetCurrent();
-      return;
-    }
-  }
-
-  BTreeStore* store_;
-  // store_->write_epoch_ at creation, resynced after this cursor's own
-  // eviction calls (which run while it holds no leaf).
-  uint64_t epoch_;
-  std::vector<Frame> stack_;
-  Node* leaf_ = nullptr;
-  size_t item_ = 0;
-  bool valid_ = false;
-  Status status_;
-};
-
 // A pinned checkpoint: the tree image rooted at `root_` stays readable on
 // disk because the block manager quarantines (instead of reusing) every
 // block freed by later checkpoints while this generation is pinned.
@@ -759,6 +614,210 @@ class BTreeStore::SnapshotImpl : public StoreSnapshot {
   BTreeStore* store_;
   uint64_t gen_ = 0;   // pinned checkpoint generation
   BlockAddr root_;     // that checkpoint's root node
+};
+
+// Leaf-walking cursor: descends to the target leaf, then streams items in
+// order, hopping to the next leaf through the stack of internal-node
+// positions.
+//
+// Live view (`snap_` null): walks the live tree through the shared leaf
+// cache. The cache cap is enforced only when moving OFF a leaf (the
+// current leaf must stay resident while views into it are live); internal
+// nodes are pinned by design, so stack frames never dangle. Any write
+// invalidates the cursor (splits and evictions move items between pages).
+//
+// Snapshot view: walks the pinned checkpoint's on-disk tree, owning a
+// private copy of every node it reads (the frames' and the leaf's
+// `owned`), so it never links a node into the live cache and is immune
+// to live-tree splits and evictions — no write-epoch check. Each movement
+// runs under the commit-exclusion lock (the File substrate has a
+// single-user contract), but the cursor stays valid across writes made
+// between movements. The snapshot must outlive the cursor.
+class BTreeStore::Cursor : public kv::KVStore::Iterator {
+ public:
+  // A null `snap` selects the live view.
+  Cursor(BTreeStore* store, const SnapshotImpl* snap)
+      : store_(store), snap_(snap), epoch_(store->write_epoch_) {}
+
+  void SeekToFirst() override { Seek(""); }
+
+  void Seek(std::string_view target) override {
+    Move([&] { SeekImpl(target); });
+  }
+
+  bool Valid() const override {
+    CheckEpoch();
+    return valid_;
+  }
+
+  void Next() override {
+    Move([&] {
+      if (!valid_) return;
+      valid_ = false;
+      item_++;
+      if (item_ < leaf_->items.size()) {
+        SetCurrent();
+      } else {
+        AdvanceToNextLeaf();
+      }
+    });
+  }
+
+  std::string_view key() const override {
+    CheckEpoch();
+    return leaf_->items[item_].first;
+  }
+  std::string_view value() const override {
+    CheckEpoch();
+    return leaf_->items[item_].second;
+  }
+  Status status() const override { return status_; }
+
+ private:
+  struct Frame {
+    Node* node;  // internal node (never cache-evicted in the live view)
+    size_t idx;  // child currently being explored
+    std::unique_ptr<Node> owned;  // snapshot view: holds `node`
+  };
+
+  // Debug-build fail-fast on a live cursor used after a write: splits move
+  // items between pages and evictions free the leaf this cursor points
+  // into, so continuing would silently read stale (or freed) state.
+  void CheckEpoch() const {
+    PTSB_DCHECK(snap_ != nullptr || epoch_ == store_->write_epoch_)
+        << "B+Tree cursor used after a write to the store; iterators "
+           "observe the store as of creation and are invalidated by "
+           "writes (create, consume, discard)";
+  }
+
+  // Runs one cursor movement: epoch-checked in the live view, under the
+  // commit-exclusion lock in the snapshot view.
+  template <typename F>
+  void Move(const F& move) {
+    if (snap_ == nullptr) {
+      CheckEpoch();
+      move();
+    } else {
+      store_->write_group_.RunExclusive(move);
+    }
+  }
+
+  // Live view only: enforces the cache cap while the cursor holds no
+  // leaf, then resyncs the epoch so its own eviction doesn't
+  // self-invalidate.
+  void EvictIfLive() {
+    if (snap_ != nullptr) return;
+    status_ = store_->EvictIfNeeded();
+    epoch_ = store_->write_epoch_;
+  }
+
+  // The root: the live tree's, or a private copy of the snapshot's held
+  // in `*owned`.
+  StatusOr<Node*> LoadRoot(std::unique_ptr<Node>* owned) {
+    if (snap_ == nullptr) return store_->root_.get();
+    PTSB_ASSIGN_OR_RETURN(*owned, store_->ReadNode(snap_->root_));
+    return owned->get();
+  }
+
+  // Child `idx` of `parent`: faulted through the shared cache in the live
+  // view, a private copy held in `*owned` in the snapshot view.
+  StatusOr<Node*> LoadChild(Node* parent, size_t idx,
+                            std::unique_ptr<Node>* owned) {
+    if (snap_ == nullptr) return store_->FetchChild(parent, idx);
+    PTSB_ASSIGN_OR_RETURN(*owned,
+                          store_->ReadNode(parent->children[idx].addr));
+    return owned->get();
+  }
+
+  void SeekImpl(std::string_view target) {
+    status_ = Status::OK();
+    valid_ = false;
+    stack_.clear();
+    SetLeaf(nullptr, nullptr);
+    // Enforce the cache cap before loading anything: short seek-bounded
+    // scans never reach AdvanceToNextLeaf, and without this the cursor
+    // path would grow the leaf cache without bound.
+    EvictIfLive();
+    if (!status_.ok()) return;
+    std::unique_ptr<Node> owned;
+    StatusOr<Node*> node = LoadRoot(&owned);
+    while (node.ok() && !(*node)->is_leaf) {
+      const size_t idx = (*node)->FindChildIdx(target);
+      stack_.push_back({*node, idx, std::move(owned)});
+      node = LoadChild(stack_.back().node, idx, &owned);
+    }
+    if (!node.ok()) {
+      status_ = node.status();
+      return;
+    }
+    SetLeaf(*node, std::move(owned));
+    const auto it = std::lower_bound(
+        leaf_->items.begin(), leaf_->items.end(), target,
+        [](const auto& item, std::string_view k) { return item.first < k; });
+    item_ = static_cast<size_t>(it - leaf_->items.begin());
+    if (item_ < leaf_->items.size()) {
+      SetCurrent();
+    } else {
+      AdvanceToNextLeaf();
+    }
+  }
+
+  void SetLeaf(Node* leaf, std::unique_ptr<Node> owned) {
+    leaf_ = leaf;
+    owned_leaf_ = std::move(owned);
+    item_ = 0;
+  }
+
+  void SetCurrent() {
+    valid_ = true;
+    store_->stats_.user_bytes_read +=
+        leaf_->items[item_].first.size() + leaf_->items[item_].second.size();
+  }
+
+  void AdvanceToNextLeaf() {
+    SetLeaf(nullptr, nullptr);
+    // Off the previous leaf: the only safe point to enforce the cache cap.
+    EvictIfLive();
+    while (status_.ok() && !stack_.empty()) {
+      Frame& top = stack_.back();
+      top.idx++;
+      if (top.idx >= top.node->children.size()) {
+        stack_.pop_back();
+        continue;
+      }
+      // Descend the leftmost path under the next sibling.
+      Node* node = top.node;
+      size_t idx = top.idx;
+      std::unique_ptr<Node> owned;
+      for (;;) {
+        auto child = LoadChild(node, idx, &owned);
+        if (!child.ok()) {
+          status_ = child.status();
+          return;
+        }
+        node = *child;
+        if (node->is_leaf) break;
+        stack_.push_back({node, 0, std::move(owned)});
+        idx = 0;
+      }
+      if (node->items.empty()) continue;  // deletes can leave empty leaves
+      SetLeaf(node, std::move(owned));
+      SetCurrent();
+      return;
+    }
+  }
+
+  BTreeStore* store_;
+  const SnapshotImpl* snap_;  // null: live view
+  // store_->write_epoch_ at creation, resynced after this cursor's own
+  // eviction calls (which run while it holds no leaf).
+  uint64_t epoch_;
+  std::vector<Frame> stack_;
+  Node* leaf_ = nullptr;
+  std::unique_ptr<Node> owned_leaf_;  // snapshot view: holds `leaf_`
+  size_t item_ = 0;
+  bool valid_ = false;
+  Status status_;
 };
 
 StatusOr<std::shared_ptr<const kv::Snapshot>> BTreeStore::GetSnapshot() {
@@ -824,148 +883,10 @@ Status BTreeStore::SnapshotGetInternal(const kv::Snapshot& snapshot,
   return Status::OK();
 }
 
-// Disk-walking cursor over a pinned checkpoint. It owns every node it loads
-// (stack of internal nodes + current leaf), so it is immune to live-tree
-// splits and evictions — no write-epoch check. Each movement runs under the
-// commit-exclusion lock (the File substrate has a single-user contract), but
-// the cursor stays valid across writes made between movements. Unlike the
-// other engines' one-cursor-two-views design, it stays a class of its own:
-// Cursor links nodes into the shared leaf cache and evicts between leaves,
-// while this one owns private copies, so a shared body would branch on the
-// mode at every step.
-class BTreeStore::SnapCursor : public kv::KVStore::Iterator {
- public:
-  SnapCursor(BTreeStore* store, const SnapshotImpl* snap)
-      : store_(store), snap_(snap) {}
-
-  void SeekToFirst() override { Seek(""); }
-
-  void Seek(std::string_view target) override {
-    store_->write_group_.RunExclusive([&] { SeekImpl(target); });
-  }
-
-  void Next() override {
-    if (!valid_) return;
-    store_->write_group_.RunExclusive([&] { NextImpl(); });
-  }
-
-  bool Valid() const override { return valid_; }
-  std::string_view key() const override { return leaf_->items[item_].first; }
-  std::string_view value() const override {
-    return leaf_->items[item_].second;
-  }
-  Status status() const override { return status_; }
-
- private:
-  struct Frame {
-    std::unique_ptr<Node> node;  // internal node of the pinned tree
-    size_t idx;                  // child currently being explored
-  };
-
-  void SeekImpl(std::string_view target) {
-    status_ = Status::OK();
-    valid_ = false;
-    stack_.clear();
-    leaf_.reset();
-    item_ = 0;
-    auto got = store_->ReadNode(snap_->root_);
-    if (!got.ok()) {
-      status_ = got.status();
-      return;
-    }
-    std::unique_ptr<Node> cur = std::move(*got);
-    leaf_parent_level_ = -1;
-    while (!cur->is_leaf) {
-      const size_t idx = cur->FindChildIdx(target);
-      const BlockAddr child_addr = cur->children[idx].addr;
-      stack_.push_back({std::move(cur), idx});
-      auto child = store_->ReadNode(child_addr);
-      if (!child.ok()) {
-        status_ = child.status();
-        return;
-      }
-      cur = std::move(*child);
-    }
-    leaf_parent_level_ = static_cast<int>(stack_.size()) - 1;
-    leaf_ = std::move(cur);
-    const auto it = std::lower_bound(
-        leaf_->items.begin(), leaf_->items.end(), target,
-        [](const auto& item, std::string_view k) { return item.first < k; });
-    item_ = static_cast<size_t>(it - leaf_->items.begin());
-    if (item_ < leaf_->items.size()) {
-      SetCurrent();
-    } else {
-      AdvanceToNextLeaf();
-    }
-  }
-
-  void NextImpl() {
-    valid_ = false;
-    item_++;
-    if (leaf_ != nullptr && item_ < leaf_->items.size()) {
-      SetCurrent();
-    } else {
-      AdvanceToNextLeaf();
-    }
-  }
-
-  void SetCurrent() {
-    valid_ = true;
-    store_->stats_.user_bytes_read +=
-        leaf_->items[item_].first.size() + leaf_->items[item_].second.size();
-  }
-
-  void AdvanceToNextLeaf() {
-    leaf_.reset();
-    item_ = 0;
-    while (status_.ok()) {
-      if (stack_.empty()) return;  // exhausted
-      Frame& top = stack_.back();
-      top.idx++;
-      if (top.idx >= top.node->children.size()) {
-        stack_.pop_back();
-        continue;
-      }
-      // Descend leftmost under the next sibling down to the level whose
-      // children are leaves (depth is uniform), then read the leaf.
-      while (static_cast<int>(stack_.size()) - 1 < leaf_parent_level_) {
-        Frame& f = stack_.back();
-        auto got = store_->ReadNode(f.node->children[f.idx].addr);
-        if (!got.ok()) {
-          status_ = got.status();
-          return;
-        }
-        stack_.push_back({std::move(*got), 0});
-      }
-      const Frame& parent = stack_.back();
-      auto got = store_->ReadNode(parent.node->children[parent.idx].addr);
-      if (!got.ok()) {
-        status_ = got.status();
-        return;
-      }
-      if ((*got)->items.empty()) continue;  // deletes can leave empty leaves
-      leaf_ = std::move(*got);
-      SetCurrent();
-      return;
-    }
-  }
-
-  BTreeStore* store_;
-  const SnapshotImpl* snap_;
-  std::vector<Frame> stack_;
-  // Index of the stack level whose children are leaves (-1: root leaf).
-  int leaf_parent_level_ = -1;
-  std::unique_ptr<Node> leaf_;
-  size_t item_ = 0;
-  bool valid_ = false;
-  Status status_;
-};
-
 std::unique_ptr<kv::KVStore::Iterator> BTreeStore::NewIteratorInternal(
     const kv::Snapshot* snap) {
-  if (snap == nullptr) return std::make_unique<Cursor>(this);
-  return std::make_unique<SnapCursor>(this,
-                                      static_cast<const SnapshotImpl*>(snap));
+  return std::make_unique<Cursor>(this,
+                                  static_cast<const SnapshotImpl*>(snap));
 }
 
 Status BTreeStore::Flush() {

@@ -64,7 +64,6 @@ class BTreeStore : public kv::GroupCommitStore {
  private:
   class Cursor;
   class SnapshotImpl;
-  class SnapCursor;
 
   BTreeStore(fs::SimpleFs* fs, const BTreeOptions& options,
              std::string file_name);
@@ -80,11 +79,11 @@ class BTreeStore : public kv::GroupCommitStore {
   // (never touching the live cache).
   Status SnapshotGetInternal(const kv::Snapshot& snap, std::string_view key,
                              std::string* value) override;
-  // Live: a Cursor, the leaf-walking cursor in key order through the leaf
+  // A Cursor walking the leaves in key order. Live: through the leaf
   // cache, invalidated by any write (splits and evictions move items
-  // between pages). With a snapshot: a SnapCursor, a disk-walking cursor
-  // over the pinned checkpoint's tree, immune to concurrent writes (it
-  // never touches the live cache).
+  // between pages). With a snapshot: over private copies of the pinned
+  // checkpoint's on-disk tree, immune to concurrent writes (it never
+  // touches the live cache).
   std::unique_ptr<kv::KVStore::Iterator> NewIteratorInternal(
       const kv::Snapshot* snap) override;
 

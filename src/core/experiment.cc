@@ -361,6 +361,23 @@ Status ValidateConfig(const ExperimentConfig& config) {
                                    std::to_string(config.value_bytes) +
                                    " below 16");
   }
+  // A non-positive duration runs no update phase; a zero window closes
+  // one after every op.
+  const auto positive = [](const char* name, double v) {
+    return v > 0 ? Status::OK()
+                 : Status::InvalidArgument(std::string(name) + " " +
+                                           std::to_string(v) + " not above 0");
+  };
+  PTSB_RETURN_IF_ERROR(positive("duration_minutes", config.duration_minutes));
+  PTSB_RETURN_IF_ERROR(positive("window_minutes", config.window_minutes));
+  // At theta 1 the zipfian generator's alpha = 1/(1-theta) is infinite
+  // and nearly every draw lands on one key.
+  if (config.distribution == kv::Distribution::kZipfian &&
+      !(config.zipf_theta >= 0 && config.zipf_theta < 1)) {
+    return Status::InvalidArgument("zipf_theta " +
+                                   std::to_string(config.zipf_theta) +
+                                   " outside [0,1)");
+  }
   return Status::OK();
 }
 

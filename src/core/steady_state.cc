@@ -5,39 +5,6 @@
 
 namespace ptsb::core {
 
-CusumDetector::CusumDetector(int warmup, double k_rel, double h_rel)
-    : warmup_(std::max(1, warmup)), k_rel_(k_rel), h_rel_(h_rel) {}
-
-bool CusumDetector::Add(double x) {
-  samples_seen_++;
-  if (samples_seen_ <= warmup_) {
-    warmup_acc_ += x;
-    if (samples_seen_ == warmup_) {
-      mean_ = warmup_acc_ / warmup_;
-    }
-    return false;
-  }
-  const double scale = std::abs(mean_) > 1e-12 ? std::abs(mean_) : 1.0;
-  const double k = k_rel_ * scale;
-  const double h = h_rel_ * scale;
-  s_pos_ = std::max(0.0, s_pos_ + (x - mean_) - k);
-  s_neg_ = std::max(0.0, s_neg_ - (x - mean_) - k);
-  if (s_pos_ > h || s_neg_ > h) {
-    alarms_++;
-    s_pos_ = 0;
-    s_neg_ = 0;
-    return true;
-  }
-  return false;
-}
-
-void CusumDetector::Reset() {
-  samples_seen_ = 0;
-  warmup_acc_ = 0;
-  s_pos_ = 0;
-  s_neg_ = 0;
-}
-
 SteadyStateDetector::SteadyStateDetector(size_t window_count,
                                          double rel_tolerance,
                                          double capacity_multiple)

@@ -1,9 +1,7 @@
-// Steady-state detection, per the paper's guidelines (Section 4.1):
-//  - CUSUM (Page's continuous inspection scheme) to detect that a metric
-//    has stopped drifting;
-//  - a holistic detector requiring KV throughput, WA-A and WA-D to all be
-//    stable for a while;
-//  - the 3x-device-capacity rule of thumb on cumulative host writes.
+// Steady-state detection, per the paper's guidelines (Section 4.1): a
+// holistic detector that calls a run steady once KV throughput, WA-A and
+// WA-D have all been stable for a while, or once cumulative host writes
+// reach 3x the device capacity (the rule of thumb).
 #ifndef PTSB_CORE_STEADY_STATE_H_
 #define PTSB_CORE_STEADY_STATE_H_
 
@@ -12,37 +10,6 @@
 #include <deque>
 
 namespace ptsb::core {
-
-// Two-sided CUSUM change detector (E.S. Page, Biometrika 1954). The
-// reference mean is estimated from the first `warmup` samples; `k` is the
-// allowed drift and `h` the alarm threshold, both relative to the mean.
-class CusumDetector {
- public:
-  CusumDetector(int warmup = 5, double k_rel = 0.05, double h_rel = 0.5);
-
-  // Feeds one sample; returns true if a change alarm fires now.
-  bool Add(double x);
-
-  // Re-baselines at the current sample mean (typically after an alarm).
-  void Reset();
-
-  bool HasBaseline() const { return samples_seen_ >= warmup_; }
-  double baseline() const { return mean_; }
-  double positive_sum() const { return s_pos_; }
-  double negative_sum() const { return s_neg_; }
-  int alarms() const { return alarms_; }
-
- private:
-  int warmup_;
-  double k_rel_;
-  double h_rel_;
-  int samples_seen_ = 0;
-  double warmup_acc_ = 0;
-  double mean_ = 0;
-  double s_pos_ = 0;
-  double s_neg_ = 0;
-  int alarms_ = 0;
-};
 
 // Holistic steady-state detection over experiment windows.
 class SteadyStateDetector {

@@ -259,22 +259,36 @@ TEST_F(BTreeStoreTest, CursorWalksLeavesAcrossSplitsAndEmptyPages) {
     snprintf(key, sizeof(key), "k%04d", i);
     ASSERT_TRUE(store->Delete(key).ok());
   }
-  auto it = store->NewIterator();
-  int seen = 0;
-  std::string prev;
-  for (it->Seek("k0100"); it->Valid(); it->Next()) {
-    const std::string key(it->key());
-    if (!prev.empty()) {
-      ASSERT_LT(prev, key);
+  // Both cursor views: the live tree through the leaf cache, and the
+  // pinned checkpoint taken after the deletes, which must never link a
+  // node into the live cache.
+  auto snap = *store->GetSnapshot();
+  for (const bool snapshot_view : {false, true}) {
+    SCOPED_TRACE(snapshot_view ? "snapshot view" : "live view");
+    kv::ReadOptions opts;
+    if (snapshot_view) opts.snapshot = snap.get();
+    auto it = store->NewIterator(opts);
+    const uint64_t cache_before = store->CacheBytes();
+    int seen = 0;
+    std::string prev;
+    for (it->Seek("k0100"); it->Valid(); it->Next()) {
+      const std::string key(it->key());
+      if (!prev.empty()) {
+        ASSERT_LT(prev, key);
+      }
+      const int id = std::stoi(key.substr(1));
+      ASSERT_TRUE(id < 200 || id >= 300) << key << " was deleted";
+      prev = key;
+      seen++;
     }
-    const int id = std::stoi(key.substr(1));
-    ASSERT_TRUE(id < 200 || id >= 300) << key << " was deleted";
-    prev = key;
-    seen++;
+    ASSERT_TRUE(it->status().ok());
+    EXPECT_EQ(seen, 300);  // [100,200) plus [300,500)
+    EXPECT_EQ(prev, "k0499");
+    if (snapshot_view) {
+      EXPECT_EQ(store->CacheBytes(), cache_before);
+    }
   }
-  ASSERT_TRUE(it->status().ok());
-  EXPECT_EQ(seen, 300);  // [100,200) plus [300,500)
-  EXPECT_EQ(prev, "k0499");
+  snap.reset();
   ASSERT_TRUE(store->Close().ok());
 }
 

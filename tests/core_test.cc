@@ -1,4 +1,4 @@
-// Tests for the core experiment layer: metrics aggregation, CUSUM and the
+// Tests for the core experiment layer: metrics aggregation, the
 // steady-state detector, the cost model, and end-to-end experiment runs at
 // tiny scale for both engines and all device profiles.
 #include <gtest/gtest.h>
@@ -54,35 +54,6 @@ TEST(MetricsTest, CsvAndTableContainData) {
   s.windows.push_back(w);
   EXPECT_NE(s.ToCsv().find("3.25"), std::string::npos);
   EXPECT_NE(s.ToTable("t").find("3.25"), std::string::npos);
-}
-
-TEST(CusumTest, NoAlarmOnStableSeries) {
-  CusumDetector d(5, 0.05, 0.5);
-  Rng rng(2);
-  int alarms = 0;
-  for (int i = 0; i < 100; i++) {
-    alarms += d.Add(10.0 + 0.1 * (rng.NextDouble() - 0.5)) ? 1 : 0;
-  }
-  EXPECT_EQ(alarms, 0);
-}
-
-TEST(CusumTest, DetectsLevelShift) {
-  CusumDetector d(5, 0.05, 0.5);
-  for (int i = 0; i < 20; i++) EXPECT_FALSE(d.Add(10.0));
-  bool fired = false;
-  for (int i = 0; i < 20 && !fired; i++) fired = d.Add(6.0);  // -40% shift
-  EXPECT_TRUE(fired);
-}
-
-TEST(CusumTest, DetectsSlowDrift) {
-  CusumDetector d(5, 0.02, 0.5);
-  double x = 10.0;
-  bool fired = false;
-  for (int i = 0; i < 200 && !fired; i++) {
-    fired = d.Add(x);
-    x *= 0.995;  // 0.5% decline per window
-  }
-  EXPECT_TRUE(fired);
 }
 
 TEST(SteadyStateTest, MetricsPathRequiresAllThreeStable) {
@@ -378,6 +349,20 @@ TEST(ExperimentTest, OutOfRangeWorkloadIsInvalidArgument) {
           {"scan_fraction", [](auto* c) { c->scan_fraction = 1.5; }},
           {"value_bytes", [](auto* c) { c->value_bytes = 0; }},
           {"value_bytes", [](auto* c) { c->value_bytes = 15; }},
+          {"duration_minutes", [](auto* c) { c->duration_minutes = 0; }},
+          {"duration_minutes", [](auto* c) { c->duration_minutes = -1; }},
+          {"window_minutes", [](auto* c) { c->window_minutes = 0; }},
+          {"window_minutes", [](auto* c) { c->window_minutes = -5; }},
+          {"zipf_theta",
+           [](auto* c) {
+             c->distribution = kv::Distribution::kZipfian;
+             c->zipf_theta = 1;
+           }},
+          {"zipf_theta",
+           [](auto* c) {
+             c->distribution = kv::Distribution::kZipfian;
+             c->zipf_theta = -0.1;
+           }},
       };
   for (const auto& [field, set] : cases) {
     auto c = TinyConfig("lsm");
