@@ -298,10 +298,17 @@ int VersionSet::MaxPopulatedLevel() const {
 std::vector<FileMeta> VersionSet::Overlapping(int level,
                                               std::string_view smallest,
                                               std::string_view largest) const {
+  PTSB_DCHECK(level >= 1);
+  // L1+ files are sorted and disjoint, so `largest` ascends with `smallest`:
+  // the first candidate is the first file ending at or after `smallest`,
+  // and the overlap run ends at the first file starting after `largest`.
+  const std::vector<FileMeta>& files = levels_[level];
+  auto it = std::lower_bound(
+      files.begin(), files.end(), smallest,
+      [](const FileMeta& f, std::string_view key) { return f.largest < key; });
   std::vector<FileMeta> out;
-  for (const FileMeta& f : levels_[level]) {
-    if (f.largest < smallest || f.smallest > largest) continue;
-    out.push_back(f);
+  for (; it != files.end() && it->smallest <= largest; ++it) {
+    out.push_back(*it);
   }
   return out;
 }

@@ -85,7 +85,9 @@ class VersionSet {
   void set_last_sequence(SequenceNumber s) { last_sequence_ = s; }
   uint64_t log_number() const { return log_number_; }
 
-  // Files in `level` overlapping [smallest, largest] (user-key range).
+  // Files in `level` overlapping [smallest, largest] (user-key range), in
+  // level order. Requires level >= 1 (sorted, disjoint files): a binary
+  // search on `largest` plus a walk over the k results, O(log n + k).
   std::vector<FileMeta> Overlapping(int level, std::string_view smallest,
                                     std::string_view largest) const;
 

@@ -2,9 +2,12 @@
 // builder/reader/iterator, WAL framing and replay, version set/manifest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "block/memory_device.h"
 #include "fs/file.h"
@@ -561,6 +564,82 @@ TEST_F(VersionTest, OverlappingQuery) {
   EXPECT_EQ(vs.Overlapping(2, "h", "p").size(), 2u);
   EXPECT_EQ(vs.Overlapping(2, "aa", "b").size(), 1u);
   EXPECT_EQ(vs.Overlapping(2, "zz", "zzz").size(), 0u);
+}
+
+// Overlapping binary-searches a sorted, disjoint level; it must return
+// exactly what a scan of the whole level returns, in the same order.
+TEST_F(VersionTest, OverlappingMatchesBruteForceOnRandomLevels) {
+  auto key = [](uint64_t i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%06llu",
+                  static_cast<unsigned long long>(i));
+    return std::string(buf);
+  };
+  Rng rng(28);
+  for (int trial = 0; trial < 40; trial++) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    block::MemoryBlockDevice dev(4096, 4096);
+    fs::SimpleFs fs(&dev, {});
+    VersionSet vs(&fs, "db", 7);
+    ASSERT_TRUE(vs.Recover().ok());
+    const int level = 1 + static_cast<int>(rng.Uniform(6));
+    const uint64_t n = trial == 0 ? 0 : trial == 1 ? 1 : rng.Uniform(301);
+    // Gap 1 leaves two files adjacent, width 0 makes a one-key file.
+    VersionEdit edit;
+    uint64_t next = 1 + rng.Uniform(3);
+    for (uint64_t i = 0; i < n; i++) {
+      const uint64_t lo = next;
+      const uint64_t hi = lo + rng.Uniform(5);
+      edit.added.emplace_back(level, MakeFile(vs.NewFileNumber(), key(lo),
+                                              key(hi)));
+      next = hi + 1 + rng.Uniform(4);
+    }
+    ASSERT_TRUE(vs.LogAndApply(edit).ok());
+    ASSERT_TRUE(vs.CheckInvariants().ok());
+    const std::vector<FileMeta>& files = vs.LevelFiles(level);
+    ASSERT_EQ(files.size(), n);
+
+    auto check = [&](const std::string& lo, const std::string& hi) {
+      std::vector<uint64_t> want, got;
+      for (const FileMeta& f : files) {
+        if (f.largest < lo || f.smallest > hi) continue;
+        want.push_back(f.number);
+      }
+      for (const FileMeta& f : vs.Overlapping(level, lo, hi)) {
+        got.push_back(f.number);
+      }
+      EXPECT_EQ(got, want) << "[" << lo << ", " << hi << "]";
+    };
+    // Before every file, after every file, and spanning the whole level.
+    check("a", "b");
+    check("a", key(0));
+    check("z", "zz");
+    check(key(next + 1), "z");
+    check("a", "z");
+    for (const FileMeta& f : files) {
+      // Points and range ends equal to a file's bounds.
+      check(f.smallest, f.smallest);
+      check(f.largest, f.largest);
+      check("a", f.smallest);
+      check(f.largest, "z");
+      // Inverted: the file still spans it, its neighbours do not.
+      check(f.largest, f.smallest);
+    }
+    // The keys between files (every gap key) and random ranges.
+    for (size_t i = 1; i < files.size(); i++) {
+      for (std::string k = files[i - 1].largest; k < files[i].smallest;) {
+        k = key(std::stoull(k.substr(1)) + 1);
+        check(k, k);
+        check(k, files[i].smallest);
+      }
+    }
+    for (int q = 0; q < 200; q++) {
+      const std::string a = key(rng.Uniform(next + 2));
+      const std::string b = key(rng.Uniform(next + 2));
+      check(a, b);
+      check(std::min(a, b), std::max(a, b));
+    }
+  }
 }
 
 TEST_F(VersionTest, RemoveFiles) {
