@@ -24,7 +24,9 @@ update phase). Both runs must exit 0 and print the same two values. The
 overhead bound is a share of the workload's host time, so it is checked
 at the benchmark's own run length: at 1 s alog-gc has not reached segment
 GC, its ops cost ~3 us and the overhead reads ~1.8%, over 2% in some
-repetitions.
+repetitions. Every traced run prints its host.trace_overhead_frac (the
+median of perf_suite's repetitions) beside that bound, since a host-time
+speedup raises it; perf_suite checks the bound in every repetition.
 
 Exits 1 with a report on any mismatch or failed run.
 """
@@ -39,10 +41,13 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "scripts" / "virt_digests.json"
 PERF_SUITE = ROOT / ".bench_build" / "perf" / "perf_suite"
 FIELDS = ("virt_digest", "content_crc32c")
+# perf_suite's kMaxTraceOverhead; printed for reference, checked there.
+TRACE_OVERHEAD_BOUND = 0.02
 
 
 def run_suite(name, seed, seconds, trace):
-    """Runs one workload; returns (exit code, {field: printed value})."""
+    """Runs one workload; returns (exit code, {field: printed value},
+    host.trace_overhead_frac or None)."""
     cmd = [str(PERF_SUITE), "--workload=" + name, "--seed=%d" % seed,
            "--seconds=%g" % seconds]
     if trace:
@@ -53,7 +58,9 @@ def run_suite(name, seed, seconds, trace):
     for field in FIELDS:
         m = re.search(r'"%s": "([0-9a-f]+)"' % field, proc.stdout)
         got[field] = m.group(1) if m else None
-    return proc.returncode, got
+    m = re.search(r'"host\.trace_overhead_frac": \{"value": ([0-9.eE+-]+)',
+                  proc.stdout)
+    return proc.returncode, got, float(m.group(1)) if m else None
 
 
 def main():
@@ -68,7 +75,7 @@ def main():
     workloads = [w["name"] for w in bench["workloads"]]
     errors = []
     for name in workloads:
-        code, got = run_suite(name, spec["seed"], spec["seconds"], False)
+        code, got, _ = run_suite(name, spec["seed"], spec["seconds"], False)
         if code != 0:
             errors.append("%s: perf_suite exited %d" % (name, code))
             continue
@@ -81,10 +88,17 @@ def main():
     for name in workloads if args.trace else []:
         runs = [run_suite(name, spec["seed"], bench["run_seconds"], trace)
                 for trace in (False, True)]
-        for (code, got), label in zip(runs, ("untraced", "traced")):
+        for (code, got, overhead), label in zip(runs,
+                                                ("untraced", "traced")):
             print("%-18s %-8s %gs exit %d %s" % (
                 name, label, bench["run_seconds"], code,
                 " ".join("%s %s" % kv for kv in got.items())))
+            if label == "traced":
+                print("%-18s traced   host.trace_overhead_frac %s "
+                      "(bound %.2f%% per repetition)" % (
+                          name, "missing" if overhead is None
+                          else "%.2f%%" % (100 * overhead),
+                          100 * TRACE_OVERHEAD_BOUND))
             if code != 0:
                 errors.append("%s: %s perf_suite exited %d"
                               % (name, label, code))

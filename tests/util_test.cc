@@ -2,9 +2,12 @@
 // running stats, RNGs, human formatting and ParseValue.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "util/crc32.h"
 #include "util/encoding.h"
@@ -164,6 +167,57 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   // Note: our API extends by continuing from the previous crc.
   crc = Crc32c(crc, data.data() + 10, data.size() - 10);
   EXPECT_EQ(crc, Crc32c(data));
+}
+
+// Crc32c picks its implementation on first use; this runs before main,
+// from this file's static initialisers, so it must already see the tables.
+const uint32_t kCrcAtStaticInit = Crc32c("123456789");
+
+TEST(Crc32Test, UsableFromStaticInitializer) {
+  EXPECT_EQ(kCrcAtStaticInit, 0xE3069283u);
+}
+
+// Crc32c (the hardware path on a CPU that has one) against the portable
+// slice-by-8 loop: every length 0..4096 at all 8 start alignments, chained
+// calls split at several points, and RFC 3720 B.4's vectors on both.
+TEST(Crc32Test, HardwareMatchesPortable) {
+  constexpr size_t kMaxLen = 4096;
+  alignas(8) std::array<uint8_t, kMaxLen + 8> buf;
+  Rng rnd(301);
+  for (auto& b : buf) b = static_cast<uint8_t>(rnd.Next());
+  for (size_t align = 0; align < 8; align++) {
+    const uint8_t* p = buf.data() + align;
+    for (size_t n = 0; n <= kMaxLen; n++) {
+      ASSERT_EQ(Crc32c(0, p, n), detail::Crc32cPortable(0, p, n))
+          << "len " << n << " align " << align;
+    }
+    for (const size_t split : {1u, 3u, 7u, 8u, 9u, 15u, 64u, 1000u, 4095u}) {
+      const uint32_t head = Crc32c(0, p, split);
+      EXPECT_EQ(Crc32c(head, p + split, kMaxLen - split),
+                detail::Crc32cPortable(0, p, kMaxLen))
+          << "split " << split << " align " << align;
+    }
+  }
+
+  std::array<uint8_t, 32> zeros{}, ones, up, down;
+  ones.fill(0xff);
+  for (uint8_t i = 0; i < 32; i++) {
+    up[i] = i;
+    down[i] = static_cast<uint8_t>(31 - i);
+  }
+  const std::pair<const std::array<uint8_t, 32>*, uint32_t> vectors[] = {
+      {&zeros, 0x8A9136AAu},
+      {&ones, 0x62A8AB43u},
+      {&up, 0x46DD794Eu},
+      {&down, 0x113FDB5Cu}};
+  for (const auto& [bytes, want] : vectors) {
+    for (size_t align = 0; align < 8; align++) {
+      std::memcpy(buf.data() + align, bytes->data(), 32);
+      EXPECT_EQ(Crc32c(0, buf.data() + align, 32), want) << "align " << align;
+      EXPECT_EQ(detail::Crc32cPortable(0, buf.data() + align, 32), want)
+          << "align " << align;
+    }
+  }
 }
 
 TEST(Crc32Test, MaskRoundTrip) {
