@@ -1,10 +1,9 @@
 // The one command-line parser of the bench mains. A flag is either
 // --name=VALUE, bound to a variable, or a bare --name switch, bound to a
-// callback. Every switch runs before any valued flag, whatever the order
-// on the command line, so an explicit value always wins over a preset
-// such as --smoke. Numeric values must be positive, finite numbers.
-// --help prints the usage and exits 0; an unknown flag or a malformed
-// value prints a message and the usage to stderr and exits 2.
+// callback; flags apply in command-line order. Numeric values must be
+// positive, finite numbers. --help prints the usage and exits 0; an
+// unknown flag or a malformed value prints a message and the usage to
+// stderr and exits 2.
 #ifndef PTSB_BENCH_FLAGS_H_
 #define PTSB_BENCH_FLAGS_H_
 
@@ -16,7 +15,6 @@
 #include <map>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 #include "util/parse.h"
 
@@ -52,26 +50,20 @@ class FlagParser {
   // `epilogue` follows the flag list in the usage text.
   void Parse(int argc, char** argv, const std::string& epilogue = "") {
     usage_ += epilogue;
-    std::vector<std::string> valued;  // applied after every switch
     for (int i = 1; i < argc; i++) {
       const std::string arg = argv[i];
       if (arg == "--help") {
         std::printf("%s", usage_.c_str());
         std::exit(0);
       }
-      const std::string name = arg.substr(0, arg.find('='));
-      if (name != arg && values_.count(name) != 0) {
-        valued.push_back(arg);
-      } else if (name == arg && switches_.count(name) != 0) {
+      const size_t eq = arg.find('=');
+      const std::string name = arg.substr(0, eq);
+      if (eq != std::string::npos && values_.count(name) != 0) {
+        if (!values_[name](arg.substr(eq + 1))) Fail("bad value: " + arg);
+      } else if (eq == std::string::npos && switches_.count(name) != 0) {
         switches_[name]();
       } else {
         Fail("unknown flag: " + arg);
-      }
-    }
-    for (const std::string& arg : valued) {
-      const size_t eq = arg.find('=');
-      if (!values_[arg.substr(0, eq)](arg.substr(eq + 1))) {
-        Fail("bad value: " + arg);
       }
     }
   }

@@ -4,9 +4,12 @@
 //
 // Sweeps: utilization x hardware OP; GC write-placement policy; host
 // open-block striping width; filesystem discard vs nodiscard.
+//
+//   ./build/micro_ftl      (takes no flags; --help prints the usage)
 #include <cstdio>
 
 #include "core/report.h"
+#include "flags.h"
 #include "fs/file.h"
 #include "fs/filesystem.h"
 #include "ssd/precondition.h"
@@ -45,7 +48,9 @@ double RandomWriteWaD(double utilization, double op_frac, int stripe,
          static_cast<double>(s1.host_bytes_written - s0.host_bytes_written);
 }
 
-int Main() {
+int Main(int argc, char** argv) {
+  bench::FlagParser parser;
+  parser.Parse(argc, argv, "  (none: every sweep runs at a fixed size)\n");
   std::printf("=== micro_ftl: FTL ablations ===\n");
 
   std::printf("\nWA-D vs utilization (hardware OP = 12%%, stripe = 8):\n");
@@ -65,7 +70,7 @@ int Main() {
 
   const double ref = RandomWriteWaD(0.6, 0.12, 8, true);
   core::Report report("Section 4.2 reference point");
-  report.AddComparison("pure random write at 60%% utilization WA-D", 1.4,
+  report.AddComparison("pure random write at 60% utilization WA-D", 1.4,
                        ref);
   report.PrintTo(stdout);
 
@@ -130,4 +135,4 @@ int Main() {
 }  // namespace
 }  // namespace ptsb
 
-int main() { return ptsb::Main(); }
+int main(int argc, char** argv) { return ptsb::Main(argc, argv); }

@@ -6,12 +6,13 @@
 // kv::EngineNames() and compare them pairwise, so an engine added to the
 // table inherits the full battery. Also checks cross-stack accounting
 // invariants (user <= host <= NAND bytes), group-commit log accounting
-// (WAL/journal bytes grow sub-linearly with batch size), write-path
-// semantics (empty batches, duplicate keys in one batch, crash replay of
-// batch records), OpenStore and its param decoding, error propagation from
-// injected device faults, background-I/O separation (foreground time
-// falls while scheduled device work is conserved), and the per-engine
-// concurrency and iterator-invalidation contracts.
+// (WAL/journal bytes grow sub-linearly with batch size; concurrent
+// writers merge into fewer records than puts), snapshot pin accounting,
+// write-path semantics (empty batches, duplicate keys in one batch, crash
+// replay of batch records), OpenStore and its param decoding, error
+// propagation from injected device faults, background-I/O separation
+// (foreground time falls while scheduled device work is conserved), and
+// the per-engine concurrency and iterator-invalidation contracts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,7 +38,6 @@
 #include "sim/clock.h"
 #include "ssd/ssd_device.h"
 #include "test_support.h"
-#include "util/crc32.h"
 #include "util/parse.h"
 #include "util/random.h"
 
@@ -917,35 +917,107 @@ TEST(GroupCommitTest, WalBytesGrowSubLinearlyWithBatchSize) {
   }
 }
 
+// Cross-thread group commit: 4 writers of one-entry batches line up in
+// the write group, and a leader persists the waiting batches under one
+// log record, so they write strictly fewer records than puts. Merging
+// needs the threads to collide; a run that never merged is retried, up
+// to 5 runs, before the check fails.
+TEST(GroupCommitTest, ConcurrentWritersMergeIntoFewerRecords) {
+  constexpr size_t kWriters = 4;
+  constexpr uint64_t kPuts = 960;
+  constexpr uint64_t kPerWriter = kPuts / kWriters;
+  constexpr int kRuns = 5;
+  for (const EngineConfig& config : AllEngineConfigs()) {
+    uint64_t records = kPuts;
+    std::string per_run;  // each run's record count, for the message
+    for (int run = 0; run < kRuns && records >= kPuts; run++) {
+      auto h = MakeEngine(config, JournalParams(config));
+      // Start barrier: the group sees every writer from the first put.
+      std::atomic<bool> go{false};
+      std::atomic<bool> failed{false};
+      std::vector<std::thread> writers;
+      for (size_t t = 0; t < kWriters; t++) {
+        writers.emplace_back([&, t] {
+          while (!go.load(std::memory_order_acquire)) {
+          }
+          for (uint64_t key = t * kPerWriter; key < (t + 1) * kPerWriter;
+               key++) {
+            if (!h->store->Put(kv::MakeKey(key), kv::MakeValue(key, 512))
+                     .ok()) {
+              failed.store(true);
+              return;
+            }
+          }
+        });
+      }
+      go.store(true, std::memory_order_release);
+      for (std::thread& w : writers) w.join();
+      ASSERT_FALSE(failed.load()) << config.label;
+      const auto stats = h->store->GetStats();
+      EXPECT_EQ(stats.write_group_batches, kPuts) << config.label;
+      records = stats.wal_records;
+      per_run += " " + std::to_string(records);
+      ASSERT_TRUE(h->store->Close().ok()) << config.label;
+    }
+    EXPECT_LT(records, kPuts) << config.label << ": no write group merged "
+                              << "two batches; records per run:" << per_run;
+  }
+}
+
+// Snapshot pins: a snapshot held across churn keeps what compaction,
+// checkpointing or segment GC would reclaim (SSTs, pages, segments), the
+// stats account for those bytes, and they keep the snapshot readable.
+// Releasing the snapshot returns both gauges to exactly 0.
+TEST(SnapshotPinTest, PinnedBytesAreAccountedThenReleased) {
+  constexpr uint64_t kKeys = 1024;
+  for (const EngineConfig& config : AllEngineConfigs()) {
+    auto h = MakeEngine(config);
+    kv::KVStore* store = h->store.get();
+    const auto write_all = [&](uint64_t stamp) {
+      for (uint64_t id = 0; id < kKeys; id++) {
+        ASSERT_TRUE(
+            store->Put(kv::MakeKey(id), kv::MakeValue(id + stamp, 128)).ok());
+      }
+      ASSERT_TRUE(store->Flush().ok());
+      ASSERT_TRUE(store->SettleBackgroundWork().ok());
+    };
+    write_all(0);
+    auto got = store->GetSnapshot();
+    ASSERT_TRUE(got.ok()) << config.label;
+    std::shared_ptr<const kv::Snapshot> snap = *std::move(got);
+    const uint32_t golden = testing::ContentsChecksum(store, snap.get());
+    for (uint64_t round = 1; round <= 3; round++) write_all(round * 104729);
+
+    const kv::KvStoreStats pinned = store->GetStats();
+    EXPECT_EQ(pinned.snapshots_open, 1u) << config.label;
+    EXPECT_GT(pinned.snapshot_pinned_bytes, 0u) << config.label;
+    EXPECT_EQ(testing::ContentsChecksum(store, snap.get()), golden)
+        << config.label;
+
+    snap.reset();
+    ASSERT_TRUE(store->SettleBackgroundWork().ok());
+    const kv::KvStoreStats released = store->GetStats();
+    EXPECT_EQ(released.snapshots_open, 0u) << config.label;
+    EXPECT_EQ(released.snapshot_pinned_bytes, 0u) << config.label;
+    ASSERT_TRUE(store->Close().ok()) << config.label;
+  }
+}
+
 // ---- Timed stacks ------------------------------------------------------
 //
 // An engine on a simulated 4-channel SSD with a virtual clock and
 // background_io on, so maintenance runs on background submission lanes.
 
 struct TimedHarness {
-  sim::SimClock clock;
-  std::unique_ptr<ssd::SsdDevice> ssd;
-  std::unique_ptr<fs::SimpleFs> fs;
+  testing::TimedStack stack{4, 64ull << 20};
   std::unique_ptr<kv::KVStore> store;
 };
 
 std::unique_ptr<TimedHarness> MakeTimedEngine(const EngineConfig& config) {
   auto h = std::make_unique<TimedHarness>();
-  ssd::SsdConfig cfg;
-  cfg.geometry.logical_bytes = 64ull << 20;
-  cfg.channels = 4;
-  h->ssd = std::make_unique<ssd::SsdDevice>(cfg, &h->clock);
-  h->fs = std::make_unique<fs::SimpleFs>(h->ssd.get(), fs::FsOptions{});
-  kv::EngineOptions options;
-  options.engine = config.engine;
-  options.fs = h->fs.get();
-  options.clock = &h->clock;
-  options.params = config.params;
-  options.params["background_io"] = "1";
-  auto opened = kv::OpenStore(options);
-  EXPECT_TRUE(opened.ok()) << config.label << ": "
-                           << opened.status().ToString();
-  h->store = *std::move(opened);
+  std::map<std::string, std::string> params = config.params;
+  params["background_io"] = "1";
+  h->store = h->stack.Open(config.engine, std::move(params));
   return h;
 }
 
@@ -965,23 +1037,9 @@ BgOutcome RunBackgroundWorkload(const std::string& engine,
                                 std::map<std::string, std::string> params,
                                 bool background_io) {
   BgOutcome out;
-  sim::SimClock clock;
-  ssd::SsdConfig cfg;
-  cfg.geometry.logical_bytes = 64ull << 20;
-  cfg.channels = 2;
-  // No write cache: program time is visible in every command's latency.
-  cfg.timing.cache_bytes = 0;
-  ssd::SsdDevice ssd(cfg, &clock);
-  fs::SimpleFs fs(&ssd, {});
-  kv::EngineOptions options;
-  options.engine = engine;
-  options.fs = &fs;
-  options.clock = &clock;
-  options.params = std::move(params);
-  options.params["background_io"] = background_io ? "1" : "0";
-  auto opened = kv::OpenStore(options);
-  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
-  auto store = *std::move(opened);
+  testing::TimedStack stack(2, 64ull << 20);
+  params["background_io"] = background_io ? "1" : "0";
+  auto store = stack.Open(engine, std::move(params));
 
   kv::WriteBatch batch;
   for (uint64_t i = 0; i < 3000; i++) {
@@ -989,20 +1047,14 @@ BgOutcome RunBackgroundWorkload(const std::string& engine,
     batch.Put(kv::MakeKey(i % 400), kv::MakeValue(i, 512));
     EXPECT_TRUE(store->Write(batch).ok());
   }
-  out.foreground_ns = clock.NowNanos();
+  out.foreground_ns = stack.clock.NowNanos();
 
   EXPECT_TRUE(store->SettleBackgroundWork().ok());
   EXPECT_TRUE(store->Flush().ok());
-  auto it = store->NewIterator();
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    out.checksum = Crc32c(out.checksum, it->key().data(), it->key().size());
-    out.checksum =
-        Crc32c(out.checksum, it->value().data(), it->value().size());
-  }
-  EXPECT_TRUE(it->status().ok());
+  out.checksum = testing::ContentsChecksum(store.get());
   EXPECT_TRUE(store->Close().ok());
-  for (const auto& ch : ssd.channel_stats()) {
-    out.scheduled_busy_ns += ch.scheduled_ns;
+  out.scheduled_busy_ns = stack.ScheduledNanos();
+  for (const auto& ch : stack.ssd.channel_stats()) {
     out.background_busy_ns +=
         ch.class_busy_ns[static_cast<int>(sim::IoClass::kBackground)];
   }
@@ -1310,8 +1362,8 @@ TEST_P(ParallelismDifferentialTest, ParallelismNeverChangesVisibleState) {
   EXPECT_EQ(s1.flush_bytes_written, s4.flush_bytes_written);
   // Both sides ran maintenance; lsm byte totals differ (installing a
   // partitioned compaction at a different op index shifts every later
-  // pick, and the micro_compact bench pins down exact conservation for a
-  // fixed pick).
+  // pick; SubcompactionChannelTest.DrainSpeedsUpWithLanesTimesChannels
+  // pins down exact conservation for a fixed pick).
   EXPECT_GT(MaintenanceBytes(engine, s4), 0u);
 
   // Byte-identical visible contents.

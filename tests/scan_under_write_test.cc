@@ -2,7 +2,8 @@
 //
 // 4 writer threads each own a disjoint key slice and rewrite the WHOLE
 // slice as one WriteBatch per round, stamping every value with the round
-// number. 2 scanner threads concurrently take snapshots and scan. Because
+// number; each batch first range-deletes part of the slice that its puts
+// then refill. 2 scanner threads concurrently take snapshots and scan. Because
 // a batch commits atomically with respect to GetSnapshot (both serialize
 // through the engine's write group), every snapshot must observe each
 // writer at a whole-round boundary:
@@ -153,10 +154,15 @@ TEST(ScanUnderWriteStress, SnapshotScansSeeWholeRoundsUnderLoad) {
     std::vector<std::thread> threads;
     for (size_t w = 0; w < kWriters; w++) {
       threads.emplace_back([&, w] {
+        const uint64_t base = w * kKeysPerWriter;
         for (int round = 1; round <= kRounds; round++) {
+          // A range delete over part of the slice, refilled by the puts
+          // below in the same batch: snapshot cursors race range
+          // tombstones, and a whole round still leaves every key present.
           kv::WriteBatch batch;
-          for (uint64_t i = 0; i < kKeysPerWriter; i++) {
-            const uint64_t id = w * kKeysPerWriter + i;
+          batch.DeleteRange(kv::MakeKey(base + kKeysPerWriter / 4),
+                            kv::MakeKey(base + kKeysPerWriter / 2));
+          for (uint64_t id = base; id < base + kKeysPerWriter; id++) {
             batch.Put(kv::MakeKey(id), ValueFor(w, round, id));
           }
           if (!store->Write(batch).ok()) {

@@ -1,5 +1,6 @@
-// Shared test helpers: a reference model (std::map oracle) and common
-// fixtures for engine tests.
+// Shared test helpers: a reference model (std::map oracle), a contents
+// checksum, and the timed stack (simulated SSD + virtual clock) engine
+// tests open stores on.
 #ifndef PTSB_TESTS_TEST_SUPPORT_H_
 #define PTSB_TESTS_TEST_SUPPORT_H_
 
@@ -12,7 +13,12 @@
 #include <utility>
 #include <vector>
 
+#include "fs/filesystem.h"
 #include "kv/kvstore.h"
+#include "kv/registry.h"
+#include "sim/clock.h"
+#include "ssd/ssd_device.h"
+#include "util/crc32.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -31,6 +37,67 @@ inline Status CollectRange(
   }
   return it->status();
 }
+
+// CRC32C over every visible entry in key order, read through `snap` when
+// one is given. The entry count is folded in, so "same bytes, fewer rows"
+// cannot collide.
+inline uint32_t ContentsChecksum(kv::KVStore* store,
+                                 const kv::Snapshot* snap = nullptr) {
+  kv::ReadOptions opts;
+  opts.snapshot = snap;
+  std::unique_ptr<kv::KVStore::Iterator> it = store->NewIterator(opts);
+  uint32_t sum = 0;
+  uint64_t n = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next(), n++) {
+    sum = Crc32c(sum, it->key().data(), it->key().size());
+    sum = Crc32c(sum, it->value().data(), it->value().size());
+  }
+  EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+  return Crc32c(sum, reinterpret_cast<const char*>(&n), sizeof(n));
+}
+
+// A simulated SSD with `channels` channels under a virtual clock, and a
+// filesystem on it. The SSD has no write cache, so program time shows in
+// every command's latency. A store opened with background_io=1 runs its
+// maintenance on background lanes, lane i on channel
+// (kv::kBackgroundQueue + i) % channels.
+struct TimedStack {
+  TimedStack(int channels, uint64_t logical_bytes)
+      : ssd(Config(channels, logical_bytes), &clock), fs(&ssd, {}) {}
+
+  std::unique_ptr<kv::KVStore> Open(
+      const std::string& engine, std::map<std::string, std::string> params) {
+    kv::EngineOptions options;
+    options.engine = engine;
+    options.fs = &fs;
+    options.clock = &clock;
+    options.params = std::move(params);
+    auto opened = kv::OpenStore(options);
+    EXPECT_TRUE(opened.ok()) << engine << ": " << opened.status().ToString();
+    return opened.ok() ? *std::move(opened) : nullptr;
+  }
+
+  // Backend work ever scheduled, summed over channels: a pure function of
+  // the command byte stream, whatever the lanes and channels.
+  int64_t ScheduledNanos() const {
+    int64_t sum = 0;
+    for (const auto& ch : ssd.channel_stats()) sum += ch.scheduled_ns;
+    return sum;
+  }
+
+  sim::SimClock clock;
+  ssd::SsdDevice ssd;
+  fs::SimpleFs fs;
+
+ private:
+  static ssd::SsdConfig Config(int channels, uint64_t logical_bytes) {
+    ssd::SsdConfig cfg;
+    cfg.geometry.logical_bytes = logical_bytes;
+    cfg.channels = channels;
+    cfg.timing.cache_bytes = 0;
+    return cfg;
+  }
+};
 
 // Oracle for property tests: mirrors every mutation applied to an engine.
 class ReferenceModel {
