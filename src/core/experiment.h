@@ -150,7 +150,7 @@ struct ExperimentResult {
 
   // Per-channel utilization over the whole run: fraction of the final
   // virtual time each flash channel spent busy with backend work
-  // (programs, GC, erases). One entry per configured channel; a
+  // (programs and GC). One entry per configured channel; a
   // single-channel run reports one number.
   std::vector<double> channel_utilization;
 

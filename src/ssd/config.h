@@ -34,8 +34,10 @@ struct FlashGeometry {
   uint64_t PhysicalPages() const { return PhysicalBlocks() * pages_per_block; }
 };
 
-// Timing model. The flash backend (programs, GC reads, erases) is a single
-// server whose busy time is tracked on the virtual clock; the write-back
+// Timing model. The flash backend (programs and GC relocations) is a single
+// server whose busy time is tracked on the virtual clock; block erases
+// cost no backend time, since vendor sustained-write bandwidth specs
+// already absorb them (parallel dies). The write-back
 // cache acks host writes quickly until it fills, after which host writes
 // stall on the backend drain — this is the mechanism behind the SSD2 stall
 // behavior in Fig. 10 of the paper.
@@ -50,11 +52,6 @@ struct SsdTiming {
   // Read latency (per command) and bandwidth.
   int64_t read_latency_ns = 90'000;
   double read_bw = 2.1e9;  // bytes/s
-  // Block erase time charged to the backend during GC. Defaults to zero:
-  // vendor sustained-write bandwidth specs already absorb erase overhead
-  // (parallel dies); keep it as an explicit knob for the FTL ablation
-  // bench.
-  int64_t erase_latency_ns = 0;
   // Flash read bandwidth used by GC relocations.
   double gc_read_bw = 2.1e9;
   // Write-back cache capacity. 0 disables the cache (every write goes at
@@ -71,9 +68,6 @@ struct SsdConfig {
   std::string name = "ssd";
   FlashGeometry geometry;
   SsdTiming timing;
-  // If true, GC relocations write into a dedicated open block (hot/cold
-  // separation); otherwise they share the host open blocks.
-  bool gc_separate_open_block = true;
   // Number of concurrently-open host blocks, filled round-robin per page.
   // Models die-level striping: consecutive host writes land in different
   // erase blocks, so each block mixes data written over a longer time

@@ -30,10 +30,8 @@ Status ValidateGeometry(const FlashGeometry& geometry) {
 }
 
 FlashTranslationLayer::FlashTranslationLayer(const FlashGeometry& geometry,
-                                             bool gc_separate_open_block,
                                              int host_open_blocks)
     : geometry_(geometry),
-      gc_separate_open_block_(gc_separate_open_block),
       pages_per_block_(geometry.pages_per_block),
       logical_pages_(geometry.LogicalPages()),
       physical_blocks_(geometry.PhysicalBlocks()) {
@@ -200,8 +198,8 @@ void FlashTranslationLayer::CollectOnce(WorkDone* work) {
   const uint32_t victim = buckets_[c].back();
   BucketErase(victim);
 
-  // Relocate valid pages.
-  OpenBlock* open = gc_separate_open_block_ ? &gc_open_ : &host_open_[0];
+  // Relocate valid pages into the dedicated GC open block, apart from
+  // host writes (hot/cold separation).
   const uint64_t base = static_cast<uint64_t>(victim) * pages_per_block_;
   for (uint64_t i = 0; i < pages_per_block_; i++) {
     const uint32_t lpn = p2l_[base + i];
@@ -212,11 +210,10 @@ void FlashTranslationLayer::CollectOnce(WorkDone* work) {
     l2p_[lpn] = kUnmapped;
     block_valid_[victim]--;
     valid_pages_--;
-    Program(lpn, open, work, /*is_gc=*/true);
+    Program(lpn, &gc_open_, work, /*is_gc=*/true);
   }
   PTSB_DCHECK(block_valid_[victim] == 0);
   blocks_erased_++;
-  work->blocks_erased++;
   free_blocks_.push_back(victim);
 }
 

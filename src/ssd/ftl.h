@@ -28,7 +28,6 @@ Status ValidateGeometry(const FlashGeometry& geometry);
 class FlashTranslationLayer {
  public:
   explicit FlashTranslationLayer(const FlashGeometry& geometry,
-                                 bool gc_separate_open_block = true,
                                  int host_open_blocks = 1);
 
   FlashTranslationLayer(const FlashTranslationLayer&) = delete;
@@ -39,13 +38,11 @@ class FlashTranslationLayer {
     uint64_t host_pages = 0;       // pages programmed on behalf of the host
     uint64_t gc_read_pages = 0;    // valid pages read by GC
     uint64_t gc_write_pages = 0;   // valid pages re-programmed by GC
-    uint64_t blocks_erased = 0;
 
     void Add(const WorkDone& o) {
       host_pages += o.host_pages;
       gc_read_pages += o.gc_read_pages;
       gc_write_pages += o.gc_write_pages;
-      blocks_erased += o.blocks_erased;
     }
   };
 
@@ -106,7 +103,6 @@ class FlashTranslationLayer {
   void BucketMove(uint32_t block, uint32_t old_count);
 
   FlashGeometry geometry_;
-  bool gc_separate_open_block_;
   uint64_t pages_per_block_;
   uint64_t logical_pages_;
   uint64_t physical_blocks_;

@@ -25,7 +25,6 @@ SsdConfig MakeProfile(ProfileKind kind, uint64_t logical_bytes,
       c.timing.read_bw = 2.1e9;
       c.timing.write_ack_latency_ns = 100'000;
       c.timing.cache_bytes = (256ull << 20) / scale_denominator;
-      c.timing.erase_latency_ns = 0;
       c.timing.flush_latency_ns = 20'000;
       break;
     }
@@ -41,7 +40,6 @@ SsdConfig MakeProfile(ProfileKind kind, uint64_t logical_bytes,
       c.timing.read_bw = 1.8e9;
       c.timing.write_ack_latency_ns = 30'000;
       c.timing.cache_bytes = (24ull << 30) / scale_denominator;
-      c.timing.erase_latency_ns = 0;
       c.timing.flush_latency_ns = 500'000;
       break;
     }
@@ -59,7 +57,6 @@ SsdConfig MakeProfile(ProfileKind kind, uint64_t logical_bytes,
       c.timing.read_bw = 2.5e9;
       c.timing.write_ack_latency_ns = 15'000;
       c.timing.cache_bytes = (64ull << 20) / scale_denominator;
-      c.timing.erase_latency_ns = 0;
       c.timing.flush_latency_ns = 5'000;
       break;
     }

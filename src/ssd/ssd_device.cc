@@ -11,8 +11,7 @@ SsdDevice::SsdDevice(const SsdConfig& config, sim::SimClock* clock)
     : config_(config),
       clock_(clock),
       ftl_(std::make_unique<FlashTranslationLayer>(
-          config.geometry, config.gc_separate_open_block,
-          config.host_open_blocks)) {
+          config.geometry, config.host_open_blocks)) {
   const uint64_t chunks =
       (config_.geometry.LogicalPages() + kPagesPerChunk - 1) / kPagesPerChunk;
   chunks_.resize(chunks);
@@ -184,10 +183,9 @@ Status SsdDevice::Write(uint64_t lba, uint64_t count, const uint8_t* src) {
     // Device-internal GC is charged to the class of the write that
     // triggered it.
     const auto& t = config_.timing;
-    int64_t gc_cost =
+    const int64_t gc_cost =
         sim::BytesToNanos(work.gc_read_pages * page, t.gc_read_bw) +
-        sim::BytesToNanos(work.gc_write_pages * page, t.program_bw) +
-        static_cast<int64_t>(work.blocks_erased) * t.erase_latency_ns;
+        sim::BytesToNanos(work.gc_write_pages * page, t.program_bw);
     if (gc_cost > 0) {
       EnqueueBackend(&channel, gc_cost, 0, cls,
                      (work.gc_read_pages + work.gc_write_pages) * page);

@@ -5,8 +5,8 @@
 //  - a sparse content store keyed by *logical* page (GC moves no data),
 //  - a timing model: host-interface transfer, per-command ack latency,
 //    a write-back cache that drains into flash at the program bandwidth,
-//    and N per-channel "backend" timelines shared by programs, GC reads
-//    and erases (config.channels; one channel = the single serialized
+//    and N per-channel "backend" timelines shared by programs and GC
+//    relocations (config.channels; one channel = the single serialized
 //    server of the original model). A command issued on submission queue
 //    q (sim::SimClock::AsyncQueue, the queue of the submitting lane)
 //    serializes on channel q % channels only, so lanes on distinct
@@ -101,7 +101,7 @@ class SsdDevice : public block::BlockDevice {
 
   // Per-channel accounting, for the per-channel utilization report:
   // busy_ns is the backend time the channel has actually spent busy as
-  // of now (programs, GC relocations, erases; scheduled work that has
+  // of now (programs and GC relocations; scheduled work that has
   // not elapsed yet — backlog past the current clock — is excluded, so
   // busy_ns / elapsed virtual time is a true utilization <= 1).
   // commands counts backend work items enqueued.
@@ -112,11 +112,13 @@ class SsdDevice : public block::BlockDevice {
   // and lanes — so two runs of the same logical workload must agree on
   // it exactly even when their foreground/background scheduling differs
   // (the conservation checks of BackgroundIoTest in
-  // tests/engine_differential_test.cc and of bench/micro_compact.cc).
+  // tests/engine_differential_test.cc and of
+  // SubcompactionChannelTest.DrainSpeedsUpWithLanesTimesChannels in
+  // tests/subcompaction_test.cc).
   //
   // The per-class arrays (indexed by sim::IoClass) attribute the
-  // channel's occupancy to who submitted it: backend work (programs, GC,
-  // erases) plus read occupancy, bytes moved, and commands, per class.
+  // channel's occupancy to who submitted it: backend work (programs and
+  // GC) plus read occupancy, bytes moved, and commands, per class.
   // Device-internal GC triggered by a host write is charged to that
   // write's class (it inflates that command's channel time).
   // class_busy_ns is backlog-adjusted like busy_ns (the unserved backend
@@ -159,7 +161,7 @@ class SsdDevice : public block::BlockDevice {
 
  private:
   // One flash channel: an independent backend busy-until timeline (for
-  // programs/GC/erases), an independent READ busy-until timeline (the
+  // programs and GC), an independent READ busy-until timeline (the
   // channel's read pipeline: reads submitted concurrently to the same
   // channel serialize on it, reads on distinct channels overlap — for
   // synchronous callers, who always wait each read out, it never moves
@@ -170,7 +172,7 @@ class SsdDevice : public block::BlockDevice {
     int64_t busy_ns = 0;  // cumulative scheduled backend work
     uint64_t commands = 0;
     int64_t read_busy_until_ns = 0;
-    // Backend (programs/GC/erases, scheduled) and read-pipeline
+    // Backend (programs and GC, scheduled) and read-pipeline
     // occupancy, separately per class: reads carry no backlog, so the
     // backlog adjustment in channel_stats() applies to the backend
     // share only.

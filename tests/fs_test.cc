@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "block/memory_device.h"
 #include "fs/extent_allocator.h"
@@ -287,6 +288,43 @@ TEST(FsNodiscardTest, DiscardModeTrimsOnDelete) {
       EXPECT_LE(valid_after + 100, valid_before);
     }
   }
+}
+
+TEST(FsNodiscardTest, DiscardLowersChurnWaD) {
+  // The discard mount option of Section 3.5 (Pitfall 3): churning 8 MiB
+  // files over ~70% of a 256 MiB drive. Discard trims a deleted file's
+  // LBAs, so the FTL relocates only live file data and the metadata region.
+  double wa_d[2];  // indexed by nodiscard
+  for (const bool nodiscard : {false, true}) {
+    sim::SimClock clock;
+    ssd::SsdConfig cfg;
+    cfg.geometry.logical_bytes = 256ull << 20;
+    ssd::SsdDevice dev(cfg, &clock);
+    FsOptions o;
+    o.nodiscard = nodiscard;
+    SimpleFs fs(&dev, o);
+    Rng rng(11);
+    const std::string chunk(1 << 20, 'x');
+    int generation = 0;
+    std::vector<std::string> live;
+    for (int i = 0; i < 400; i++) {
+      if (live.size() >= 20 && rng.Bernoulli(0.55)) {
+        const size_t idx = rng.Uniform(live.size());
+        ASSERT_TRUE(fs.Delete(live[idx]).ok());
+        live.erase(live.begin() + static_cast<long>(idx));
+      } else {
+        live.push_back("f" + std::to_string(generation++));
+        File* f = *fs.Create(live.back());
+        for (int j = 0; j < 8; j++) ASSERT_TRUE(f->Append(chunk).ok());
+      }
+    }
+    wa_d[nodiscard] = dev.smart().WaD();
+    if (!nodiscard) {
+      EXPECT_LE(dev.ftl().GetStats().valid_pages,
+                live.size() * (8 << 20) / kPage + o.metadata_pages);
+    }
+  }
+  EXPECT_LT(wa_d[false], wa_d[true]);
 }
 
 TEST(ExtentAllocatorTest, AllocateAndFreeRoundTrip) {
